@@ -1064,11 +1064,13 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 		// it gets the same retry budget (publishFlow's ingest Retries: 2) —
 		// one transient portal hiccup must not drop a whole campaign's
 		// records. The buffer retains them across flush attempts within this
-		// loop (it dies with the attempt if all three fail). Delivery
-		// is at-least-once, exactly like the per-record flow: if the portal
-		// committed a batch but the response was lost, the retry re-ingests
-		// it. Rejected submissions (ErrInvalid) and cancellation stop the
-		// loop early — resending those is hopeless.
+		// loop (it dies with the attempt if all three fail). A retry resends
+		// the failed batch under the idempotency key it was frozen with, so
+		// if the portal committed a batch but the response was lost, the
+		// Store (or the Client, over HTTP) answers the retry from its dedupe
+		// memory instead of ingesting the batch twice. Rejected submissions
+		// (ErrInvalid) and cancellation stop the loop early — resending
+		// those is hopeless.
 		var ids []string
 		var ferr error
 		for attempt := 0; attempt <= 2; attempt++ {

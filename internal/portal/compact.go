@@ -34,7 +34,7 @@ func compactPoint(point string) error {
 // snap-NNNNNN.snap.tmp, fsynced, renamed into place, and the directory
 // synced before any input is removed. A crash at any point leaves either
 // the old files, the new snapshot plus leftover inputs, or both — all
-// states the open-time sweep (cleanSegmentDir) reduces to the same store.
+// states the open-time sweep (sweepSegmentDir) reduces to the same store.
 func (s *Store) Compact() error {
 	// cmu serializes compactions against each other and against Close; it is
 	// never taken by the ingest or read path, so neither waits on a running
@@ -42,32 +42,29 @@ func (s *Store) Compact() error {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
 	s.wmu.Lock()
-	lg := s.log
-	if lg == nil {
+	if s.log == nil {
 		s.wmu.Unlock()
 		return fmt.Errorf("portal: compact: store has no segment log")
 	}
-	dir := lg.dir
-	prev := lg.compacted
-	upTo := lg.segSeq - 1
+	prev := s.compacted
+	upTo := s.log.seq - 1
 	// The blob watermark is captured under wmu, so no batch is mid-append:
 	// every blob numbered ≤ blobW is either referenced by a committed
 	// segment line or orphaned forever (its append failed or was torn) —
 	// which makes the unreferenced ones safe to delete.
-	blobW := lg.blob
-	activeSeg := lg.segSeq
-	activeLen := lg.size
+	blobW := s.blob
+	activeSeg := s.log.seq
+	activeLen := s.log.size
 	s.wmu.Unlock()
 	if upTo <= prev {
 		return nil // nothing sealed beyond the newest snapshot
 	}
-	if err := compactFiles(dir, prev, upTo, blobW, activeSeg, activeLen); err != nil {
+	if err := compactFiles(s.dir, prev, upTo, blobW, activeSeg, activeLen); err != nil {
 		return err
 	}
+	// Close waits on cmu, so the log is still open here.
 	s.wmu.Lock()
-	if s.log == lg {
-		lg.compacted = upTo
-	}
+	s.compacted = upTo
 	s.wmu.Unlock()
 	return nil
 }
@@ -79,7 +76,7 @@ func (s *Store) maybeCompact() {
 	if s.autoCompact <= 0 || s.log == nil {
 		return
 	}
-	if s.log.segSeq-1-s.log.compacted < s.autoCompact {
+	if s.log.seq-1-s.compacted < s.autoCompact {
 		return
 	}
 	if !s.compactQueued.CompareAndSwap(false, true) {
@@ -161,7 +158,7 @@ func compactFiles(dir string, prev, upTo, blobW, activeSeg int, activeLen int64)
 	head.Count = len(recs)
 
 	// Stage 1: build the new snapshot under a .tmp name. Everything up to
-	// the rename is invisible to replay — cleanSegmentDir discards *.tmp.
+	// the rename is invisible to replay — sweepSegmentDir discards *.tmp.
 	final := snapPath(dir, upTo)
 	tmp := final + ".tmp"
 	header, chunks, err := snapEncode(head, recs)

@@ -1,7 +1,6 @@
 package portal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -17,6 +16,7 @@ import (
 
 // On-disk layout under the data directory:
 //
+//	<dir>/segments/LOCK               the single-writer lock (see seglog.go)
 //	<dir>/segments/snap-000005.snap   compacted snapshot of segments 1..5:
 //	                                  the covered records in original ingest
 //	                                  order, in the binary format described
@@ -26,17 +26,19 @@ import (
 //	<dir>/blobs/b-00000042.bin        attachment bodies, one file each,
 //	                                  referenced by name from segment lines
 //
-// A record becomes durable when its segment line is written and fsynced;
-// its blobs are written (and synced) first, so a line never references a
-// missing blob. On OpenStore the snapshot (if any) and the tail segments
-// are replayed oldest-first — decoded on a worker pool in chunks, merged in
-// ingest order — so restart time is bounded by cores, not archive age. A
-// torn final line (the process died mid-append) is truncated away and
-// everything before it is restored, indexes and summary cache included.
+// The segment files are a segLog (seglog.go), which owns locking, tail
+// repair, the append commit and rotation; the store adds blobs, snapshots,
+// compaction, parallel replay and batch keys on top. A record becomes
+// durable when its segment line is written and fsynced; its blobs are
+// written (and synced) first, so a line never references a missing blob.
+// On OpenStore the snapshot (if any) and the tail segments are replayed
+// oldest-first — decoded on a worker pool in chunks, merged in ingest
+// order — so restart time is bounded by cores, not archive age.
 // Compaction (see compact.go) replaces sealed segments with a fresh
 // snapshot via write-new-then-atomic-rename; leftovers of a compaction
 // interrupted by a crash (a stale .tmp, segments already covered by the
-// newest snapshot, an older snapshot) are swept on the next open.
+// newest snapshot, an older snapshot) are swept on the next open, once the
+// lock is held.
 
 const (
 	segmentDirName = "segments"
@@ -102,31 +104,8 @@ type blobRef struct {
 	Size int    `json:"size"`
 }
 
-// segmentLog is the append side of the persistence layer.
-type segmentLog struct {
-	dir    string // data dir root
-	f      *os.File
-	w      *bufio.Writer
-	size   int64 // committed bytes: the segment's length after the last successful batch
-	segSeq int   // current segment number (1-based)
-	blob   int   // last blob number issued
-	// maxBytes seals the active segment once it grows past this size
-	// (Options.SegmentBytes, defaulted from maxSegmentBytes).
-	maxBytes int64
-	// compacted is the highest segment number covered by the newest
-	// snapshot segment; sealed segments above it are compaction candidates.
-	compacted int
-	// fault poisons the log: set when a failed append could not be rolled
-	// back (or a rotation failed), leaving the on-disk state untrustworthy
-	// for further writes. Every later append is refused, which keeps the
-	// committed prefix replayable instead of corrupting it.
-	fault error
-	// unlock releases the data dir's single-writer lock on close.
-	unlock func()
-}
-
 func segmentPath(dir string, seq int) string {
-	return filepath.Join(dir, segmentDirName, fmt.Sprintf("seg-%06d.jsonl", seq))
+	return segFile(filepath.Join(dir, segmentDirName), "seg-", seq)
 }
 
 func snapPath(dir string, seq int) string {
@@ -180,90 +159,54 @@ func OpenStore(dir string) (*Store, error) {
 
 // OpenStoreWith is OpenStore with replay and compaction tuning.
 func OpenStoreWith(dir string, opts Options) (*Store, error) {
-	for _, sub := range []string{segmentDirName, blobDirName} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("portal: open store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
+		return nil, fmt.Errorf("portal: open store: %w", err)
 	}
-	unlock, err := lockDataDir(dir)
+	maxBytes := opts.SegmentBytes
+	if maxBytes <= 0 {
+		maxBytes = maxSegmentBytes
+	}
+	segDir := filepath.Join(dir, segmentDirName)
+	log, err := lockSegLog(segDir, "seg-", maxBytes)
 	if err != nil {
 		return nil, err
 	}
 	opened := false
 	defer func() {
 		if !opened {
-			unlock()
+			_ = log.close() // already failing; nothing was appended
 		}
 	}()
-	snapN, segs, err := cleanSegmentDir(filepath.Join(dir, segmentDirName))
+	snapN, err := sweepSegmentDir(segDir)
 	if err != nil {
 		return nil, err
 	}
-	s, watermarks, err := replayArchive(dir, snapN, segs, opts.ReplayWorkers)
+	paths, err := log.open(snapN)
 	if err != nil {
 		return nil, err
 	}
-
-	log := &segmentLog{dir: dir, segSeq: snapN + 1, compacted: snapN, blob: watermarks.blob, maxBytes: opts.SegmentBytes}
-	if log.maxBytes <= 0 {
-		log.maxBytes = maxSegmentBytes
-	}
-	if len(segs) > 0 {
-		log.segSeq = segs[len(segs)-1]
-	}
-	f, err := os.OpenFile(segmentPath(dir, log.segSeq), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	s, watermarks, err := replayArchive(dir, snapN, paths, opts.ReplayWorkers)
 	if err != nil {
-		return nil, fmt.Errorf("portal: open segment: %w", err)
+		return nil, err
 	}
-	// The OpenFile may just have created the segment: make its directory
-	// entry durable before any batch is acknowledged out of it.
-	if err := syncDir(filepath.Join(dir, segmentDirName)); err != nil {
-		_ = f.Close() // already failing; nothing durable was written yet
-		return nil, fmt.Errorf("portal: open segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // already failing; nothing durable was written yet
-		return nil, fmt.Errorf("portal: open segment: %w", err)
-	}
-	log.f, log.w, log.size = f, bufio.NewWriter(f), st.Size()
-	// A crash can tear exactly at the line/newline boundary: the final
-	// record's JSON is complete (replay kept it) but its '\n' never landed.
-	// Repair the boundary now, or the next append would concatenate onto
-	// that line and a later replay would reject or drop both records.
-	if log.size > 0 {
-		tail := make([]byte, 1)
-		if _, err := f.ReadAt(tail, log.size-1); err != nil {
-			_ = f.Close() // already failing; nothing durable was written yet
-			return nil, fmt.Errorf("portal: open segment: %w", err)
-		}
-		if tail[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				_ = f.Close() // already failing; nothing durable was written yet
-				return nil, fmt.Errorf("portal: repair segment boundary: %w", err)
-			}
-			log.size++
-		}
-	}
-	log.unlock = unlock
+	s.dir, s.blob, s.compacted = dir, watermarks.blob, snapN
 	s.seq = watermarks.seq
 	s.log = log
-	s.readLog.Store(log)
 	s.autoCompact = opts.AutoCompactSegments
 	opened = true
 	return s, nil
 }
 
-// cleanSegmentDir sweeps leftovers of an interrupted compaction and
-// returns the newest snapshot number (0 if none) plus the sorted tail
-// segment numbers to replay after it. Removed: stale *.tmp stages, older
-// snapshots superseded by the newest one, and segments the newest snapshot
-// already covers (a crash between rename and cleanup leaves both; replaying
-// both would abort on duplicate IDs).
-func cleanSegmentDir(segDir string) (snapN int, segs []int, err error) {
+// sweepSegmentDir removes leftovers of an interrupted compaction and
+// returns the newest snapshot number (0 if none). Removed: stale *.tmp
+// stages, older snapshots superseded by the newest one, and segments the
+// newest snapshot already covers (a crash between rename and cleanup leaves
+// both; replaying both would abort on duplicate IDs). The caller holds the
+// directory's lock.
+func sweepSegmentDir(segDir string) (snapN int, err error) {
 	names, err := filepath.Glob(filepath.Join(segDir, "*"))
 	if err != nil {
-		return 0, nil, fmt.Errorf("portal: open store: %w", err)
+		return 0, fmt.Errorf("portal: open store: %w", err)
 	}
 	for _, name := range names {
 		if n, ok := numberedFile(filepath.Base(name), "snap-", ".snap"); ok && n > snapN {
@@ -277,49 +220,31 @@ func cleanSegmentDir(segDir string) (snapN int, segs []int, err error) {
 		if n, ok := numberedFile(base, "snap-", ".snap"); ok && n < snapN {
 			drop = true
 		}
-		if n, ok := numberedFile(base, "seg-", ".jsonl"); ok {
-			if n <= snapN {
-				drop = true
-			} else {
-				segs = append(segs, n)
-			}
+		if n, ok := numberedFile(base, "seg-", ".jsonl"); ok && n <= snapN {
+			drop = true
 		}
 		if drop {
 			if err := os.Remove(name); err != nil {
-				return 0, nil, fmt.Errorf("portal: sweep %s: %w", base, err)
+				return 0, fmt.Errorf("portal: sweep %s: %w", base, err)
 			}
 			removed = true
 		}
 	}
 	if removed {
 		if err := syncDir(segDir); err != nil {
-			return 0, nil, fmt.Errorf("portal: sweep segment dir: %w", err)
+			return 0, fmt.Errorf("portal: sweep segment dir: %w", err)
 		}
 	}
-	sort.Ints(segs)
-	for i := 1; i < len(segs); i++ {
-		if segs[i] != segs[i-1]+1 {
-			return 0, nil, fmt.Errorf("portal: segment log gap: missing seg-%06d", segs[i-1]+1)
-		}
-	}
-	if snapN > 0 && len(segs) > 0 && segs[0] != snapN+1 {
-		return 0, nil, fmt.Errorf("portal: segment log gap: missing seg-%06d", snapN+1)
-	}
-	return snapN, segs, nil
+	return snapN, nil
 }
 
 // fileDecode is the decoded contents of one JSONL segment file.
 type fileDecode struct {
 	path string
-	size int64
 	recs []segRecord
-	// First undecodable line, if any: its file offset, the offset past its
-	// bytes, and whether it carried a trailing newline — enough for the
-	// caller to distinguish a torn tail from in-place corruption.
-	bad           bool
-	badOff        int64
-	badEnd        int64
-	badTerminated bool
+	// bad marks an undecodable line at file offset badOff.
+	bad    bool
+	badOff int64
 }
 
 // decodeChunk is one parallel decode unit: a line-aligned byte range of one
@@ -331,11 +256,9 @@ type decodeChunk struct {
 }
 
 type chunkResult struct {
-	recs          []segRecord
-	bad           bool
-	badOff        int64
-	badEnd        int64
-	badTerminated bool
+	recs   []segRecord
+	bad    bool
+	badOff int64
 }
 
 // decodeSegmentFiles reads and decodes the given JSONL segments on a worker
@@ -350,7 +273,7 @@ func decodeSegmentFiles(paths []string, workers int) ([]fileDecode, error) {
 		if err != nil {
 			return nil, fmt.Errorf("portal: replay %s: %w", filepath.Base(path), err)
 		}
-		decs[i] = fileDecode{path: path, size: int64(len(data))}
+		decs[i] = fileDecode{path: path}
 		for base := 0; base < len(data); {
 			end := base + replayChunkBytes
 			if end >= len(data) {
@@ -403,42 +326,26 @@ func decodeSegmentFiles(paths []string, workers int) ([]fileDecode, error) {
 		if res.bad {
 			fd.bad = true
 			fd.badOff = res.badOff
-			fd.badEnd = res.badEnd
-			fd.badTerminated = res.badTerminated
 		}
 	}
 	return decs, nil
 }
 
 // decodeOneChunk parses one chunk's lines. A line that fails to parse (or
-// parses without an experiment name) stops the chunk; the caller decides
-// whether that is a legal torn tail or corruption.
+// parses without an experiment name) is corruption and stops the chunk:
+// tail repair already removed the one legal tear.
 func decodeOneChunk(c decodeChunk) chunkResult {
 	var res chunkResult
-	data := c.data
 	off := c.base
-	for len(data) > 0 {
-		line := data
-		terminated := false
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-			terminated = true
-		} else {
-			data = nil
-		}
+	for line := range bytes.Lines(c.data) {
 		var sr segRecord
 		if err := json.Unmarshal(line, &sr); err != nil || sr.Experiment == "" {
 			res.bad = true
 			res.badOff = off
-			res.badEnd = off + int64(len(line))
-			res.badTerminated = terminated
 			return res
 		}
 		res.recs = append(res.recs, sr)
 		off += int64(len(line))
-		if terminated {
-			off++
-		}
 	}
 	return res
 }
@@ -455,7 +362,7 @@ type replayWatermarks struct {
 // sorted insert, with per-experiment indexes derived from the global order
 // in one pass. Snapshot records skip the per-record watermark scan — their
 // header carries the covered watermarks.
-func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, replayWatermarks, error) {
+func replayArchive(dir string, snapN int, paths []string, workers int) (*Store, replayWatermarks, error) {
 	s := NewStore()
 	var marks replayWatermarks
 	var snapRecs []segRecord
@@ -473,10 +380,6 @@ func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, repl
 		}
 		marks.seq, marks.blob = head.Seq, head.Blob
 		snapRecs = recs
-	}
-	paths := make([]string, len(segs))
-	for i, n := range segs {
-		paths[i] = segmentPath(dir, n)
 	}
 	decs, err := decodeSegmentFiles(paths, workers)
 	if err != nil {
@@ -537,20 +440,8 @@ func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, repl
 	for fi := range decs {
 		fd := &decs[fi]
 		if fd.bad {
-			// A torn append can only leave an unterminated final line of the
-			// final segment: appendRecords writes each line with its '\n' in
-			// one prefix-failing write, so a line that ends in '\n' was fully
-			// committed — if it no longer parses, that is in-place corruption
-			// to report, not a tear to truncate.
-			torn := fi == len(decs)-1 && fd.badEnd == fd.size && !fd.badTerminated
-			if !torn {
-				return nil, marks, fmt.Errorf("portal: corrupt record in %s at offset %d",
-					filepath.Base(fd.path), fd.badOff)
-			}
-			if terr := os.Truncate(fd.path, fd.badOff); terr != nil {
-				return nil, marks, fmt.Errorf("portal: truncate torn tail of %s: %w",
-					filepath.Base(fd.path), terr)
-			}
+			return nil, marks, fmt.Errorf("portal: corrupt record in %s at offset %d",
+				filepath.Base(fd.path), fd.badOff)
 		}
 		for ri := range fd.recs {
 			if err := addRec(&fd.recs[ri], filepath.Base(fd.path), true); err != nil {
@@ -582,7 +473,7 @@ func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, repl
 
 // writeBlobs persists one record's attachments, returning their references.
 // Callers hold the store lock, which serializes blob numbering.
-func (l *segmentLog) writeBlobs(files map[string][]byte) (map[string]blobRef, error) {
+func (s *Store) writeBlobs(files map[string][]byte) (map[string]blobRef, error) {
 	if len(files) == 0 {
 		return nil, nil
 	}
@@ -594,32 +485,14 @@ func (l *segmentLog) writeBlobs(files map[string][]byte) (map[string]blobRef, er
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		l.blob++
-		file := fmt.Sprintf("b-%08d.bin", l.blob)
-		if err := writeFileSync(filepath.Join(l.dir, blobDirName, file), files[name]); err != nil {
+		s.blob++
+		file := fmt.Sprintf("b-%08d.bin", s.blob)
+		if err := writeFileSync(filepath.Join(s.dir, blobDirName, file), files[name]); err != nil {
 			return nil, fmt.Errorf("portal: write blob: %w", err)
 		}
 		refs[name] = blobRef{File: file, Size: len(files[name])}
 	}
 	return refs, nil
-}
-
-// usable reports whether the log can accept appends, surfacing the poison
-// fault set by an unrecoverable earlier failure.
-func (l *segmentLog) usable() error {
-	if l.fault != nil {
-		return fmt.Errorf("portal: segment log unusable after earlier failure: %w", l.fault)
-	}
-	return nil
-}
-
-// syncBlobDir makes newly written blobs' directory entries durable; called
-// once per ingest batch rather than once per record.
-func (l *segmentLog) syncBlobDir() error {
-	if err := syncDir(filepath.Join(l.dir, blobDirName)); err != nil {
-		return fmt.Errorf("portal: sync blob dir: %w", err)
-	}
-	return nil
 }
 
 // syncDir fsyncs a directory so freshly created files' entries survive a
@@ -655,11 +528,12 @@ func writeFileSync(path string, data []byte) error {
 	return err
 }
 
-// readBlobs loads a record's attachment bodies.
-func (l *segmentLog) readBlobs(refs map[string]blobRef) (map[string][]byte, error) {
+// readBlobs loads a record's attachment bodies from the data dir rooted at
+// dir.
+func readBlobs(dir string, refs map[string]blobRef) (map[string][]byte, error) {
 	files := make(map[string][]byte, len(refs))
 	for name, ref := range refs {
-		data, err := os.ReadFile(filepath.Join(l.dir, blobDirName, ref.File))
+		data, err := os.ReadFile(filepath.Join(dir, blobDirName, ref.File))
 		if err != nil {
 			return nil, fmt.Errorf("load attachment %q: %w", name, err)
 		}
@@ -668,19 +542,10 @@ func (l *segmentLog) readBlobs(refs map[string]blobRef) (map[string][]byte, erro
 	return files, nil
 }
 
-// appendRecords makes a batch durable as a unit, rotating to a fresh
-// segment when the current one is full. Every line is encoded before any
-// byte is staged, so an unmarshalable record (say a NaN field value)
-// rejects the batch without touching the log. A failed write or flush rolls
-// the segment back to its last committed length — buffered bytes are
-// discarded and partially flushed ones truncated — so no phantom line can
-// ride along with a later batch and brick replay with a duplicate ID. If
-// the rollback itself fails the log is poisoned and refuses further
-// appends. Callers hold the store lock.
-func (l *segmentLog) appendRecords(recs []Record, blobs []map[string]blobRef, batchKey string) error {
-	if err := l.usable(); err != nil {
-		return err
-	}
+// encodeRecords renders a batch as segment lines. Every line is encoded
+// before any byte reaches the log, so an unmarshalable record (say a NaN
+// field value) rejects the batch without touching it.
+func encodeRecords(recs []Record, blobs []map[string]blobRef, batchKey string) ([]byte, error) {
 	var batch []byte
 	for i, rec := range recs {
 		sr := segRecord{ID: rec.ID, Experiment: rec.Experiment, Run: rec.Run, Time: rec.Time,
@@ -690,70 +555,10 @@ func (l *segmentLog) appendRecords(recs []Record, blobs []map[string]blobRef, ba
 			// The record itself is unencodable (a NaN field, say): that is
 			// the submitter's ErrInvalid, not a store fault — retrying or
 			// resending the identical batch can never succeed.
-			return fmt.Errorf("%w: encode record %s: %v", ErrInvalid, rec.ID, err)
+			return nil, fmt.Errorf("%w: encode record %s: %v", ErrInvalid, rec.ID, err)
 		}
 		batch = append(batch, line...)
 		batch = append(batch, '\n')
 	}
-	_, werr := l.w.Write(batch)
-	if werr == nil {
-		werr = l.w.Flush()
-	}
-	if werr == nil {
-		// The fsync is the commit point: a record acknowledged to the caller
-		// must survive power loss, not just process death. Segment and blob
-		// directory entries are synced where the files are created, so the
-		// whole chain — blob bytes, blob name, segment line, segment name —
-		// is on disk before the batch commits.
-		werr = l.f.Sync()
-	}
-	if werr != nil {
-		l.w.Reset(l.f)
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.fault = fmt.Errorf("roll back segment to %d bytes: %v (after append failure: %v)", l.size, terr, werr)
-			return fmt.Errorf("portal: %w", l.fault)
-		}
-		return fmt.Errorf("portal: append batch: %w", werr)
-	}
-	l.size += int64(len(batch))
-	if l.size >= l.maxBytes {
-		if err := l.rotate(); err != nil {
-			// The flush succeeded, so this batch is durable and must commit;
-			// only future appends have nowhere safe to go.
-			l.fault = err
-		}
-	}
-	return nil
-}
-
-// rotate closes the current segment and starts the next one.
-func (l *segmentLog) rotate() error {
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("portal: close segment: %w", err)
-	}
-	l.segSeq++
-	f, err := os.OpenFile(segmentPath(l.dir, l.segSeq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("portal: rotate segment: %w", err)
-	}
-	if err := syncDir(filepath.Join(l.dir, segmentDirName)); err != nil {
-		// The rotation is failing and poisons the log; the fresh, empty
-		// segment's close error cannot matter beyond that.
-		_ = f.Close()
-		return fmt.Errorf("portal: rotate segment: %w", err)
-	}
-	l.f, l.w, l.size = f, bufio.NewWriter(f), 0
-	return nil
-}
-
-// close flushes and closes the log, releasing the data dir lock.
-func (l *segmentLog) close() error {
-	defer l.unlock()
-	if err := l.w.Flush(); err != nil {
-		// The flush failure is the error to surface; the close error is
-		// subsumed by it (the committed prefix is still replayable).
-		_ = l.f.Close()
-		return fmt.Errorf("portal: flush segment: %w", err)
-	}
-	return l.f.Close()
+	return batch, nil
 }

@@ -3,6 +3,7 @@ package portal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -490,22 +491,30 @@ func TestReplayRejectsCorruptTerminatedTail(t *testing.T) {
 
 // TestOpenStoreRejectsSecondWriter: two live stores on one data dir would
 // interleave appends with independent sequence counters and brick the
-// archive with duplicate IDs — the second open must fail fast instead.
+// archive with duplicate IDs — the second open must fail fast instead. Two
+// durable hubs on one events dir would do the same to event seqs.
 func TestOpenStoreRejectsSecondWriter(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	for name, open := range map[string]func(dir string) (io.Closer, error){
+		"store": func(dir string) (io.Closer, error) { return OpenStore(dir) },
+		"hub":   func(dir string) (io.Closer, error) { return OpenHub(HubOptions{Dir: dir}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := open(dir); err == nil || !strings.Contains(err.Error(), "locked") {
+				t.Fatalf("second writer on live data dir = %v, want lock error", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := open(dir)
+			if err != nil {
+				t.Fatalf("reopen after Close: %v", err)
+			}
+			reopened.Close()
+		})
 	}
-	if _, err := OpenStore(dir); err == nil || !strings.Contains(err.Error(), "locked") {
-		t.Fatalf("second writer on live data dir = %v, want lock error", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := OpenStore(dir)
-	if err != nil {
-		t.Fatalf("reopen after Close: %v", err)
-	}
-	reopened.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -194,11 +195,17 @@ type Store struct {
 	// reassigned, so a lock-free sync.Map serves both reader lookups and
 	// writer duplicate checks.
 	byID sync.Map
-	seq  int         // auto-ID watermark; -1 once the store is closed
-	log  *segmentLog // nil for the in-memory store
-	// readLog is the read path's view of the segment log for blob loads;
-	// nil for in-memory stores and after Close.
-	readLog atomic.Pointer[segmentLog]
+	seq  int     // auto-ID watermark; -1 once the store is closed
+	log  *segLog // nil for the in-memory store
+	// dir is the data dir root of a disk-backed store ("" in memory); blob
+	// reads use it without any lock, refusing once closed is set.
+	dir    string
+	closed atomic.Bool
+	// blob is the last blob number issued; compacted is the highest
+	// segment number the newest snapshot covers, so sealed segments above
+	// it are compaction candidates. Both are guarded by wmu.
+	blob      int
+	compacted int
 	// batches remembers recently used idempotency keys and the IDs their
 	// batches committed with, so a retried batch is answered, not re-run.
 	batches    map[string][]string
@@ -231,7 +238,7 @@ func (s *Store) Close() error {
 	if s.log != nil {
 		err = s.log.close()
 		s.log = nil
-		s.readLog.Store(nil)
+		s.closed.Store(true)
 	}
 	// Poison ingestion for both modes so the documented contract holds
 	// uniformly; for disk stores in particular, records after Close must
@@ -324,19 +331,26 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 		// final line, both of which replay discards.
 		wroteBlobs := false
 		for i := range recs {
-			refs, err := s.log.writeBlobs(recs[i].Files)
+			refs, err := s.writeBlobs(recs[i].Files)
 			if err != nil {
 				return nil, err
 			}
 			blobs[i] = refs
 			wroteBlobs = wroteBlobs || len(refs) > 0
 		}
+		// One directory sync per batch makes every new blob's name durable.
 		if wroteBlobs {
-			if err := s.log.syncBlobDir(); err != nil {
-				return nil, err
+			if err := syncDir(filepath.Join(s.dir, blobDirName)); err != nil {
+				return nil, fmt.Errorf("portal: sync blob dir: %w", err)
 			}
 		}
-		if err := s.log.appendRecords(recs, blobs, key); err != nil {
+		// The whole chain — blob bytes, blob names, segment line, segment
+		// name — is on disk once append's fsync commits the batch.
+		batch, err := encodeRecords(recs, blobs, key)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.log.append(batch); err != nil {
 			return nil, err
 		}
 	}
@@ -356,15 +370,17 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 		}
 		added[i] = entry{rec: rec, blobs: blobs[i]}
 	}
-	// Publish the batch: one atomic snapshot swap, then the ID index. A
-	// reader that finds an ID in byID is guaranteed (release/acquire through
-	// the sync.Map) to observe a snapshot containing its slot.
+	// Publish the batch: the ID index first, then one atomic snapshot swap.
+	// A record a reader has seen in any snapshot is therefore gettable
+	// (its byID entry was stored before that snapshot was), and an ID
+	// whose snapshot is not out yet resolves to a slot beyond the reader's
+	// snapshot, which Get answers with ErrNotFound.
 	old := s.snap.Load()
-	s.snap.Store(old.with(added))
 	base := len(old.entries)
 	for i := range recs {
 		s.byID.Store(recs[i].ID, base+i)
 	}
+	s.snap.Store(old.with(added))
 	if key != "" {
 		s.rememberBatch(key, ids)
 	}
@@ -387,8 +403,9 @@ func (s *Store) rememberBatch(key string, ids []string) {
 // Get returns the record with the given ID, loading its attachments from
 // blob storage for disk-backed stores.
 func (s *Store) Get(id string) (Record, error) {
-	// byID first, snapshot second: the writer publishes in the opposite
-	// order, so a hit here always resolves inside the loaded snapshot.
+	// byID first, snapshot second: the writer publishes in the same order,
+	// so a record this reader has seen in a snapshot resolves here, and a
+	// slot not yet published is beyond the snapshot loaded below.
 	v, ok := s.byID.Load(id)
 	if !ok {
 		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -402,8 +419,7 @@ func (s *Store) Get(id string) (Record, error) {
 	if len(e.blobs) == 0 {
 		return e.rec, nil
 	}
-	log := s.readLog.Load()
-	if log == nil {
+	if s.closed.Load() {
 		// Only a Closed disk store gets here (in-memory records never carry
 		// blob refs): error out rather than silently return the record with
 		// its attachments stripped.
@@ -411,7 +427,7 @@ func (s *Store) Get(id string) (Record, error) {
 	}
 	// Blob files are immutable once their segment line is visible, so the
 	// load runs without any store lock.
-	files, err := log.readBlobs(e.blobs)
+	files, err := readBlobs(s.dir, e.blobs)
 	if err != nil {
 		return Record{}, fmt.Errorf("portal: record %s: %w", id, err)
 	}

@@ -1,7 +1,6 @@
 package portal
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
@@ -10,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,9 +23,9 @@ import (
 //
 //   - every published event gets a global, gapless sequence number — the
 //     stream's cursor space, exactly the record store's keyset cursors;
-//   - batches land in an append-only JSONL segment log (fsync commit point,
-//     torn-tail repair on replay, rotation) so a portal restart loses
-//     nothing that was acknowledged;
+//   - batches land in the same segment log the record store uses (segLog:
+//     fsync commit point, tail repair on open, rotation) so a portal
+//     restart loses nothing that was acknowledged;
 //   - subscribers carry bounded buffers and are evicted — never waited on —
 //     when they fall behind, so one stalled dashboard cannot stall the hub
 //     or the fleet publishing into it;
@@ -138,8 +136,9 @@ var StreamStart = encodeStreamCursor(0)
 type HubOptions struct {
 	// Dir, when non-empty, makes the event log durable: batches are
 	// appended to JSONL segments under Dir (fsync per publish) and replayed
-	// on OpenHub, so acknowledged events survive a portal restart. Empty
-	// keeps the log in memory only.
+	// on OpenHub, so acknowledged events survive a portal restart. One hub
+	// at a time holds Dir; a second OpenHub on it fails. Empty keeps the
+	// log in memory only.
 	Dir string
 	// SubscriberBuffer is the per-subscriber live-channel capacity (default
 	// 256). A subscriber that falls this many events behind its feed is
@@ -151,8 +150,6 @@ type HubOptions struct {
 	// durable log keeps everything regardless — MaxHistory only bounds what
 	// a reconnect can be backfilled from memory.
 	MaxHistory int
-	// SegmentBytes rotates durable log segments at this size (default 4 MiB).
-	SegmentBytes int64
 }
 
 // Hub is the portal's streaming core: a cursor-addressable event log with
@@ -171,7 +168,7 @@ type Hub struct {
 	// keys: key -> cursor returned by the original commit.
 	keys     map[string]string
 	keyOrder []string
-	log      *streamLog // nil when memory-only
+	log      *segLog // nil when memory-only
 	closed   bool
 }
 
@@ -181,25 +178,45 @@ func OpenHub(opts HubOptions) (*Hub, error) {
 	if opts.SubscriberBuffer <= 0 {
 		opts.SubscriberBuffer = 256
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
 	h := &Hub{
 		opts: opts,
 		subs: make(map[*Subscriber]struct{}),
 		keys: make(map[string]string),
 	}
 	if opts.Dir != "" {
-		log, batches, err := openStreamLog(opts.Dir, opts.SegmentBytes)
+		log, err := lockSegLog(opts.Dir, "ev-", maxSegmentBytes)
 		if err != nil {
 			return nil, err
 		}
+		paths, err := log.open(0)
+		if err == nil {
+			err = h.replay(paths)
+		}
+		if err != nil {
+			_ = log.close() // already failing; nothing was appended
+			return nil, err
+		}
 		h.log = log
-		for _, b := range batches {
+	}
+	return h, nil
+}
+
+// replay rebuilds history and dedupe memory from the durable log's
+// segments. Called before the hub is shared, so it takes no lock.
+func (h *Hub) replay(paths []string) error {
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("portal: replay %s: %w", filepath.Base(path), err)
+		}
+		for line := range bytes.Lines(data) {
+			var b streamBatch
+			if err := json.Unmarshal(line, &b); err != nil {
+				return fmt.Errorf("portal: stream log corrupt: %s: %v", filepath.Base(path), err)
+			}
 			for _, ev := range b.Events {
 				if ev.Seq != h.last+1 {
-					_ = log.close()
-					return nil, fmt.Errorf("portal: stream log corrupt: event seq %d after %d", ev.Seq, h.last)
+					return fmt.Errorf("portal: stream log corrupt: event seq %d after %d", ev.Seq, h.last)
 				}
 				h.last = ev.Seq
 				h.events = append(h.events, ev)
@@ -208,9 +225,9 @@ func OpenHub(opts HubOptions) (*Hub, error) {
 				h.rememberKeyLocked(b.Key, encodeStreamCursor(h.last))
 			}
 		}
-		h.trimLocked()
 	}
-	return h, nil
+	h.trimLocked()
+	return nil
 }
 
 // LastSeq returns the sequence number of the newest published event (0
@@ -272,7 +289,11 @@ func (h *Hub) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) 
 		// Durability before visibility: the batch reaches disk before any
 		// subscriber (or the publisher's ack) can observe it, so nothing a
 		// consumer saw can vanish in a restart.
-		if err := h.log.appendBatch(streamBatch{Key: key, Events: batch}); err != nil {
+		line, err := json.Marshal(streamBatch{Key: key, Events: batch})
+		if err != nil {
+			return "", fmt.Errorf("%w: encode stream batch: %v", ErrInvalid, err)
+		}
+		if err := h.log.append(append(line, '\n')); err != nil {
 			return "", err
 		}
 	}
@@ -427,8 +448,8 @@ func (h *Hub) Close() error {
 		h.dropLocked(sub, ErrStreamClosed)
 	}
 	if h.log != nil {
-		// The commit point is appendBatch's fsync, but a close that cannot
-		// flush still matters to the operator — surface it.
+		// The commit point is append's fsync, but a close that fails still
+		// matters to the operator — surface it.
 		if err := h.log.close(); err != nil {
 			return fmt.Errorf("portal: close stream log: %w", err)
 		}
@@ -541,8 +562,6 @@ func (s *Subscriber) Cancel() {
 	s.hub.mu.Unlock()
 }
 
-// --- durable stream log ---------------------------------------------------
-
 // streamBatch is one committed publish: a JSONL line in the stream log.
 // Recording the idempotency key beside the events lets replay rebuild the
 // dedupe memory, so a publisher retrying across a portal restart still
@@ -550,188 +569,4 @@ func (s *Subscriber) Cancel() {
 type streamBatch struct {
 	Key    string        `json:"key,omitempty"`
 	Events []StreamEvent `json:"events"`
-}
-
-// streamLog is the hub's append-only JSONL segment log: ev-NNNNNN.jsonl
-// files, one line per batch, fsync as the commit point, rotation by size.
-// It reuses the record store's torn-tail discipline: a final unterminated
-// line is an uncommitted batch (the newline is written before the fsync)
-// and is truncated on open; damage anywhere else is loud corruption.
-type streamLog struct {
-	dir      string
-	f        *os.File
-	w        *bufio.Writer
-	seq      int   // current segment number
-	size     int64 // committed bytes in the current segment
-	maxBytes int64
-	// fault poisons the log after a failed rollback, exactly like the
-	// record store's segment log: the on-disk state is no longer trusted
-	// for appends, but the committed prefix stays replayable.
-	fault error
-}
-
-func streamSegPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("ev-%06d.jsonl", seq))
-}
-
-// openStreamLog opens dir (creating it), replays every committed batch, and
-// leaves the newest segment open for append.
-func openStreamLog(dir string, maxBytes int64) (*streamLog, []streamBatch, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("portal: create stream dir: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("portal: read stream dir: %w", err)
-	}
-	var seqs []int
-	for _, e := range entries {
-		if n, ok := numberedFile(e.Name(), "ev-", ".jsonl"); ok {
-			seqs = append(seqs, n)
-		}
-	}
-	sort.Ints(seqs)
-	for i, n := range seqs {
-		if n != i+1 {
-			return nil, nil, fmt.Errorf("portal: stream log has a segment gap: found ev-%06d at position %d", n, i+1)
-		}
-	}
-	l := &streamLog{dir: dir, maxBytes: maxBytes, seq: 1}
-	if len(seqs) > 0 {
-		l.seq = seqs[len(seqs)-1]
-	}
-	var batches []streamBatch
-	for _, n := range seqs {
-		bs, err := l.replaySegment(n, n == l.seq)
-		if err != nil {
-			return nil, nil, err
-		}
-		batches = append(batches, bs...)
-	}
-	f, err := os.OpenFile(streamSegPath(dir, l.seq), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("portal: open stream segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("portal: stat stream segment: %w", err)
-	}
-	l.f, l.w, l.size = f, bufio.NewWriter(f), st.Size()
-	return l, batches, nil
-}
-
-// replaySegment decodes one segment's committed batches. In the final
-// segment a trailing unterminated line is truncated away as a torn write;
-// everywhere else any undecodable line is corruption.
-func (l *streamLog) replaySegment(seq int, last bool) ([]streamBatch, error) {
-	path := streamSegPath(l.dir, seq)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("portal: read stream segment: %w", err)
-	}
-	var batches []streamBatch
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Unterminated final line: the newline precedes the fsync, so
-			// this batch never committed. Repairable only at the very tail
-			// of the very last segment.
-			if !last {
-				return nil, fmt.Errorf("portal: stream segment %s: unterminated line mid-log", path)
-			}
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, fmt.Errorf("portal: truncate torn stream tail: %w", err)
-			}
-			return batches, nil
-		}
-		line := data[off : off+nl]
-		off += nl + 1
-		var b streamBatch
-		if err := json.Unmarshal(line, &b); err != nil {
-			return nil, fmt.Errorf("portal: stream segment %s corrupt: %v", path, err)
-		}
-		batches = append(batches, b)
-	}
-	return batches, nil
-}
-
-// appendBatch makes one publish durable: encode, write line, flush, fsync.
-// A failed write rolls the segment back to its committed length so no
-// phantom half-line can ride along with a later batch; a failed rollback
-// poisons the log.
-func (l *streamLog) appendBatch(b streamBatch) error {
-	if l.fault != nil {
-		return fmt.Errorf("portal: stream log poisoned by earlier failure: %w", l.fault)
-	}
-	line, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("%w: encode stream batch: %v", ErrInvalid, err)
-	}
-	line = append(line, '\n')
-	if l.size > 0 && l.size+int64(len(line)) > l.maxBytes {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	if _, err := l.w.Write(line); err == nil {
-		err = l.w.Flush()
-	}
-	if err == nil {
-		err = l.f.Sync()
-	}
-	if err != nil {
-		l.w.Reset(l.f)
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.fault = terr
-			return fmt.Errorf("portal: stream append failed (%v) and rollback failed: %w", err, terr)
-		}
-		if _, serr := l.f.Seek(l.size, 0); serr != nil {
-			l.fault = serr
-			return fmt.Errorf("portal: stream append failed (%v) and reseek failed: %w", err, serr)
-		}
-		return fmt.Errorf("portal: append stream batch: %w", err)
-	}
-	l.size += int64(len(line))
-	return nil
-}
-
-// rotate closes the full segment and starts the next one, fsyncing the
-// directory so the new name survives a power loss.
-func (l *streamLog) rotate() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("portal: flush stream segment: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("portal: sync stream segment: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("portal: close stream segment: %w", err)
-	}
-	next, err := os.OpenFile(streamSegPath(l.dir, l.seq+1), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		l.fault = err
-		return fmt.Errorf("portal: rotate stream segment: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		l.fault = err
-		_ = next.Close()
-		return fmt.Errorf("portal: sync stream dir: %w", err)
-	}
-	l.seq++
-	l.f, l.w, l.size = next, bufio.NewWriter(next), 0
-	return nil
-}
-
-// close flushes and closes the open segment.
-func (l *streamLog) close() error {
-	err := l.w.Flush()
-	if serr := l.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -196,7 +196,8 @@ func TestRaceStreamDurableWithCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	h, err := OpenHub(HubOptions{Dir: filepath.Join(dir, "events"), SegmentBytes: 1 << 12})
+	smallSegments(t, 1<<12)
+	h, err := OpenHub(HubOptions{Dir: filepath.Join(dir, "events")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestRaceStreamDurableWithCompaction(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := OpenHub(HubOptions{Dir: filepath.Join(dir, "events"), SegmentBytes: 1 << 12})
+	h2, err := OpenHub(HubOptions{Dir: filepath.Join(dir, "events")})
 	if err != nil {
 		t.Fatalf("reopen after contention: %v", err)
 	}

@@ -275,7 +275,8 @@ func TestStreamInvalidEventsRejected(t *testing.T) {
 
 func TestStreamDurableReplay(t *testing.T) {
 	dir := t.TempDir()
-	h, err := OpenHub(HubOptions{Dir: dir, SegmentBytes: 1 << 10}) // force rotations
+	smallSegments(t, 1<<10) // force rotations
+	h, err := OpenHub(HubOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestStreamDurableReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h2, err := OpenHub(HubOptions{Dir: dir, SegmentBytes: 1 << 10})
+	h2, err := OpenHub(HubOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -316,41 +317,67 @@ func TestStreamDurableReplay(t *testing.T) {
 	}
 }
 
-func TestStreamTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	h, err := OpenHub(HubOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPublish(t, h, benchEvent("a", 0))
-	mustPublish(t, h, benchEvent("a", 1))
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a half-written line with no newline.
-	f, err := os.OpenFile(streamSegPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"events":[{"seq":3,"exper`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+// streamSegPath is the path of the hub's segment n under dir.
+func streamSegPath(dir string, n int) string {
+	return segFile(dir, "ev-", n)
+}
 
-	h2, err := OpenHub(HubOptions{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen with torn tail: %v", err)
-	}
-	defer h2.Close()
-	if h2.LastSeq() != 2 {
-		t.Fatalf("LastSeq = %d after torn-tail repair, want 2", h2.LastSeq())
-	}
-	// The log must be appendable again at the truncated position.
-	mustPublish(t, h2, benchEvent("a", 2))
-	if h2.LastSeq() != 3 {
-		t.Fatalf("append after repair: LastSeq = %d, want 3", h2.LastSeq())
+// TestStreamTornTailTruncated damages the tail of a durable hub's log the
+// two ways a crash can: a half-written batch line is truncated away, while a
+// whole line that lost only its '\n' is kept and terminated. Either way the
+// next publish must start a fresh line that survives another reopen.
+func TestStreamTornTailTruncated(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(data []byte) []byte
+	}{
+		// Simulate a crash mid-append: a half-written line with no newline.
+		{"torn", func(data []byte) []byte { return append(data, `{"events":[{"seq":3,"exper`...) }},
+		{"missing-newline", func(data []byte) []byte { return data[:len(data)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			h, err := OpenHub(HubOptions{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustPublish(t, h, benchEvent("a", 0))
+			mustPublish(t, h, benchEvent("a", 1))
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(streamSegPath(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(streamSegPath(dir, 1), tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			h2, err := OpenHub(HubOptions{Dir: dir})
+			if err != nil {
+				t.Fatalf("reopen with torn tail: %v", err)
+			}
+			if h2.LastSeq() != 2 {
+				t.Fatalf("LastSeq = %d after torn-tail repair, want 2", h2.LastSeq())
+			}
+			// The log must be appendable again at the truncated position.
+			mustPublish(t, h2, benchEvent("a", 2))
+			if h2.LastSeq() != 3 {
+				t.Fatalf("append after repair: LastSeq = %d, want 3", h2.LastSeq())
+			}
+			if err := h2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			h3, err := OpenHub(HubOptions{Dir: dir})
+			if err != nil {
+				t.Fatalf("reopen after repair: %v", err)
+			}
+			defer h3.Close()
+			if h3.LastSeq() != 3 {
+				t.Fatalf("reopen after repair: LastSeq = %d, want 3", h3.LastSeq())
+			}
+		})
 	}
 }
 

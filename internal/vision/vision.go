@@ -95,11 +95,12 @@ func (a *Analyzer) Analyze(img *image.RGBA) (*Result, error) {
 	return res, nil
 }
 
-// pngEncoder trades compression ratio for speed. Camera frames are transient
-// transport: they make one hop from the camera module to the analyzer and are
-// never persisted (the event log records metadata only), so spending ~45ms of
-// deflate per frame to shrink ~920KB to ~500KB is pure loss in a simulation
-// whose frames dominate the wall-clock profile. Stored (uncompressed) deflate
+// pngEncoder trades compression ratio for speed. Camera frames make one hop
+// from the camera module to the analyzer, and publishing campaigns also store
+// each iteration's frame as a portal blob (core.App.publish's plate.png), so
+// the trade costs ~920KB instead of ~500KB of portal bytes per iteration in
+// exchange for not spending ~45ms of deflate per frame in a simulation whose
+// frames dominate the wall-clock profile. Stored (uncompressed) deflate
 // blocks keep the format lossless PNG and cut encode cost ~24×. The shared
 // BufferPool amortizes the encoder's internal scratch across frames.
 var pngEncoder = png.Encoder{
