@@ -219,6 +219,12 @@ func main() {
 	wallStart := time.Now()
 	res, err := fleet.Run(context.Background(), campaigns, opts)
 	wallSeconds := time.Since(wallStart).Seconds()
+	// The kills that actually fired: a run that ends before the schedule
+	// does never sees its later events.
+	var kills int64
+	for i := 0; i < cfg.churnCells; i++ {
+		kills += pool.Deaths(i)
+	}
 	if pub != nil {
 		// Final drain before the summary (and before a fatal exit): the
 		// run's event tail should reach the portal even when the run failed.
@@ -233,11 +239,7 @@ func main() {
 		fatal(err)
 	}
 
-	workcells := opts.Workcells
-	if cfg.elastic() {
-		workcells = len(res.Workcells)
-	}
-	s := summarize(res, workcells)
+	s := summarize(res)
 	enc := json.NewEncoder(os.Stdout)
 	if !*compact {
 		enc.SetIndent("", "  ")
@@ -253,7 +255,7 @@ func main() {
 				scenario = "churn"
 			}
 		}
-		if err := writeBench(*benchOut, scenario, buildBench(s, len(churnEvents), wallSeconds)); err != nil {
+		if err := writeBench(*benchOut, scenario, buildBench(s, int(kills), wallSeconds)); err != nil {
 			fatal(err)
 		}
 	}
@@ -379,12 +381,15 @@ func (c fleetConfig) elasticFlag() string {
 // benchOutput is the perf-trajectory record written by -bench-out: the
 // numbers that should only get better PR over PR for a fixed workload.
 type benchOutput struct {
-	Campaigns          int       `json:"campaigns"`
-	Workcells          int       `json:"workcells"`
-	LanesPerCell       int       `json:"lanes_per_cell"`
-	Completed          int       `json:"completed"`
-	Lost               int       `json:"lost"`
-	Readmissions       int       `json:"readmissions"`
+	Campaigns    int `json:"campaigns"`
+	Workcells    int `json:"workcells"`
+	LanesPerCell int `json:"lanes_per_cell"`
+	Completed    int `json:"completed"`
+	Lost         int `json:"lost"`
+	Readmissions int `json:"readmissions"`
+	// ChurnEvents counts the -churn kills that fired during the run; a run
+	// that ends before its schedule does reports fewer than the schedule
+	// lists.
 	ChurnEvents        int       `json:"churn_events,omitempty"`
 	MakespanSeconds    float64   `json:"makespan_seconds"`
 	SequentialSeconds  float64   `json:"sequential_seconds"`
@@ -546,10 +551,10 @@ type campaignSummary struct {
 }
 
 // summarize converts a fleet result into the CLI output shape.
-func summarize(res *fleet.Result, workcells int) summary {
+func summarize(res *fleet.Result) summary {
 	s := summary{
 		Campaigns:         len(res.Campaigns),
-		Workcells:         workcells,
+		Workcells:         len(res.Workcells),
 		LanesPerCell:      res.Lanes,
 		Completed:         res.Completed,
 		Failed:            res.Failed,

@@ -24,7 +24,7 @@ func TestSummarizeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := summarize(res, 2)
+	s := summarize(res)
 	if s.Campaigns != 2 || s.Workcells != 2 || s.Completed != 2 {
 		t.Fatalf("summary = %+v", s)
 	}
@@ -59,7 +59,7 @@ func TestSummarizeLanesAndBenchOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := summarize(res, 1)
+	s := summarize(res)
 	if s.LanesPerCell != 2 {
 		t.Fatalf("lanes_per_cell = %d", s.LanesPerCell)
 	}

@@ -8,13 +8,14 @@
 // A Campaign is one closed-loop color-matching experiment (a core.Config
 // plus a solver choice, seed, and optional capability requirements). Run
 // executes the campaign queue against a pool of cells owned by a Registry —
-// the fleet's control plane. By default Run builds its own registry from a
-// WorkcellProvider: M in-process simulated workcells, each with its own
-// virtual clock, world, instrument modules and long-lived WEI engine (or,
-// via NewRemoteProvider, one cell per cmd/workcell-style HTTP server URL).
-// With Options.Registry the caller supplies the control plane instead, and
-// the pool becomes elastic: cells join and leave while the run is in
-// flight.
+// the fleet's control plane — and every pool reaches Run as registry
+// members. By default Run registers Options.Workcells probe-less members on
+// a private registry: M in-process simulated workcells, each with its own
+// virtual clock, world, instrument modules and long-lived WEI engine. With
+// Options.Registry the caller supplies the control plane instead (remote
+// cmd/workcell-style servers via AddRemote or POST /join, or any
+// MemberSpec), and the pool becomes elastic: cells join and leave while the
+// run is in flight.
 //
 // Workers pull campaigns from a shared FIFO queue — work-stealing in the
 // sense that the next free workcell takes the next queued campaign it is

@@ -147,18 +147,14 @@ func TestTotalPoolLossFailsFast(t *testing.T) {
 	}
 }
 
-// TestRegistryRunStaticEquivalence checks the adapter seam: a Run given an
-// explicit registry of probe-less local members behaves like the classic
-// fixed pool — same completion accounting, stable slot indexes.
+// TestRegistryRunStaticEquivalence checks that a Run given an explicit
+// registry of probe-less local members behaves like the Workcells pool —
+// same completion accounting, stable slot indexes.
 func TestRegistryRunStaticEquivalence(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{Seed: 4})
 	defer reg.Close()
-	prov := &localProvider{opts: Options{Workcells: 2, Seed: 4}, stock: 40, lanes: 1}
-	for i := 0; i < 2; i++ {
-		w := i
-		if _, err := reg.Add(MemberSpec{Open: func(ctx context.Context) (Cell, error) {
-			return prov.Open(ctx, w)
-		}}); err != nil {
+	for w := 0; w < 2; w++ {
+		if _, err := reg.Add(localSpec(Options{Workcells: 2, Seed: 4, LanesPerCell: 1}, w, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -54,7 +54,9 @@ type SolverFactory func(c Campaign, rng *sim.RNG) (solver.Solver, error)
 
 // Options configure a fleet run.
 type Options struct {
-	// Workcells is the pool size M (required, >= 1).
+	// Workcells is the pool size M of the local pool: Run registers M
+	// in-process simulated workcells as probe-less members of a private
+	// registry (required, >= 1, unless Registry is set).
 	Workcells int
 	// LanesPerCell is K, the number of campaigns each local workcell runs
 	// concurrently (default 1). With K > 1 every cell is built with K liquid
@@ -62,8 +64,8 @@ type Options struct {
 	// workflows, while the plate crane, arm and camera are shared under
 	// per-module leases (wei.Reservations) — campaign A mixes while campaign
 	// B photographs, and no instrument is ever held twice at the same
-	// virtual time. Ignored when Provider is set, unless the provider's
-	// cells implement Laned themselves.
+	// virtual time. Ignored with Registry: a member's cells run as many
+	// lanes as they offer through Laned.
 	LanesPerCell int
 	// Batch, when positive, overrides every campaign's BatchSize: the k
 	// ratios requested from the solver at once and fanned out across wells.
@@ -114,23 +116,17 @@ type Options struct {
 	NewSolver SolverFactory
 	// Tune, when set, is called once per workcell after wiring, before any
 	// campaign runs — the hook tests use to break a specific workcell or
-	// adjust retry policy. It only applies to the default local pool.
+	// adjust retry policy. It only applies to the Workcells pool.
 	Tune func(workcell int, wc *core.SimWorkcell, eng *wei.Engine)
-	// Provider overrides the pool itself: where the default provider builds
-	// Workcells in-process simulated cells, NewRemoteProvider dispatches
-	// onto cmd/workcell-style HTTP servers. When set, Workcells, PlateStock,
-	// Faults and Tune (the local-pool provisioning knobs) are ignored in
-	// favor of the provider's own configuration; Seed still derives the
-	// campaigns' solver seeds.
-	Provider WorkcellProvider
-	// Registry, when set, replaces the fixed pool with the elastic control
-	// plane: Run draws its workers from the registry's membership events —
-	// cells admitted mid-run (programmatic Add/AddRemote or the POST /join
-	// listener) start pulling queued campaigns, faulted cells are probed and
-	// re-admitted when they answer again, deregistered cells finish their
-	// current campaign and stop. Provider and the local-pool knobs are
-	// ignored. The caller owns the registry: Run subscribes for its duration
-	// and does not close it.
+	// Registry, when set, replaces the Workcells pool with the elastic
+	// control plane: Run draws its workers from the registry's membership
+	// events — cells admitted mid-run (programmatic Add/AddRemote or the
+	// POST /join listener) start pulling queued campaigns, faulted cells are
+	// probed and re-admitted when they answer again, deregistered cells
+	// finish their current campaign and stop. The local-pool knobs
+	// (Workcells, LanesPerCell, PlateStock, Faults, Tune) are ignored; Seed
+	// still derives the campaigns' solver seeds. The caller owns the
+	// registry: Run subscribes for its duration and does not close it.
 	Registry *Registry
 }
 
@@ -278,6 +274,11 @@ type task struct {
 	// handbacks). With re-admission a flapping cell could otherwise bounce
 	// one campaign forever; past maxBounces the campaign fails.
 	bounces int
+}
+
+// unrun is t's outcome when no attempt of it ran to a result of its own.
+func (t *task) unrun(status Status, err error) CampaignResult {
+	return CampaignResult{Campaign: t.c, Status: status, Workcell: -1, Attempts: t.attempts, Err: err}
 }
 
 // maxBounces is the safety valve on uncharged requeues per campaign: far
@@ -447,21 +448,20 @@ type slotInfo struct {
 	clock sim.Clock
 }
 
-// Run executes the campaigns across a pool of workcells — opts.Workcells
-// in-process simulated cells by default, whatever opts.Provider supplies
-// (e.g. remote cells over HTTP), or the elastic opts.Registry membership —
-// and blocks until every campaign completed, failed, or was canceled. On
-// context cancellation it drains — running campaigns stop at their next
-// workflow-step boundary — and returns the partial Result together with the
-// context's error.
+// Run executes the campaigns across a pool of workcells and blocks until
+// every campaign completed, failed, or was canceled. The pool is the
+// members of opts.Registry when set, and otherwise opts.Workcells in-process
+// simulated cells registered on a private registry. On context cancellation
+// it drains — running campaigns stop at their next workflow-step boundary —
+// and returns the partial Result together with the context's error.
 //
-// The pool is dynamic underneath in every mode: fixed pools are adapted
-// into registry members whose faults are final (today's retire-for-good
-// policy), while a caller registry's members are health-probed after faults
-// and re-admitted when they answer again — a worker is spawned per
-// admission, so a recovered cell resumes pulling queued campaigns. Queued
-// campaigns wait while any member might return (suspect/down/probation) and
-// fail fast once none can (all gone, bounded by RegistryOptions.MaxDowntime).
+// The pool is dynamic underneath in every mode: a worker is spawned per
+// member admission. The Workcells pool's members have no health probe, so
+// their faults are final (retire-for-good), while a caller registry's
+// probed members are re-admitted when they answer again and resume pulling
+// queued campaigns. Queued campaigns wait while any member might return
+// (suspect/down/probation) and fail fast once none can (all gone, bounded by
+// RegistryOptions.MaxDowntime).
 //
 // Failure policy, driven by wei.Classify on a campaign's step error:
 // permanent errors (unknown module/action — a poisoned campaign config that
@@ -486,39 +486,18 @@ func Run(ctx context.Context, campaigns []Campaign, opts Options) (*Result, erro
 	}
 
 	reg := opts.Registry
-	ownReg := reg == nil
-	if ownReg {
-		// Fixed pool: adapt the provider's cells into registry members with
-		// no health probe, so a fault is final and the behavior of provider
-		// pools is unchanged.
-		prov := opts.Provider
-		if prov == nil {
-			if opts.Workcells < 1 {
-				return nil, fmt.Errorf("fleet: need at least one workcell, got %d", opts.Workcells)
-			}
-			stock := opts.PlateStock
-			if stock == 0 {
-				stock = plateDemand(campaigns, opts.LanesPerCell)
-			}
-			prov = &localProvider{opts: opts, stock: stock, lanes: opts.LanesPerCell}
+	if reg == nil {
+		if opts.Workcells < 1 {
+			return nil, fmt.Errorf("fleet: need at least one workcell, got %d", opts.Workcells)
 		}
-		pool := prov.Count()
-		if pool < 1 {
-			return nil, fmt.Errorf("fleet: provider supplies no workcells")
+		stock := opts.PlateStock
+		if stock == 0 {
+			stock = plateDemand(campaigns, opts.LanesPerCell)
 		}
 		reg = NewRegistry(RegistryOptions{Seed: opts.Seed})
 		defer reg.Close()
-		adv, _ := prov.(CapabilityAdvertiser)
-		for w := 0; w < pool; w++ {
-			w := w
-			spec := MemberSpec{
-				Name: fmt.Sprintf("cell%d", w),
-				Open: func(ctx context.Context) (Cell, error) { return prov.Open(ctx, w) },
-			}
-			if adv != nil {
-				spec.Caps, spec.CapsKnown = adv.Capabilities(w)
-			}
-			if _, err := reg.Add(spec); err != nil {
+		for w := 0; w < opts.Workcells; w++ {
+			if _, err := reg.Add(localSpec(opts, w, stock)); err != nil {
 				return nil, err
 			}
 		}
@@ -553,208 +532,231 @@ func Run(ctx context.Context, campaigns []Campaign, opts Options) (*Result, erro
 		res.Campaigns[i] = CampaignResult{Campaign: c}
 	}
 
-	d := newDispatcher(tasks)
-	var (
-		resMu  sync.Mutex // guards res.Campaigns writes across workers
-		wg     sync.WaitGroup
-		slots  []*slotInfo // in first-admission order; monitor-owned until wg.Wait
-		slotBy = make(map[string]*slotInfo)
-	)
-	record := func(t *task, r CampaignResult) {
-		resMu.Lock()
-		res.Campaigns[t.idx] = r
-		resMu.Unlock()
+	f := &fleetRun{
+		ctx: ctx, opts: opts, reg: reg, d: newDispatcher(tasks),
+		dest: dest, res: res, slotBy: make(map[string]*slotInfo),
 	}
-
-	// runMember is one worker: the lifetime of one member admission. It opens
-	// the member's cell, drains the queue through the cell's lanes, and on a
-	// hard failure reports the fault back to the registry — which either
-	// starts probing toward re-admission (probed members) or removes the
-	// member for good (fixed pools).
-	runMember := func(ev memberEvent, slot *slotInfo) {
-		defer wg.Done()
-		m := ev.m
-		var halted atomic.Bool
-		reg.bindWorker(m.name, func() { halted.Store(true); d.wake() })
-		defer reg.unbindWorker(m.name)
-
-		cell, err := m.open(ctx)
-		if err != nil {
-			// The cell did not make it into service (unreachable remote,
-			// failed admission health check): fault it before it ran
-			// anything; the remaining cells absorb the queue.
-			slot.mu.Lock()
-			slot.stats.Retired = true
-			slot.mu.Unlock()
-			reg.Fault(m.name, err)
-			return
-		}
-		defer cell.Close()
-		slot.mu.Lock()
-		slot.clock = cell.Clock()
-		slot.mu.Unlock()
-
-		lanes := 1
-		var laned Laned
-		if lc, ok := cell.(Laned); ok && lc.Lanes() > 1 {
-			laned, lanes = lc, lc.Lanes()
-		}
-		slot.mu.Lock()
-		slot.stats.Lanes = lanes
-		slot.mu.Unlock()
-
-		cr := &cellRun{
-			ctx: ctx, d: d, cell: cell, w: slot.stats.Index, lanes: lanes,
-			slot: slot, dest: dest, opts: opts,
-			caps: ev.caps, capsKnown: ev.capsKnown,
-			record: record, halted: &halted,
-			onRetire: func(cause error) { reg.Fault(m.name, cause) },
-		}
-		var lwg sync.WaitGroup
-		for l := 0; l < lanes; l++ {
-			lwg.Add(1)
-			go func(l int) {
-				defer lwg.Done()
-				var setup LaneSetup
-				if laned != nil {
-					setup = laned.Lane(l)
-				}
-				cr.lane(l, setup)
-			}(l)
-		}
-		lwg.Wait()
-		cr.mu.Lock()
-		var span time.Duration
-		if cr.spanSet {
-			span = cr.spanEnd.Sub(cr.spanStart)
-		}
-		cr.mu.Unlock()
-		slot.mu.Lock()
-		slot.stats.Busy += span
-		slot.stats.Faults += cell.Engine().Faults.Total()
-		slot.mu.Unlock()
-	}
-
-	// The monitor turns membership events into workers and keeps the queue
-	// honest: spawn a worker per admission, fail campaigns no remaining cell
-	// could serve, and drain the queue when the pool is empty for good (or
-	// the run is canceled with no worker left to drain it).
 	sub := reg.subscribe()
+	f.wg.Add(1)
+	go f.monitor(sub)
+	<-f.d.done
+	reg.unsubscribe(sub)
+	f.wg.Wait()
+
+	res.Workcells = make([]WorkcellStats, len(f.slots))
+	clocks := make([]sim.Clock, len(f.slots))
+	for i, s := range f.slots {
+		res.Workcells[i] = s.stats
+		clocks[i] = s.clock
+	}
+	finish(res, clocks, dest)
+	res.Store = store
+	return res, ctx.Err()
+}
+
+// fleetRun is the state one Run shares between its monitor and the workers
+// the monitor spawns, one per member admission.
+type fleetRun struct {
+	// fleetRun lives exactly as long as the Run call whose ctx it holds
+	// (the http.Request pattern), and so do the cellRuns built from it.
+	// Threading ctx through every worker and lane callback instead would
+	// triple several signatures for no added cancellation fidelity.
+	//lint:ignore ctx-discipline fleetRun is a run-scoped carrier; the ctx dies with the Run call it belongs to
+	ctx  context.Context
+	opts Options
+	reg  *Registry
+	d    *dispatcher
+	dest portal.Ingestor
+
+	resMu sync.Mutex // guards res.Campaigns writes across workers
+	res   *Result
+	wg    sync.WaitGroup
+	// slots holds the members' reporting slots in first-admission order;
+	// the monitor owns slots and slotBy until wg.Wait.
+	slots  []*slotInfo
+	slotBy map[string]*slotInfo
+}
+
+// done records t's final outcome and marks it finalized.
+func (f *fleetRun) done(t *task, r CampaignResult) {
+	f.resMu.Lock()
+	f.res.Campaigns[t.idx] = r
+	f.resMu.Unlock()
+	f.d.finalize()
+}
+
+// stranded is the outcome of a task no cell will run: failed with cause, or
+// canceled when the run's context is what stopped it.
+func (f *fleetRun) stranded(t *task, cause error) CampaignResult {
+	if err := f.ctx.Err(); err != nil {
+		return t.unrun(StatusCanceled, err)
+	}
+	return t.unrun(StatusFailed, cause)
+}
+
+// drain enters drain mode and records every queued campaign as stranded.
+func (f *fleetRun) drain(cause error) {
+	for _, t := range f.d.drainQueued() {
+		f.done(t, f.stranded(t, fmt.Errorf("fleet: no healthy workcell left: %w", cause)))
+	}
+}
+
+// monitor turns membership events into workers and keeps the queue honest:
+// spawn a worker per admission, fail campaigns no remaining cell could
+// serve, and drain the queue when the pool is empty for good (or the run is
+// canceled with no worker left to drain it). It returns once sub is
+// unsubscribed and its pending events are consumed.
+func (f *fleetRun) monitor(sub *eventSub) {
+	defer f.wg.Done()
 	evCh := make(chan memberEvent)
 	go func() {
+		defer close(evCh)
 		for {
 			ev, ok := sub.next()
 			if !ok {
-				close(evCh)
 				return
 			}
 			evCh <- ev
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		lastCause := fmt.Errorf("fleet: pool is empty")
-		var graceCh <-chan time.Time
-		ctxDone := ctx.Done()
-		drain := func(cause error) {
-			for _, t := range d.drainQueued() {
-				status := StatusFailed
-				err := error(fmt.Errorf("fleet: no healthy workcell left: %w", cause))
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					status, err = StatusCanceled, ctxErr
-				}
-				record(t, CampaignResult{Campaign: t.c, Status: status, Workcell: -1,
-					Attempts: t.attempts, Err: err})
-				d.finalize()
+	lastCause := fmt.Errorf("fleet: pool is empty")
+	var graceCh <-chan time.Time
+	ctxDone := f.ctx.Done()
+	// checkPool reacts to a membership loss: reap now-unservable campaigns
+	// while cells remain, drain everything once none might come back —
+	// after RegistryOptions.JoinGrace when the run tolerates an initially
+	// (or transiently) empty registry.
+	checkPool := func() {
+		if f.reg.Alive() > 0 {
+			graceCh = nil
+			for _, t := range f.d.reap(func(t *task) bool { return !f.reg.AnyoneCould(t.c.Requires) }) {
+				f.done(t, t.unrun(StatusFailed,
+					fmt.Errorf("fleet: no workcell can satisfy campaign %s requirements", t.c.Name)))
 			}
+			return
 		}
-		// checkPool reacts to a membership loss: reap now-unservable
-		// campaigns while cells remain, drain everything once none might
-		// come back — after RegistryOptions.JoinGrace when the run tolerates
-		// an initially (or transiently) empty registry.
-		checkPool := func() {
-			if reg.Alive() > 0 {
-				graceCh = nil
-				for _, t := range d.reap(func(t *task) bool { return !reg.AnyoneCould(t.c.Requires) }) {
-					record(t, CampaignResult{Campaign: t.c, Status: StatusFailed,
-						Workcell: -1, Attempts: t.attempts,
-						Err: fmt.Errorf("fleet: no workcell can satisfy campaign %s requirements", t.c.Name)})
-					d.finalize()
-				}
-				return
+		if grace := f.reg.opts.JoinGrace; grace > 0 && f.ctx.Err() == nil {
+			if graceCh == nil {
+				// JoinGrace waits for real workcells to announce over real
+				// HTTP; no campaign's virtual clock is running yet.
+				//lint:ignore wallclock join grace is wall-clock by design: it bounds a real-time wait for members, not simulated work
+				graceCh = time.After(grace)
 			}
-			if grace := reg.opts.JoinGrace; grace > 0 && ctx.Err() == nil {
-				if graceCh == nil {
-					// JoinGrace waits for real workcells to announce over
-					// real HTTP; no campaign's virtual clock is running yet.
-					//lint:ignore wallclock join grace is wall-clock by design: it bounds a real-time wait for members, not simulated work
-					graceCh = time.After(grace)
-				}
-				return
-			}
-			drain(lastCause)
+			return
 		}
-		checkPool()
-		for {
-			select {
-			case ev, ok := <-evCh:
-				if !ok {
-					return
-				}
-				switch ev.kind {
-				case evAdmit:
-					graceCh = nil
-					slot := slotBy[ev.m.name]
-					if slot == nil {
-						slot = &slotInfo{stats: WorkcellStats{
-							Index: len(slots), Name: ev.m.name, Lanes: 1,
-						}}
-						slotBy[ev.m.name] = slot
-						slots = append(slots, slot)
-					}
-					slot.mu.Lock()
-					slot.stats.Admissions++
-					slot.stats.Retired = false
-					slot.mu.Unlock()
-					wg.Add(1)
-					go runMember(ev, slot)
-				case evLeave:
-					if ev.err != nil {
-						lastCause = ev.err
-					}
-					checkPool()
-				}
-			case <-graceCh:
-				graceCh = nil
-				if reg.Alive() == 0 {
-					drain(lastCause)
-				}
-			case <-ctxDone:
-				// Canceled with zero live workers nothing would drain the
-				// queue; with workers alive they record their own tasks as
-				// canceled and this drain just beats them to the queued ones.
-				ctxDone = nil
-				drain(ctx.Err())
-			}
-		}
-	}()
-
-	<-d.done
-	reg.unsubscribe(sub)
-	wg.Wait()
-
-	res.Workcells = make([]WorkcellStats, len(slots))
-	clocks := make([]sim.Clock, len(slots))
-	for i, s := range slots {
-		res.Workcells[i] = s.stats
-		clocks[i] = s.clock
+		f.drain(lastCause)
 	}
-	opts.Workcells = len(slots)
+	checkPool()
+	for {
+		select {
+		case ev, ok := <-evCh:
+			if !ok {
+				return
+			}
+			switch ev.kind {
+			case evAdmit:
+				graceCh = nil
+				f.admit(ev)
+			case evLeave:
+				if ev.err != nil {
+					lastCause = ev.err
+				}
+				checkPool()
+			}
+		case <-graceCh:
+			graceCh = nil
+			if f.reg.Alive() == 0 {
+				f.drain(lastCause)
+			}
+		case <-ctxDone:
+			// Canceled with zero live workers nothing would drain the
+			// queue; with workers alive they record their own tasks as
+			// canceled and this drain just beats them to the queued ones.
+			ctxDone = nil
+			f.drain(f.ctx.Err())
+		}
+	}
+}
 
-	finish(res, campaigns, opts, clocks, dest)
-	res.Store = store
-	return res, ctx.Err()
+// admit starts a worker for one member admission, in the member's slot.
+func (f *fleetRun) admit(ev memberEvent) {
+	slot := f.slotBy[ev.m.name]
+	if slot == nil {
+		slot = &slotInfo{stats: WorkcellStats{
+			Index: len(f.slots), Name: ev.m.name, Lanes: 1,
+		}}
+		f.slotBy[ev.m.name] = slot
+		f.slots = append(f.slots, slot)
+	}
+	slot.mu.Lock()
+	slot.stats.Admissions++
+	slot.stats.Retired = false
+	slot.mu.Unlock()
+	f.wg.Add(1)
+	go f.serve(ev, slot)
+}
+
+// serve is one worker: the lifetime of one member admission. It opens the
+// member's cell, drains the queue through the cell's lanes, and on a hard
+// failure reports the fault back to the registry — which either starts
+// probing toward re-admission (probed members) or removes the member for
+// good (probe-less ones, such as the Workcells pool).
+func (f *fleetRun) serve(ev memberEvent, slot *slotInfo) {
+	defer f.wg.Done()
+	name := ev.m.name
+	var halted atomic.Bool
+	f.reg.bindWorker(name, func() { halted.Store(true); f.d.wake() })
+	defer f.reg.unbindWorker(name)
+
+	cell, err := ev.m.open(f.ctx)
+	if err != nil {
+		// The cell did not make it into service (unreachable remote, failed
+		// admission health check): fault it before it ran anything; the
+		// remaining cells absorb the queue.
+		slot.mu.Lock()
+		slot.stats.Retired = true
+		slot.mu.Unlock()
+		f.reg.Fault(name, err)
+		return
+	}
+	defer cell.Close()
+	lanes := 1
+	var laned Laned
+	if lc, ok := cell.(Laned); ok && lc.Lanes() > 1 {
+		laned, lanes = lc, lc.Lanes()
+	}
+	slot.mu.Lock()
+	slot.clock = cell.Clock()
+	slot.stats.Lanes = lanes
+	slot.mu.Unlock()
+
+	cr := &cellRun{
+		fleetRun: f, cell: cell, name: name, w: slot.stats.Index, lanes: lanes,
+		slot: slot, caps: ev.caps, capsKnown: ev.capsKnown, halted: &halted,
+	}
+	var lwg sync.WaitGroup
+	for l := 0; l < lanes; l++ {
+		lwg.Add(1)
+		go func(l int) {
+			defer lwg.Done()
+			var setup LaneSetup
+			if laned != nil {
+				setup = laned.Lane(l)
+			}
+			cr.lane(l, setup)
+		}(l)
+	}
+	lwg.Wait()
+	cr.mu.Lock()
+	var span time.Duration
+	if cr.spanSet {
+		span = cr.spanEnd.Sub(cr.spanStart)
+	}
+	cr.mu.Unlock()
+	slot.mu.Lock()
+	slot.stats.Busy += span
+	slot.stats.Faults += cell.Engine().Faults.Total()
+	slot.mu.Unlock()
 }
 
 // cellRun is the state one cell's lanes share while draining the queue:
@@ -763,31 +765,18 @@ func Run(ctx context.Context, campaigns []Campaign, opts Options) (*Result, erro
 // time from being double-counted. One cellRun spans one admission; a
 // re-admitted member gets a fresh cellRun folding into the same slot.
 type cellRun struct {
-	// cellRun is itself admission-scoped — built from Run's ctx when a
-	// member is admitted, discarded when the cell retires — so the held
-	// ctx cannot outlive the request that scoped it (the http.Request
-	// pattern). Threading ctx through every lane callback instead would
-	// triple several signatures for no added cancellation fidelity.
-	//lint:ignore ctx-discipline cellRun is an admission-scoped carrier; the ctx dies with the admission it belongs to
-	ctx   context.Context
-	d     *dispatcher
+	*fleetRun
 	cell  Cell
+	name  string // the member's registry name
 	w     int
 	lanes int
 	slot  *slotInfo
-	dest  portal.Ingestor
-	opts  Options
 
 	// caps is the member's advertised capability set at admission; with
 	// capsKnown the cell only pulls campaigns it satisfies.
 	caps      wei.Capabilities
 	capsKnown bool
 
-	record func(*task, CampaignResult)
-	// onRetire reports the cell's hard failure to the registry exactly once
-	// (the winner of retire() calls it): probed members go suspect and work
-	// toward re-admission, fixed-pool members are gone for good.
-	onRetire func(error)
 	// halted is the decommission flag: the registry's Deregister/Close stops
 	// this worker after its current campaign.
 	halted *atomic.Bool
@@ -810,19 +799,20 @@ func (c *cellRun) eligible(t *task) bool {
 	return !c.capsKnown || c.caps.Satisfies(t.c.Requires)
 }
 
-// retire marks the cell retired, reporting whether this caller performed
-// the retirement (and therefore owes the registry the fault report).
-// Sibling lanes racing into their own hard failures requeue instead of
-// failing the cell twice.
-func (c *cellRun) retire() bool {
+// retire marks the cell retired and reports its hard failure to the
+// registry, where a probed member goes suspect and works toward
+// re-admission and a probe-less one is gone for good. Only the first call
+// does either: sibling lanes racing into their own hard failures requeue
+// instead of failing the cell twice.
+func (c *cellRun) retire(cause error) {
 	if !c.retired.CompareAndSwap(false, true) {
-		return false
+		return
 	}
 	c.slot.mu.Lock()
 	c.slot.stats.Retired = true
 	c.slot.mu.Unlock()
 	c.d.wake()
-	return true
+	c.reg.Fault(c.name, cause)
 }
 
 // note folds one finished campaign attempt into the cell's stats.
@@ -862,8 +852,7 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 	requeueOrRecord := func(t *task, cres CampaignResult) {
 		t.bounces++
 		if t.bounces > maxBounces || !c.d.push(t) {
-			c.record(t, cres)
-			c.d.finalize()
+			c.done(t, cres)
 		}
 	}
 	for {
@@ -877,18 +866,11 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 			// the queue is already draining it is recorded like the tasks
 			// stranded there — canceled when the fleet context is what
 			// actually stopped it.
-			status, cause := StatusFailed, error(fmt.Errorf("fleet: no healthy workcell left"))
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				status, cause = StatusCanceled, ctxErr
-			}
-			requeueOrRecord(t, CampaignResult{Campaign: t.c, Status: status,
-				Workcell: -1, Attempts: t.attempts, Err: cause})
+			requeueOrRecord(t, c.stranded(t, fmt.Errorf("fleet: no healthy workcell left")))
 			return
 		}
 		if err := ctx.Err(); err != nil {
-			c.record(t, CampaignResult{Campaign: t.c, Status: StatusCanceled,
-				Workcell: -1, Attempts: t.attempts, Err: err})
-			c.d.finalize()
+			c.done(t, t.unrun(StatusCanceled, err))
 			continue
 		}
 		if err := c.cell.Prepare(ctx, t.c); err != nil {
@@ -896,20 +878,15 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 				// The fleet was canceled mid-Prepare: that is not a cell
 				// failure, so the cell stays and the campaign drains as
 				// canceled like the rest of the queue.
-				c.record(t, CampaignResult{Campaign: t.c, Status: StatusCanceled,
-					Workcell: -1, Attempts: t.attempts, Err: ctxErr})
-				c.d.finalize()
+				c.done(t, t.unrun(StatusCanceled, ctxErr))
 				continue
 			}
 			// The cell cannot take the campaign (failed health gate or
 			// session reset): fault it and requeue the campaign without
 			// burning a scheduling attempt — the campaign never ran here, so
 			// this failure says nothing about it.
-			requeueOrRecord(t, CampaignResult{Campaign: t.c, Status: StatusFailed,
-				Workcell: -1, Attempts: t.attempts, Err: err})
-			if c.retire() {
-				c.onRetire(err)
-			}
+			requeueOrRecord(t, t.unrun(StatusFailed, err))
+			c.retire(err)
 			return
 		}
 		t.attempts++
@@ -924,8 +901,7 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 		c.note(start, c.cell.Clock().Now(), cres)
 
 		if cres.Err == nil || ctx.Err() != nil {
-			c.record(t, cres)
-			c.d.finalize()
+			c.done(t, cres)
 			continue
 		}
 		class := wei.Classify(cres.Err)
@@ -938,15 +914,12 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 			// (t.charged). A probed cell may recover and re-admit; requeues
 			// are bounded by maxBounces and the registry's MaxDowntime.
 			requeueOrRecord(t, cres)
-			if c.retire() {
-				c.onRetire(cres.Err)
-			}
+			c.retire(cres.Err)
 		case stepFailure && class == wei.ClassPermanent:
 			// Poisoned campaign (unknown module or action): it would fail on
 			// every cell, so fail it here in one scheduling attempt and keep
 			// the healthy cell in the pool.
-			c.record(t, cres)
-			c.d.finalize()
+			c.done(t, cres)
 			continue
 		case stepFailure:
 			// Transient faults exhausted the step's retries: the sick-cell
@@ -956,24 +929,19 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 			// the cell stays.
 			t.charged++
 			if t.charged >= c.opts.MaxAttempts && t.charged > 1 {
-				c.record(t, cres)
-				c.d.finalize()
+				c.done(t, cres)
 				continue
 			}
 			if t.charged < c.opts.MaxAttempts {
 				requeueOrRecord(t, cres)
 			} else {
-				c.record(t, cres)
-				c.d.finalize()
+				c.done(t, cres)
 			}
-			if c.retire() {
-				c.onRetire(cres.Err)
-			}
+			c.retire(cres.Err)
 		default:
 			// Application-level failure (solver error, vision pipeline): the
 			// campaign failed on its own terms.
-			c.record(t, cres)
-			c.d.finalize()
+			c.done(t, cres)
 			continue
 		}
 		return // this cell is retired (by this lane or a sibling)
@@ -1129,7 +1097,7 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 
 // finish derives the aggregate fleet metrics and publishes the summary
 // record to dest (the external portal or the run's in-memory store).
-func finish(res *Result, campaigns []Campaign, opts Options, clocks []sim.Clock, dest portal.Ingestor) {
+func finish(res *Result, clocks []sim.Clock, dest portal.Ingestor) {
 	var summaries []metrics.Summary
 	for _, cr := range res.Campaigns {
 		switch cr.Status {
@@ -1187,9 +1155,9 @@ func finish(res *Result, campaigns []Campaign, opts Options, clocks []sim.Clock,
 			Experiment: "fleet",
 			Time:       clk.Now(),
 			Fields: map[string]any{
-				"campaigns":          len(campaigns),
-				"workcells":          opts.Workcells,
-				"lanes_per_cell":     opts.LanesPerCell,
+				"campaigns":          len(res.Campaigns),
+				"workcells":          len(res.Workcells),
+				"lanes_per_cell":     res.Lanes,
 				"completed":          res.Completed,
 				"failed":             res.Failed,
 				"canceled":           res.Canceled,

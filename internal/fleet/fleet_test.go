@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"colormatch/internal/core"
@@ -316,5 +317,33 @@ func TestRunUnknownSolverFails(t *testing.T) {
 	}
 	if res.Failed != 1 || res.Campaigns[0].Err == nil {
 		t.Fatalf("result = %+v", res.Campaigns[0])
+	}
+}
+
+// TestRunPlacesByLocalCapabilities: the Workcells pool advertises its cells'
+// capabilities (one liquid handler per lane, a camera, a virtual clock), so
+// a campaign no local cell could serve fails fast without running, while one
+// within them completes.
+func TestRunPlacesByLocalCapabilities(t *testing.T) {
+	campaigns := quickCampaigns(3, 8)
+	campaigns[0].Requires = wei.Capabilities{Realtime: true}
+	campaigns[1].Requires = wei.Capabilities{Lanes: 3}
+	campaigns[2].Requires = wei.Capabilities{Camera: true, Lanes: 2, OT2s: 2}
+	res, err := Run(context.Background(), campaigns, Options{Workcells: 1, LanesPerCell: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cr := range res.Campaigns[:2] {
+		if cr.Status != StatusFailed || cr.Workcell != -1 || cr.Attempts != 0 {
+			t.Errorf("campaign %s = %s on workcell %d after %d attempts, want failed unplaced",
+				cr.Campaign.Name, cr.Status, cr.Workcell, cr.Attempts)
+		}
+		if cr.Err == nil || !strings.Contains(cr.Err.Error(),
+			"no workcell can satisfy campaign "+cr.Campaign.Name+" requirements") {
+			t.Errorf("campaign %s err = %v", cr.Campaign.Name, cr.Err)
+		}
+	}
+	if cr := res.Campaigns[2]; cr.Status != StatusCompleted {
+		t.Fatalf("satisfiable campaign = %s (%v)", cr.Status, cr.Err)
 	}
 }

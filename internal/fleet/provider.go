@@ -31,16 +31,6 @@ type Cell interface {
 	Close() error
 }
 
-// WorkcellProvider supplies the scheduler's pool. Implementations decide
-// what a "workcell" is; the scheduler only sees Cells.
-type WorkcellProvider interface {
-	// Count is the pool size M.
-	Count() int
-	// Open provisions pool member w (0-based). An error marks the cell
-	// retired before it ran anything; remaining cells absorb the queue.
-	Open(ctx context.Context, w int) (Cell, error)
-}
-
 // LaneSetup tells the scheduler how to run one campaign in a given lane of
 // a cell. With several campaigns pipelined through one workcell, each lane
 // owns a liquid handler while the plate crane, arm and camera are shared
@@ -67,58 +57,44 @@ type Laned interface {
 	Lane(l int) LaneSetup
 }
 
-// CapabilityAdvertiser is an optional WorkcellProvider extension: providers
-// that know their cells' capabilities before opening them advertise per-slot
-// so the scheduler can place capability-constrained campaigns without a
-// probe. Providers without it get unconstrained placement (the pre-registry
-// behavior: mismatches surface as runtime failures).
-type CapabilityAdvertiser interface {
-	// Capabilities describes pool member w; ok=false means unknown.
-	Capabilities(w int) (caps wei.Capabilities, ok bool)
-}
-
-// localProvider is the default provider: per-worker in-process simulated
-// workcells, exactly the pool fleet.Run has always built — plus, with
-// LanesPerCell > 1, one liquid handler per lane and a module-lease layer so
-// the lanes pipeline through the shared crane, arm and camera.
-type localProvider struct {
-	opts  Options
-	stock int
-	lanes int
-}
-
-func (p *localProvider) Count() int { return p.opts.Workcells }
-
-// Capabilities implements CapabilityAdvertiser: every local cell has one
-// liquid handler per lane and a camera, on a virtual clock.
-func (p *localProvider) Capabilities(int) (wei.Capabilities, bool) {
-	return wei.Capabilities{Lanes: p.lanes, OT2s: p.lanes, Camera: true}, true
-}
-
-func (p *localProvider) Open(_ context.Context, w int) (Cell, error) {
-	wc := core.NewSimWorkcell(core.WorkcellOptions{
-		Seed:       p.opts.Seed + int64(1000*(w+1)),
-		PlateStock: p.stock,
-		NumOT2:     p.lanes,
-	})
-	eng := wei.NewEngine(wc.Registry, wc.Clock, wei.NewEventLog(wc.Clock))
-	// Every local engine leases modules around dispatch. With one lane the
-	// leases are always free (zero queue wait, unchanged timing); with
-	// several they are what keeps pipelined campaigns mutually exclusive on
-	// each instrument.
-	eng.Reservations = wei.NewReservations(wc.Clock)
-	if p.opts.Faults != (sim.FaultPlan{}) {
-		frng := sim.NewRNG(p.opts.Seed).Derive(fmt.Sprintf("faults_wc%d", w))
-		eng.Faults = sim.NewInjector(p.opts.Faults, frng)
+// localSpec is member w of the Workcells pool: an in-process simulated
+// workcell holding stock plates — plus, with LanesPerCell > 1, one liquid
+// handler per lane and a module-lease layer so the lanes pipeline through
+// the shared crane, arm and camera. It has no probe, so a fault is final.
+func localSpec(opts Options, w, stock int) MemberSpec {
+	lanes := opts.LanesPerCell
+	return MemberSpec{
+		Name: fmt.Sprintf("cell%d", w),
+		// Every local cell has one liquid handler per lane and a camera, on a
+		// virtual clock.
+		Caps:      wei.Capabilities{Lanes: lanes, OT2s: lanes, Camera: true},
+		CapsKnown: true,
+		Open: func(context.Context) (Cell, error) {
+			wc := core.NewSimWorkcell(core.WorkcellOptions{
+				Seed:       opts.Seed + int64(1000*(w+1)),
+				PlateStock: stock,
+				NumOT2:     lanes,
+			})
+			eng := wei.NewEngine(wc.Registry, wc.Clock, wei.NewEventLog(wc.Clock))
+			// Every local engine leases modules around dispatch. With one lane
+			// the leases are always free (zero queue wait, unchanged timing);
+			// with several they are what keeps pipelined campaigns mutually
+			// exclusive on each instrument.
+			eng.Reservations = wei.NewReservations(wc.Clock)
+			if opts.Faults != (sim.FaultPlan{}) {
+				frng := sim.NewRNG(opts.Seed).Derive(fmt.Sprintf("faults_wc%d", w))
+				eng.Faults = sim.NewInjector(opts.Faults, frng)
+			}
+			if opts.Tune != nil {
+				opts.Tune(w, wc, eng)
+			}
+			cell := &localCell{wc: wc, eng: eng, lanes: lanes}
+			if lanes > 1 {
+				cell.gate = core.NewCameraGate(wc.SimClock)
+			}
+			return cell, nil
+		},
 	}
-	if p.opts.Tune != nil {
-		p.opts.Tune(w, wc, eng)
-	}
-	cell := &localCell{wc: wc, eng: eng, lanes: p.lanes}
-	if p.lanes > 1 {
-		cell.gate = core.NewCameraGate(wc.SimClock)
-	}
-	return cell, nil
 }
 
 type localCell struct {
@@ -165,53 +141,35 @@ type RemoteOptions struct {
 	RetryDelay time.Duration
 }
 
-// NewRemoteProvider returns a provider dispatching campaigns onto the
-// workcell servers at the given base URLs, one cell per URL, over the
-// wei.HTTPClient wire protocol. Each cell is health-gated at Open and before
-// every campaign, and each campaign starts with a server-side session reset.
-func NewRemoteProvider(urls []string, opts RemoteOptions) WorkcellProvider {
-	return &remoteProvider{urls: urls, opts: opts}
-}
-
-type remoteProvider struct {
-	urls []string
-	opts RemoteOptions
-}
-
-func (p *remoteProvider) Count() int { return len(p.urls) }
-
-func (p *remoteProvider) Open(ctx context.Context, w int) (Cell, error) {
-	cell, _, err := openRemoteCell(ctx, p.urls[w], p.opts)
-	return cell, err
-}
-
-// openRemoteCell dials the workcell server at url and builds its Cell. It is
-// the shared admission path of the static remote provider and the registry's
-// elastic AddRemote members: health-gated (a cell that cannot answer
-// /healthz, or serves no modules, never joins the pool), returning the
-// capabilities the server advertised.
-func openRemoteCell(ctx context.Context, url string, opts RemoteOptions) (Cell, wei.Capabilities, error) {
-	wcc := wei.NewWorkcellClient(url)
-	if opts.ControlTimeout > 0 {
-		wcc.HTTP.Timeout = opts.ControlTimeout
-	}
-	health, err := wcc.Health(ctx)
-	if err != nil {
-		return nil, wei.Capabilities{}, fmt.Errorf("fleet: workcell %s: %w", url, err)
-	}
-	if len(health.Modules) == 0 {
-		return nil, wei.Capabilities{}, fmt.Errorf("fleet: workcell %s serves no modules", url)
-	}
-	client := wcc.ModuleClient(opts.ActTimeout, health.Modules...)
-	clock := sim.RealClock{}
-	eng := wei.NewEngine(client, clock, wei.NewEventLog(clock))
-	if opts.MaxAttempts > 0 {
-		eng.MaxAttempts = opts.MaxAttempts
-	}
-	if opts.RetryDelay > 0 {
-		eng.RetryDelay = opts.RetryDelay
-	}
-	return &remoteCell{wcc: wcc, client: client, eng: eng, clock: clock}, health.Caps, nil
+// remoteSpec is a probe-less member over the cmd/workcell-style server at
+// url, driven over the wei.HTTPClient wire protocol. Every admission dials
+// the server and health-gates it: a cell that cannot answer /healthz, or
+// serves no modules, never joins the pool. Registry.AddRemote adds the probe
+// that re-admits it after a fault.
+func remoteSpec(url string, opts RemoteOptions) MemberSpec {
+	return MemberSpec{URL: url, Open: func(ctx context.Context) (Cell, error) {
+		wcc := wei.NewWorkcellClient(url)
+		if opts.ControlTimeout > 0 {
+			wcc.HTTP.Timeout = opts.ControlTimeout
+		}
+		health, err := wcc.Health(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: workcell %s: %w", url, err)
+		}
+		if len(health.Modules) == 0 {
+			return nil, fmt.Errorf("fleet: workcell %s serves no modules", url)
+		}
+		client := wcc.ModuleClient(opts.ActTimeout, health.Modules...)
+		clock := sim.RealClock{}
+		eng := wei.NewEngine(client, clock, wei.NewEventLog(clock))
+		if opts.MaxAttempts > 0 {
+			eng.MaxAttempts = opts.MaxAttempts
+		}
+		if opts.RetryDelay > 0 {
+			eng.RetryDelay = opts.RetryDelay
+		}
+		return &remoteCell{wcc: wcc, client: client, eng: eng, clock: clock}, nil
+	}}
 }
 
 type remoteCell struct {

@@ -26,17 +26,21 @@ func (c *scriptClient) About(context.Context, string) (wei.ModuleInfo, error) {
 	return wei.ModuleInfo{}, c.err
 }
 
-// funcProvider builds a pool from per-index open functions.
-type funcProvider struct {
-	cells []func(ctx context.Context) (Cell, error)
+// fixedPool registers one probe-less member per opener, in order, on a
+// registry closed with the test: a fixed pool, where a fault is final.
+func fixedPool(t testing.TB, opens ...CellOpener) *Registry {
+	t.Helper()
+	reg := NewRegistry(RegistryOptions{})
+	t.Cleanup(reg.Close)
+	for _, open := range opens {
+		if _, err := reg.Add(MemberSpec{Open: open}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
 }
 
-func (p *funcProvider) Count() int { return len(p.cells) }
-func (p *funcProvider) Open(ctx context.Context, w int) (Cell, error) {
-	return p.cells[w](ctx)
-}
-
-// simCell wraps a locally provisioned workcell as a provider Cell.
+// simCell wraps a locally provisioned workcell as a Cell.
 type simCell struct {
 	wc  *core.SimWorkcell
 	eng *wei.Engine
@@ -77,12 +81,12 @@ func (c *simBrokenCell) Close() error                            { return nil }
 // campaign (unlike exhausted retries, which MaxAttempts=1 would fail).
 func TestWorkcellDownRetiresAndReschedules(t *testing.T) {
 	down := &wei.TransportError{Op: "act", Err: errors.New("connection refused")}
-	prov := &funcProvider{cells: []func(context.Context) (Cell, error){
+	pool := fixedPool(t,
 		func(context.Context) (Cell, error) { return brokenCell(down), nil },
 		func(context.Context) (Cell, error) { return newSimCell(7, 0), nil },
-	}}
+	)
 	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{
-		Provider:    prov,
+		Registry:    pool,
 		MaxAttempts: 1, // would disable rescheduling for sick-cell failures
 	})
 	if err != nil {
@@ -113,10 +117,10 @@ func TestWorkcellDownRetiresAndReschedules(t *testing.T) {
 // attempt and the cell stays in the pool for the remaining campaigns.
 func TestPermanentStepFailureDoesNotRetireCell(t *testing.T) {
 	perm := &wei.ErrNoModule{Module: "sciclops"}
-	prov := &funcProvider{cells: []func(context.Context) (Cell, error){
+	pool := fixedPool(t,
 		func(context.Context) (Cell, error) { return brokenCell(perm), nil },
-	}}
-	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{Provider: prov})
+	)
+	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{Registry: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +148,13 @@ func TestPermanentStepFailureDoesNotRetireCell(t *testing.T) {
 // gate or session reset) retires the cell and the campaign reschedules with
 // its attempt budget intact.
 func TestPrepareFailureRetiresWithoutBurningAttempt(t *testing.T) {
-	prov := &funcProvider{cells: []func(context.Context) (Cell, error){
+	pool := fixedPool(t,
 		func(context.Context) (Cell, error) {
 			return &prepFailCell{Cell: newSimCell(3, 0)}, nil
 		},
 		func(context.Context) (Cell, error) { return newSimCell(7, 0), nil },
-	}}
-	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{Provider: prov})
+	)
+	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{Registry: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +186,11 @@ func (c *prepFailCell) Prepare(context.Context, Campaign) error {
 // queue drains as failures instead of hanging.
 func TestProviderOpenFailureOrphansHandled(t *testing.T) {
 	openErr := errors.New("no route to host")
-	prov := &funcProvider{cells: []func(context.Context) (Cell, error){
+	pool := fixedPool(t,
 		func(context.Context) (Cell, error) { return nil, openErr },
 		func(context.Context) (Cell, error) { return nil, openErr },
-	}}
-	res, err := Run(context.Background(), quickCampaigns(3, 8), Options{Provider: prov})
+	)
+	res, err := Run(context.Background(), quickCampaigns(3, 8), Options{Registry: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestWorkcellDownNotChargedAgainstBudget(t *testing.T) {
 		1: &wei.TransportError{Op: "act", Err: errors.New("connection reset")},
 		2: errors.New("instrument glitch"), // retryable, exhausts step retries
 	}
-	cells := make([]func(context.Context) (Cell, error), 3)
+	cells := make([]CellOpener, 3)
 	for i := range cells {
 		i := i
 		cells[i] = func(context.Context) (Cell, error) {
@@ -241,7 +245,7 @@ func TestWorkcellDownNotChargedAgainstBudget(t *testing.T) {
 		}
 	}
 	res, err := Run(context.Background(), quickCampaigns(1, 8), Options{
-		Provider:    &funcProvider{cells: cells},
+		Registry:    fixedPool(t, cells...),
 		MaxAttempts: 2,
 	})
 	if err != nil {
@@ -283,12 +287,12 @@ func (c *cancelPrepCell) Prepare(ctx context.Context, _ Campaign) error {
 func TestCancelDuringPrepareDrainsAsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	prov := &funcProvider{cells: []func(context.Context) (Cell, error){
+	pool := fixedPool(t,
 		func(context.Context) (Cell, error) {
 			return &cancelPrepCell{simCell: newSimCell(3, 0), cancel: cancel}, nil
 		},
-	}}
-	res, err := Run(ctx, quickCampaigns(2, 8), Options{Provider: prov})
+	)
+	res, err := Run(ctx, quickCampaigns(2, 8), Options{Registry: pool})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -234,9 +234,10 @@ func (s *eventSub) close() {
 // Registry is the fleet's elastic control plane: it owns the live cell set,
 // admits cells at runtime (Add / AddRemote / the POST /join handler), runs a
 // health prober per faulted cell, and publishes membership events the
-// scheduler turns into workers. Where the PR 3 provider seam froze the pool
-// at Run start, a Registry-backed run gains and loses cells mid-flight: a
-// workcell that crashes is probed until it answers /healthz again, then
+// scheduler turns into workers. Every pool reaches Run as registry members:
+// Run registers Options.Workcells probe-less local members on a private
+// registry, while a caller's registry can gain and lose cells mid-flight —
+// a workcell that crashes is probed until it answers /healthz again, then
 // re-admitted to pull queued campaigns.
 //
 // A Registry serves one fleet.Run at a time (members can be added and
@@ -601,16 +602,14 @@ func (r *Registry) AddRemote(name, url string, opts RemoteOptions) (string, erro
 	if opts.ControlTimeout > 0 {
 		wcc.HTTP.Timeout = opts.ControlTimeout
 	}
-	probe := func(ctx context.Context) (wei.Capabilities, error) {
+	spec := remoteSpec(url, opts)
+	spec.Name = name
+	spec.Probe = func(ctx context.Context) (wei.Capabilities, error) {
 		h, err := wcc.Health(ctx)
 		if err != nil {
 			return wei.Capabilities{}, err
 		}
 		return h.Caps, nil
-	}
-	open := func(ctx context.Context) (Cell, error) {
-		cell, _, err := openRemoteCell(ctx, url, opts)
-		return cell, err
 	}
 
 	r.mu.Lock()
@@ -633,12 +632,12 @@ func (r *Registry) AddRemote(name, url string, opts RemoteOptions) (string, erro
 
 	// One synchronous probe decides the initial state.
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
-	caps, perr := probe(ctx)
+	caps, perr := spec.Probe(ctx)
 	cancel()
 
 	if perr == nil {
-		return r.Add(MemberSpec{Name: name, URL: url, Open: open, Probe: probe,
-			Caps: caps, CapsKnown: true})
+		spec.Caps, spec.CapsKnown = caps, true
+		return r.Add(spec)
 	}
 
 	// Not answering yet: register suspect so the prober admits it when it
@@ -656,7 +655,7 @@ func (r *Registry) AddRemote(name, url string, opts RemoteOptions) (string, erro
 		return "", fmt.Errorf("fleet: member %q already registered", name)
 	}
 	m := &member{
-		name: name, url: url, open: open, probe: probe,
+		name: name, url: url, open: spec.Open, probe: spec.Probe,
 		state: StateSuspect, lastErr: perr, downSince: time.Now(),
 		poke: make(chan struct{}, 1),
 	}

@@ -305,3 +305,26 @@ func TestParseChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnScheduleStoppedEarly: Deaths counts only the kills a schedule
+// actually fired — one stopped before its later events reports those as
+// never having happened.
+func TestChurnScheduleStoppedEarly(t *testing.T) {
+	pool, err := NewChurnPool(ChurnPoolOptions{Cells: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	stop := pool.Schedule([]ChurnEvent{{Cell: 0}, {Cell: 1, At: time.Hour}})
+	for deadline := time.Now().Add(10 * time.Second); pool.Deaths(0) == 0; {
+		if time.Now().After(deadline) {
+			stop()
+			t.Fatal("the immediate kill never fired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	if got := pool.Deaths(0) + pool.Deaths(1); got != 1 {
+		t.Fatalf("deaths = %d, want 1 (the hour-out kill was stopped)", got)
+	}
+}

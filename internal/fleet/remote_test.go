@@ -58,6 +58,15 @@ func newWorkcellHTTPServer(t *testing.T, seed int64, killAfter int64) *killableS
 // remoteOpts keeps remote-engine retries fast on the wall clock.
 var remoteOpts = RemoteOptions{RetryDelay: time.Millisecond}
 
+// remotePool is fixedPool over one remoteSpec member per URL.
+func remotePool(t testing.TB, urls ...string) *Registry {
+	opens := make([]CellOpener, len(urls))
+	for i, url := range urls {
+		opens[i] = remoteSpec(url, remoteOpts).Open
+	}
+	return fixedPool(t, opens...)
+}
+
 // TestRemoteFleetCompletesCampaigns runs a multi-campaign fleet against two
 // in-process HTTP workcell servers and checks the outcomes match the local
 // simulated pool: every campaign completed with its full sample budget, and
@@ -67,7 +76,7 @@ func TestRemoteFleetCompletesCampaigns(t *testing.T) {
 	s2 := newWorkcellHTTPServer(t, 22, 0)
 	campaigns := quickCampaigns(4, 8)
 	res, err := Run(context.Background(), campaigns,
-		Options{Provider: NewRemoteProvider([]string{s1.srv.URL, s2.srv.URL}, remoteOpts)})
+		Options{Registry: remotePool(t, s1.srv.URL, s2.srv.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func TestRemoteFleetReschedulesOffKilledWorkcell(t *testing.T) {
 	s2 := newWorkcellHTTPServer(t, 32, 0)
 	campaigns := quickCampaigns(4, 8)
 	res, err := Run(context.Background(), campaigns,
-		Options{Provider: NewRemoteProvider([]string{s1.srv.URL, s2.srv.URL}, remoteOpts)})
+		Options{Registry: remotePool(t, s1.srv.URL, s2.srv.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +178,7 @@ func TestRemoteFleetHealthGatedAdmission(t *testing.T) {
 	dead.Close()
 	live := newWorkcellHTTPServer(t, 41, 0)
 	res, err := Run(context.Background(), quickCampaigns(3, 8),
-		Options{Provider: NewRemoteProvider([]string{deadURL, live.srv.URL}, remoteOpts)})
+		Options{Registry: remotePool(t, deadURL, live.srv.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func TestRemoteFleetAllCellsDead(t *testing.T) {
 	url := s.URL
 	s.Close()
 	res, err := Run(context.Background(), quickCampaigns(2, 8),
-		Options{Provider: NewRemoteProvider([]string{url, url}, remoteOpts)})
+		Options{Registry: remotePool(t, url, url)})
 	if err != nil {
 		t.Fatal(err)
 	}
