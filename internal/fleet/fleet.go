@@ -89,18 +89,19 @@ type Options struct {
 	// remote cmd/portal server (cmd/fleet -portal), or any other Ingestor.
 	// Setting Portal implies Publish; Result.Store stays nil. Destinations
 	// that also implement portal.BatchIngestor (the Store and the HTTP
-	// Client both do) receive each campaign's records as one batch flushed
-	// at campaign end rather than a round-trip per iteration.
+	// Client both do) receive each campaign's records as one keyed batch
+	// delivered at campaign end (portal.Buffer.Deliver, with its retries)
+	// rather than a round-trip per iteration.
 	Portal portal.Ingestor
 	// EventSink, when set, streams every campaign's engine events as they
 	// happen — command_sent, step_end, gate_wait, … bracketed by
 	// campaign_start/campaign_end lifecycle markers — instead of records
 	// landing once at campaign end. Wire portal.NewEventPublisher(
 	// portal.NewClient(url), …) to feed a remote portal hub (cmd/fleet
-	// -stream), or a portal.Hub directly for in-process fan-out. Emission
+	// -stream), or a portal.Hub directly for in-process fan-out. Publishing
 	// happens inside the campaign hot loop, so the sink must be
 	// non-blocking; the caller owns its lifecycle (Close after Run for the
-	// final flush).
+	// final, retried flush).
 	EventSink portal.EventSink
 	// MaxAttempts bounds the scheduling attempts a campaign is charged for
 	// across workcells (default 2: one reschedule onto a different cell; 1
@@ -129,11 +130,6 @@ type Options struct {
 	// registry: Run subscribes for its duration and does not close it.
 	Registry *Registry
 }
-
-// flushRetryDelay is the real-time pause between failed campaign-flush
-// attempts against the portal destination. A variable so tests can shrink
-// it.
-var flushRetryDelay = 500 * time.Millisecond
 
 // Status classifies a campaign's final outcome.
 type Status string
@@ -1029,37 +1025,10 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 	}
 	if buf != nil {
 		// The batch flush replaces the publish flow's per-record ingest, so
-		// it gets the same retry budget (publishFlow's ingest Retries: 2) —
-		// one transient portal hiccup must not drop a whole campaign's
-		// records. The buffer retains them across flush attempts within this
-		// loop (it dies with the attempt if all three fail). A retry resends
-		// the failed batch under the idempotency key it was frozen with, so
-		// if the portal committed a batch but the response was lost, the
-		// Store (or the Client, over HTTP) answers the retry from its dedupe
-		// memory instead of ingesting the batch twice. Rejected submissions
-		// (ErrInvalid) and cancellation stop the loop early — resending
-		// those is hopeless.
-		var ids []string
-		var ferr error
-		for attempt := 0; attempt <= 2; attempt++ {
-			if ids, ferr = buf.Flush(); ferr == nil {
-				break
-			}
-			if errors.Is(ferr, portal.ErrInvalid) || ctx.Err() != nil {
-				break
-			}
-			if attempt < 2 {
-				// A real-time pause, not a virtual-clock one: the portal is
-				// an external service, and back-to-back microsecond retries
-				// cannot outlast even the briefest real outage.
-				select {
-				case <-ctx.Done():
-				//lint:ignore wallclock retry pacing against an external portal is wall-clock by design (see comment above)
-				case <-time.After(flushRetryDelay):
-				}
-			}
-		}
-		if ferr != nil {
+		// Deliver gives it the same retry budget (publishFlow's ingest
+		// Retries: 2), resending a failed batch under its frozen idempotency
+		// key. The records die with the attempt if every try fails.
+		if ids, ferr := buf.Deliver(ctx); ferr != nil {
 			cr.PublishErr = fmt.Errorf("fleet: flush campaign records: %w", ferr)
 		} else {
 			cr.RecordIDs = ids

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"colormatch/internal/portal"
 )
@@ -172,8 +171,6 @@ func (p *flakyBatchPortal) IngestBatchKeyed(key string, recs []portal.Record) ([
 // a transient portal fault does not drop the campaign's records — and on
 // success the destination-assigned IDs land in CampaignResult.RecordIDs.
 func TestFleetFlushRetriesTransientPortalFailure(t *testing.T) {
-	defer func(d time.Duration) { flushRetryDelay = d }(flushRetryDelay)
-	flushRetryDelay = time.Millisecond
 	dest := &flakyBatchPortal{Store: portal.NewStore(), failures: 2}
 	res, err := Run(context.Background(), quickCampaigns(1, 8), Options{
 		Workcells: 1, Seed: 7, Portal: dest,
@@ -201,8 +198,6 @@ func TestFleetFlushRetriesTransientPortalFailure(t *testing.T) {
 // TestFleetFlushExhaustsRetries: a portal that stays down through every
 // flush attempt surfaces as PublishErr with no RecordIDs.
 func TestFleetFlushExhaustsRetries(t *testing.T) {
-	defer func(d time.Duration) { flushRetryDelay = d }(flushRetryDelay)
-	flushRetryDelay = time.Millisecond
 	dest := &flakyBatchPortal{Store: portal.NewStore(), failures: 1 << 20}
 	res, err := Run(context.Background(), quickCampaigns(1, 8), Options{
 		Workcells: 1, Seed: 7, Portal: dest,

@@ -19,7 +19,8 @@ const (
 // (wire form) and adding the lifecycle brackets. engineEvent runs as an
 // EventLog sink — under the log's lock, inside the campaign hot loop — so
 // it only hands off to the sink, which is non-blocking by contract
-// (portal.EventPublisher enqueues; a direct Hub does a lock-and-append).
+// (portal.EventPublisher.PublishEvents enqueues a copy; a direct Hub does a
+// lock-and-append).
 //
 // SrcSeq carries the per-log sequence number: engine events count 0,1,2,…
 // with no holes, campaign_start precedes them as -1, and campaign_end

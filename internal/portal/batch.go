@@ -1,10 +1,8 @@
 package portal
 
 import (
-	"crypto/rand"
-	"encoding/hex"
+	"context"
 	"fmt"
-	"sync"
 )
 
 // Buffer is an Ingestor that queues records in memory and forwards them to
@@ -29,19 +27,16 @@ import (
 // memory instead of double-ingesting. Records ingested while a retry is in
 // flight queue up for the next batch rather than mutating the pinned one.
 type Buffer struct {
-	mu   sync.Mutex
-	dest BatchIngestor
-	// pending is the in-flight batch: frozen at the first Flush that sends
-	// it, so every retry is byte-identical under key. queue holds records
-	// that arrived after the freeze.
-	pending []Record
-	key     string
-	queue   []Record
+	box outbox[Record]
 }
 
 // NewBuffer returns an empty buffer draining into dest.
 func NewBuffer(dest BatchIngestor) *Buffer {
-	return &Buffer{dest: dest}
+	send := func(_ string, recs []Record) ([]string, error) { return dest.IngestBatch(recs) }
+	if keyed, ok := dest.(KeyedBatchIngestor); ok {
+		send = keyed.IngestBatchKeyed
+	}
+	return &Buffer{box: outbox[Record]{send: send}}
 }
 
 // Ingest implements Ingestor by queueing the record locally.
@@ -49,63 +44,30 @@ func (b *Buffer) Ingest(rec Record) (string, error) {
 	if rec.Experiment == "" {
 		return "", fmt.Errorf("%w: missing experiment name", ErrInvalid)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.queue = append(b.queue, rec)
+	inFlight, queued := b.box.push(rec)
 	if rec.ID != "" {
 		return rec.ID, nil
 	}
-	return fmt.Sprintf("buffered-%d", len(b.pending)+len(b.queue)), nil
+	return fmt.Sprintf("buffered-%d", inFlight+queued), nil
 }
 
 // Len reports the number of records waiting to be flushed.
 func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending) + len(b.queue)
+	inFlight, queued := b.box.push()
+	return inFlight + queued
 }
 
-// Flush sends every buffered record to the destination and returns the
-// assigned IDs, in buffered order. On error the records stay buffered so a
-// retried Flush loses nothing — and, for keyed destinations, cannot ingest
-// twice. Flushing an empty buffer is a no-op.
-func (b *Buffer) Flush() ([]string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var ids []string
-	// Drain batch by batch: first the retried in-flight batch (if any),
-	// then whatever queued behind it. Each batch gets its own key, frozen
-	// until the destination acknowledges it.
-	for len(b.pending) > 0 || len(b.queue) > 0 {
-		if len(b.pending) == 0 {
-			b.pending, b.queue = b.queue, nil
-			b.key = newBatchKey()
-		}
-		batchIDs, err := b.sendPending()
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, batchIDs...)
-		b.pending, b.key = nil, ""
-	}
-	return ids, nil
-}
+// Flush makes one attempt to send every buffered record to the destination
+// and returns the assigned IDs, in buffered order — including those of
+// batches that landed during an earlier, failed Flush. On error the
+// records stay buffered so a retried Flush loses nothing — and, for keyed
+// destinations, cannot ingest twice. Flushing an empty buffer is a no-op.
+func (b *Buffer) Flush() ([]string, error) { return b.box.flush() }
 
-// sendPending forwards the frozen batch, keyed when the destination
-// supports it. Callers hold b.mu.
-func (b *Buffer) sendPending() ([]string, error) {
-	if keyed, ok := b.dest.(KeyedBatchIngestor); ok && b.key != "" {
-		return keyed.IngestBatchKeyed(b.key, b.pending)
-	}
-	return b.dest.IngestBatch(b.pending)
-}
-
-// newBatchKey returns a fresh idempotency key; empty (disabling dedupe for
-// that batch) only if the system's randomness source fails.
-func newBatchKey() string {
-	var buf [12]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		return ""
-	}
-	return "buf-" + hex.EncodeToString(buf[:])
+// Deliver is Flush with a retry budget: a failed flush is retried twice,
+// 500ms apart in real time, so one transient portal hiccup does not lose
+// the records. It stops early on a rejected batch (ErrInvalid) or once ctx
+// is done.
+func (b *Buffer) Deliver(ctx context.Context) ([]string, error) {
+	return b.box.deliver(ctx, deliverRetries, deliverPause)
 }

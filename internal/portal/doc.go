@@ -52,9 +52,11 @@
 // commit's IDs instead of being ingested twice, a guarantee that rides the
 // segment log and so survives restarts. [Buffer] adapts between the
 // single-record and batch shapes: it is an Ingestor that queues records in
-// memory and forwards them to the destination in Flush-sized keyed batches
-// — the shape a fleet campaign uses to publish its whole run at once,
-// safely retryable end to end.
+// memory and forwards them to the destination in keyed batches on Flush
+// (one attempt) or [Buffer.Deliver] (paced retries) — the shape a fleet
+// campaign uses to publish its whole run at once, safely retryable end to
+// end. [EventPublisher] is the same keyed outbox for stream events,
+// drained by a background goroutine.
 //
 // # Compaction and replay
 //

@@ -64,8 +64,8 @@ type BatchIngestor interface {
 // KeyedBatchIngestor is a BatchIngestor that deduplicates retried batches:
 // a batch resubmitted under the same non-empty idempotency key after a lost
 // response is answered with the original commit's IDs instead of being
-// ingested twice. Store and Client implement it; Buffer uses it when the
-// destination offers it.
+// ingested twice. Store and Client implement it; Buffer keys every batch
+// it sends when the destination offers it.
 type KeyedBatchIngestor interface {
 	BatchIngestor
 	IngestBatchKeyed(key string, recs []Record) (ids []string, err error)
@@ -260,7 +260,7 @@ func (s *Store) Ingest(rec Record) (string, error) {
 // them all under one lock acquisition (and one segment-log flush for
 // disk-backed stores). On error no record is ingested and the caller's
 // records are untouched — in particular no provisional IDs are assigned,
-// so a Buffer retrying a failed flush presents the same batch again.
+// so a Buffer retrying a failed batch presents it again unchanged.
 func (s *Store) IngestBatch(recs []Record) ([]string, error) {
 	return s.IngestBatchKeyed("", recs)
 }

@@ -1,52 +1,42 @@
 package portal
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 )
 
+// maxPendingEvents bounds an EventPublisher's unsent queue. Publishes past
+// it are dropped and counted rather than blocking the experiment.
+const maxPendingEvents = 1 << 16
+
 // EventPublisher is the batching, retrying front of the streaming pipeline:
-// the fleet emits one event at a time from inside the hot campaign loop,
-// and the publisher coalesces them into keyed batches shipped to a
+// the fleet publishes one event at a time from inside the hot campaign
+// loop, and the publisher coalesces them into keyed batches shipped to a
 // downstream KeyedEventSink (usually a portal Client) from its own
-// goroutine. Emit never blocks and never touches the network — a slow or
-// down portal costs the experiment nothing but publisher memory.
+// goroutine. PublishEvents never blocks and never touches the network — a
+// slow or down portal costs the experiment nothing but publisher memory.
 //
 // Delivery is at-least-once upstream and exactly-once downstream: a batch
 // that fails to send is retained and retried under the same idempotency
-// key (the Buffer's frozen-batch discipline), so a portal that committed
-// the batch but lost the ack answers the retry from dedupe memory instead
-// of double-appending. Events are only dropped when the bounded pending
-// queue overflows, and every drop is counted (Dropped) — never silent.
+// key (through the same outbox as Buffer), so a portal that committed the
+// batch but lost the ack answers the retry from dedupe memory instead of
+// double-appending. Events are only dropped when the
+// bounded pending queue overflows, when the sink rejects a batch
+// (ErrInvalid), or when they arrive after Close, and every drop is counted
+// (Dropped) — never silent.
 //
 // The publisher lives in the portal package on purpose: its timers and
 // retry pacing are wall-clock against an external service, which the
 // wallclock archlint check forbids inside the virtual-time packages
 // (internal/fleet included) but permits here.
 type EventPublisher struct {
-	dest KeyedEventSink
+	box  outbox[StreamEvent]
 	opts PublisherOptions
-
-	// mu guards the inbound queue only and is held for appends and swaps —
-	// never across a network call, so Emit cannot stall behind a flush.
-	mu     sync.Mutex
-	queue  []StreamEvent
-	closed bool
-
-	// flushMu serializes flush attempts and guards the frozen in-flight
-	// batch and its key across retries.
-	flushMu  sync.Mutex
-	inflight []StreamEvent
-	key      string
-
-	dropped atomic.Int64
-	lastErr atomic.Value // error
-	wake    chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
+	wake chan struct{}
+	stop context.CancelFunc // stops the loop; safe to call twice
+	done chan struct{}
 }
 
 // PublisherOptions configure an EventPublisher.
@@ -56,9 +46,6 @@ type PublisherOptions struct {
 	// FlushInterval is the background flush cadence (default 200ms); a full
 	// MaxBatch flushes immediately regardless.
 	FlushInterval time.Duration
-	// MaxPending bounds the unsent queue (default 65536). Emits past the
-	// bound are dropped and counted rather than blocking the experiment.
-	MaxPending int
 	// CloseRetries is how many times Close retries the final drain beyond
 	// its first attempt (default 2), pausing CloseRetryDelay between tries.
 	CloseRetries int
@@ -73,16 +60,11 @@ func (o *PublisherOptions) setDefaults() {
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 200 * time.Millisecond
 	}
-	if o.MaxPending <= 0 {
-		o.MaxPending = 1 << 16
-	}
-	if o.CloseRetries < 0 {
-		o.CloseRetries = 0
-	} else if o.CloseRetries == 0 {
-		o.CloseRetries = 2
+	if o.CloseRetries == 0 {
+		o.CloseRetries = deliverRetries // a negative count retries nothing
 	}
 	if o.CloseRetryDelay <= 0 {
-		o.CloseRetryDelay = 500 * time.Millisecond
+		o.CloseRetryDelay = deliverPause
 	}
 }
 
@@ -90,149 +72,79 @@ func (o *PublisherOptions) setDefaults() {
 // Close, which performs the final flush.
 func NewEventPublisher(dest KeyedEventSink, opts PublisherOptions) *EventPublisher {
 	opts.setDefaults()
+	ctx, stop := context.WithCancel(context.Background())
 	p := &EventPublisher{
-		dest: dest,
+		box: outbox[StreamEvent]{
+			send: func(key string, evs []StreamEvent) ([]string, error) {
+				_, err := dest.PublishEventsKeyed(key, evs)
+				return nil, err
+			},
+			maxBatch:     opts.MaxBatch,
+			maxPending:   maxPendingEvents,
+			dropRejected: true,
+		},
 		opts: opts,
 		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+		stop: stop,
 		done: make(chan struct{}),
 	}
-	go p.loop()
+	go p.loop(ctx)
 	return p
 }
 
-// Emit enqueues one event without blocking. Events carrying no PubNanos
-// are stamped with the wall clock now, so downstream subscribers can
-// measure fan-out latency from the moment the event left the experiment.
-func (p *EventPublisher) Emit(ev StreamEvent) {
-	if ev.PubNanos == 0 {
-		ev.PubNanos = time.Now().UnixNano()
+// PublishEvents implements EventSink by enqueueing asynchronously: the
+// returned cursor is empty (acknowledgement happens on the background
+// flush) and the error always nil — losses are reported via Dropped and
+// delivery failures via Close. Events carrying no PubNanos are queued
+// stamped with the wall clock now (the caller's slice is left as is), so
+// downstream subscribers can measure fan-out latency from the moment the
+// event left the experiment.
+func (p *EventPublisher) PublishEvents(evs []StreamEvent) (string, error) {
+	stamped := slices.Clone(evs)
+	now := time.Now().UnixNano()
+	for i := range stamped {
+		if stamped[i].PubNanos == 0 {
+			stamped[i].PubNanos = now
+		}
 	}
-	p.mu.Lock()
-	if p.closed || len(p.queue) >= p.opts.MaxPending {
-		p.mu.Unlock()
-		p.dropped.Add(1)
-		return
-	}
-	p.queue = append(p.queue, ev)
-	full := len(p.queue) >= p.opts.MaxBatch
-	p.mu.Unlock()
-	if full {
+	if _, queued := p.box.push(stamped...); queued >= p.opts.MaxBatch {
 		select {
 		case p.wake <- struct{}{}:
 		default:
 		}
 	}
-}
-
-// PublishEvents implements EventSink by enqueueing asynchronously: the
-// returned cursor is empty (acknowledgement happens on the background
-// flush) and the error always nil — overflow is reported via Dropped and
-// delivery failures via Err and Close.
-func (p *EventPublisher) PublishEvents(evs []StreamEvent) (string, error) {
-	for _, ev := range evs {
-		p.Emit(ev)
-	}
 	return "", nil
 }
 
-// Dropped returns how many events were discarded on queue overflow.
-func (p *EventPublisher) Dropped() int64 { return p.dropped.Load() }
-
-// Err returns the most recent flush failure, or nil. A later successful
-// flush does not clear it; it answers "did anything go wrong so far".
-func (p *EventPublisher) Err() error {
-	if v := p.lastErr.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
-}
-
-// Flush synchronously drains everything queued so far, returning the first
-// delivery error. Safe to call concurrently with Emit and the background
-// loop.
-func (p *EventPublisher) Flush() error { return p.flush() }
+// Dropped returns how many events were discarded: queue overflow, batches
+// the sink rejected, and publishes after Close.
+func (p *EventPublisher) Dropped() int64 { return p.box.dropped.Load() }
 
 // Close stops the background loop and drains the queue, retrying the final
 // flush a bounded number of times — a portal restart mid-shutdown should
 // not cost the run its event tail. The returned error is the last flush
-// failure when undelivered events remain.
+// failure when undelivered events remain. Closing twice is harmless.
 func (p *EventPublisher) Close() error {
-	p.mu.Lock()
-	alreadyClosed := p.closed
-	p.closed = true
-	p.mu.Unlock()
-	if !alreadyClosed {
-		close(p.stop)
-	}
+	p.box.close()
+	p.stop()
 	<-p.done
-	var err error
-	for attempt := 0; attempt <= p.opts.CloseRetries; attempt++ {
-		if err = p.flush(); err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrInvalid) {
-			break // a rejected batch is hopeless to resend
-		}
-		if attempt < p.opts.CloseRetries {
-			time.Sleep(p.opts.CloseRetryDelay)
-		}
+	if _, err := p.box.deliver(context.Background(), p.opts.CloseRetries, p.opts.CloseRetryDelay); err != nil {
+		return fmt.Errorf("portal: event publisher close: %w", err)
 	}
-	return fmt.Errorf("portal: event publisher close: %w", err)
+	return nil
 }
 
-func (p *EventPublisher) loop() {
+func (p *EventPublisher) loop(ctx context.Context) {
 	defer close(p.done)
 	t := time.NewTicker(p.opts.FlushInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-p.stop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
-			_ = p.flush() // failures recorded in lastErr; batch retained for retry
 		case <-p.wake:
-			_ = p.flush()
 		}
-	}
-}
-
-// flush ships batches until the queue is empty or a send fails. The failed
-// batch stays frozen in p.inflight under its original key, so the next
-// attempt retries it verbatim and downstream dedupe makes the retry
-// harmless even when the failure was a lost ack.
-func (p *EventPublisher) flush() error {
-	p.flushMu.Lock()
-	defer p.flushMu.Unlock()
-	for {
-		if len(p.inflight) == 0 {
-			p.mu.Lock()
-			n := min(len(p.queue), p.opts.MaxBatch)
-			if n == 0 {
-				p.mu.Unlock()
-				return nil
-			}
-			p.inflight = p.queue[:n:n]
-			p.queue = p.queue[n:]
-			if len(p.queue) == 0 {
-				p.queue = nil // release the drained backing array
-			}
-			p.mu.Unlock()
-			p.key = newBatchKey()
-		}
-		if _, err := p.dest.PublishEventsKeyed(p.key, p.inflight); err != nil {
-			if errors.Is(err, ErrInvalid) {
-				// The sink has rejected this batch; retrying it verbatim
-				// can only fail the same way and would wedge the queue
-				// behind it forever. Count the loss and move on.
-				p.dropped.Add(int64(len(p.inflight)))
-				p.inflight, p.key = nil, ""
-				p.lastErr.Store(err)
-				continue
-			}
-			p.lastErr.Store(err)
-			return err
-		}
-		p.inflight, p.key = nil, ""
+		_, _ = p.box.flush() // a failed batch stays frozen for the next pass
 	}
 }

@@ -76,8 +76,8 @@ func NewEventLog(clock sim.Clock) *EventLog {
 // and recorded, so it observes events in exactly their sequence order with
 // no gaps — the property live streaming resumes depend on. fn must
 // therefore be fast and non-blocking (hand off to a queue, as
-// portal.EventPublisher does) and must not call back into the log. A nil
-// fn detaches the sink.
+// portal.EventPublisher.PublishEvents does) and must not call back into the
+// log. A nil fn detaches the sink.
 func (l *EventLog) SetSink(fn func(Event)) {
 	l.mu.Lock()
 	l.sink = fn
