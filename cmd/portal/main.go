@@ -25,7 +25,11 @@
 // Endpoints: POST /ingest, POST /ingest/batch, POST /events, GET /search
 // (with cursor pagination), GET /records/<id>, GET /experiments,
 // GET /experiments/<name>/summary, GET /watch (SSE or long-poll),
-// GET /healthz.
+// GET /healthz. Records with their attachments (the two ingest requests
+// and the GET /records/<id> response) travel as one multipart/form-data
+// body: a "records" part holding the records' JSON, then one raw part per
+// attachment named "<record index>/<attachment name>", so any client can
+// upload with curl -F.
 package main
 
 import (

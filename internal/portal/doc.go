@@ -74,7 +74,9 @@
 // [Serve] exposes the store over HTTP (ingest, batch ingest with
 // idempotency keys, search with cursors, record fetch, experiment
 // summaries, and the Figure 3 HTML index) and [Client] is the matching
-// remote [Ingestor]. See docs/PORTAL.md for the wire-level operator guide,
+// remote [Ingestor]. Records travel with their attachments as one
+// multipart/form-data body, each attachment a raw part, in both
+// directions. See docs/PORTAL.md for the wire-level operator guide,
 // and cmd/portalload for the mixed-traffic load harness that regression-
 // tests this package's latency claims.
 package portal

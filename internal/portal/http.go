@@ -2,11 +2,11 @@ package portal
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"mime/multipart"
 	"net/http"
 	"net/url"
 	"sort"
@@ -15,13 +15,14 @@ import (
 	"time"
 )
 
-// The HTTP wire protocol:
-//   POST /ingest                      wireRecord -> {"id": ...}
-//   POST /ingest/batch                [wireRecord] -> {"ids": [...]}
+// The HTTP wire protocol ("records body": the multipart/form-data layout
+// of multipart.go, a "records" JSON part then one raw part per attachment):
+//   POST /ingest                      records body, one record -> {"id": ...}
+//   POST /ingest/batch                records body -> {"ids": [...]}
 //                                     (optional X-Idempotency-Key header:
 //                                     a retried key returns the original
 //                                     commit's ids without re-ingesting)
-//   GET  /records/<id>                wireRecord
+//   GET  /records/<id>                records body, one record
 //   GET  /search?experiment=&run=&after=&before=&limit=&cursor=
 //                                     {"records": [wireRecord], "next_cursor": ...}
 //                                     (files as sizes; timestamps RFC 3339)
@@ -29,27 +30,20 @@ import (
 //   GET  /experiments/<name>/summary  Summary
 //   GET  /healthz                     {"ok": true}
 
-// wireRecord is the JSON form of a Record; attachments travel base64-encoded.
+// wireRecord is the JSON form of a Record. Attachments are reported by
+// size only; their bytes travel as multipart parts (multipart.go).
 type wireRecord struct {
-	ID         string            `json:"id,omitempty"`
-	Experiment string            `json:"experiment"`
-	Run        int               `json:"run"`
-	Time       time.Time         `json:"time"`
-	Fields     map[string]any    `json:"fields,omitempty"`
-	Files      map[string]string `json:"files,omitempty"`      // name -> base64
-	FileSizes  map[string]int    `json:"file_sizes,omitempty"` // search results only
+	ID         string         `json:"id,omitempty"`
+	Experiment string         `json:"experiment"`
+	Run        int            `json:"run"`
+	Time       time.Time      `json:"time"`
+	Fields     map[string]any `json:"fields,omitempty"`
+	FileSizes  map[string]int `json:"file_sizes,omitempty"`
 }
 
-func toWire(r Record, withFiles bool) wireRecord {
+func toWire(r Record) wireRecord {
 	w := wireRecord{ID: r.ID, Experiment: r.Experiment, Run: r.Run, Time: r.Time, Fields: r.Fields}
-	if withFiles {
-		if len(r.Files) > 0 {
-			w.Files = make(map[string]string, len(r.Files))
-			for name, data := range r.Files {
-				w.Files[name] = base64.StdEncoding.EncodeToString(data)
-			}
-		}
-	} else if sizes := r.FileSizes(); len(sizes) > 0 {
+	if sizes := r.FileSizes(); len(sizes) > 0 {
 		w.FileSizes = sizes
 	}
 	return w
@@ -61,22 +55,12 @@ type wirePage struct {
 	NextCursor string       `json:"next_cursor,omitempty"`
 }
 
-func fromWire(w wireRecord) (Record, error) {
+func fromWire(w wireRecord) Record {
 	r := Record{ID: w.ID, Experiment: w.Experiment, Run: w.Run, Time: w.Time, Fields: w.Fields}
-	if len(w.Files) > 0 {
-		r.Files = make(map[string][]byte, len(w.Files))
-		for name, b64 := range w.Files {
-			data, err := base64.StdEncoding.DecodeString(b64)
-			if err != nil {
-				return Record{}, fmt.Errorf("portal: file %q: %w", name, err)
-			}
-			r.Files[name] = data
-		}
-	}
 	if len(w.FileSizes) > 0 {
 		r.sizes = w.FileSizes
 	}
-	return r, nil
+	return r
 }
 
 // ServeOption configures optional portal endpoints.
@@ -104,21 +88,15 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		var wr wireRecord
-		if err := json.NewDecoder(req.Body).Decode(&wr); err != nil {
+		recs, err := readRecords(req.Header.Get("Content-Type"), req.Body)
+		if err == nil && len(recs) != 1 {
+			err = fmt.Errorf("%d records, want 1", len(recs))
+		}
+		if err != nil {
 			http.Error(w, "bad record: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		rec, err := fromWire(wr)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Attachment sizes are derived, never client-supplied: honoring
-		// file_sizes on ingest would create phantom attachment metadata
-		// (counted in summaries, reported by search, gone after a restart).
-		rec.sizes = nil
-		id, err := store.Ingest(rec)
+		id, err := store.Ingest(recs[0])
 		if err != nil {
 			http.Error(w, err.Error(), ingestStatus(err))
 			return
@@ -130,20 +108,10 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		var wrs []wireRecord
-		if err := json.NewDecoder(req.Body).Decode(&wrs); err != nil {
+		recs, err := readRecords(req.Header.Get("Content-Type"), req.Body)
+		if err != nil {
 			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 			return
-		}
-		recs := make([]Record, len(wrs))
-		for i, wr := range wrs {
-			rec, err := fromWire(wr)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("record %d: %v", i, err), http.StatusBadRequest)
-				return
-			}
-			rec.sizes = nil // sizes are derived, never client-supplied
-			recs[i] = rec
 		}
 		ids, err := store.IngestBatchKeyed(req.Header.Get(idempotencyHeader), recs)
 		if err != nil {
@@ -168,7 +136,13 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		writeJSON(w, toWire(rec, true))
+		mw := multipart.NewWriter(w)
+		w.Header().Set("Content-Type", mw.FormDataContentType())
+		if err := writeRecords(mw, []Record{rec}); err != nil {
+			// Nothing is written yet when encoding fails; a failed write
+			// means the client is gone.
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 	mux.HandleFunc("/search", func(w http.ResponseWriter, req *http.Request) {
 		params := req.URL.Query()
@@ -206,7 +180,7 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 		}
 		out := wirePage{Records: make([]wireRecord, len(page.Records)), NextCursor: page.Next}
 		for i, r := range page.Records {
-			out.Records[i] = toWire(r, false)
+			out.Records[i] = toWire(r)
 		}
 		writeJSON(w, out)
 	})
@@ -269,23 +243,11 @@ func NewClient(baseURL string) *Client {
 
 // Ingest implements Ingestor over HTTP.
 func (c *Client) Ingest(rec Record) (string, error) {
-	body, err := json.Marshal(toWire(rec, true))
-	if err != nil {
-		return "", fmt.Errorf("portal: encode record: %w", err)
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+"/ingest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", fmt.Errorf("portal: ingest: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", ingestError("ingest", resp)
-	}
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", fmt.Errorf("portal: decode ingest response: %w", err)
+	if err := c.postRecords("ingest", "/ingest", "", []Record{rec}, &out); err != nil {
+		return "", err
 	}
 	return out.ID, nil
 }
@@ -308,35 +270,11 @@ func (c *Client) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	wires := make([]wireRecord, len(recs))
-	for i, rec := range recs {
-		wires[i] = toWire(rec, true)
-	}
-	body, err := json.Marshal(wires)
-	if err != nil {
-		return nil, fmt.Errorf("portal: encode batch: %w", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ingest/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("portal: ingest batch: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		req.Header.Set(idempotencyHeader, key)
-	}
-	resp, err := c.batchClient(len(body)).Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("portal: ingest batch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, ingestError("ingest batch", resp)
-	}
 	var out struct {
 		IDs []string `json:"ids"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("portal: decode batch response: %w", err)
+	if err := c.postRecords("ingest batch", "/ingest/batch", key, recs, &out); err != nil {
+		return nil, err
 	}
 	if len(out.IDs) != len(recs) {
 		return nil, fmt.Errorf("portal: batch response has %d ids for %d records", len(out.IDs), len(recs))
@@ -344,12 +282,53 @@ func (c *Client) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	return out.IDs, nil
 }
 
-// batchClient returns the HTTP client to use for an n-byte batch upload.
+// postRecords posts recs to path as one multipart records body, under the
+// idempotency key when key is set, and decodes the JSON answer into out.
+func (c *Client) postRecords(op, path, key string, recs []Record, out any) error {
+	var body bytes.Buffer
+	// Room for every attachment up front, so the multi-megabyte frames are
+	// copied into the body once; the records part and part headers fit in
+	// the slack or grow the buffer once.
+	n := 64 << 10
+	for _, rec := range recs {
+		for _, data := range rec.Files {
+			n += len(data)
+		}
+	}
+	body.Grow(n)
+	mw := multipart.NewWriter(&body)
+	if err := writeRecords(mw, recs); err != nil {
+		return fmt.Errorf("portal: %s: %w", op, err)
+	}
+	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, bytes.NewReader(body.Bytes()))
+	if err != nil {
+		return fmt.Errorf("portal: %s: %w", op, err)
+	}
+	req.Header.Set("Content-Type", mw.FormDataContentType())
+	if key != "" {
+		req.Header.Set(idempotencyHeader, key)
+	}
+	resp, err := c.batchClient(body.Len()).Do(req)
+	if err != nil {
+		return fmt.Errorf("portal: %s: %w", op, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return ingestError(op, resp)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("portal: decode %s response: %w", op, err)
+	}
+	return nil
+}
+
+// batchClient returns the HTTP client to use for an n-byte records upload.
 // The default 30s total timeout is sized for single records and queries; a
-// whole campaign's attachments travel in one batch POST, so the deadline
-// grows with the payload (one extra second per 256KiB) — otherwise a large
-// campaign would time out deterministically on every flush attempt where
-// the per-record publish path it replaced fit each record comfortably.
+// whole campaign's attachments travel as raw parts of one batch POST, so
+// the deadline grows with the payload (one extra second per 256KiB) —
+// otherwise a large campaign would time out deterministically on every
+// flush attempt where the per-record publish path it replaced fit each
+// record comfortably.
 func (c *Client) batchClient(n int) *http.Client {
 	if c.HTTP.Timeout <= 0 || n < 1<<20 {
 		return c.HTTP
@@ -376,7 +355,7 @@ func ingestError(op string, resp *http.Response) error {
 // Summary fetches an experiment summary.
 func (c *Client) Summary(experiment string) (Summary, error) {
 	var sum Summary
-	err := c.getJSON("/experiments/"+experiment+"/summary", &sum)
+	err := c.getJSON("/experiments/"+url.PathEscape(experiment)+"/summary", &sum)
 	return sum, err
 }
 
@@ -421,35 +400,50 @@ func (c *Client) SearchPage(q Query) (Page, error) {
 	}
 	page := Page{Next: wp.NextCursor}
 	for _, w := range wp.Records {
-		rec, err := fromWire(w)
-		if err != nil {
-			return Page{}, err
-		}
-		page.Records = append(page.Records, rec)
+		page.Records = append(page.Records, fromWire(w))
 	}
 	return page, nil
 }
 
 // Get fetches one full record including attachments.
 func (c *Client) Get(id string) (Record, error) {
-	var w wireRecord
-	if err := c.getJSON("/records/"+id, &w); err != nil {
+	resp, err := c.get("/records/" + url.PathEscape(id))
+	if err != nil {
 		return Record{}, err
 	}
-	return fromWire(w)
+	defer resp.Body.Close()
+	recs, err := readRecords(resp.Header.Get("Content-Type"), resp.Body)
+	if err == nil && len(recs) != 1 {
+		err = fmt.Errorf("%d records, want 1", len(recs))
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("portal: decode record %s: %w", id, err)
+	}
+	return recs[0], nil
 }
 
 func (c *Client) getJSON(path string, v any) error {
-	resp, err := c.HTTP.Get(c.BaseURL + path)
+	resp, err := c.get(path)
 	if err != nil {
-		return fmt.Errorf("portal: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("portal: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// get fetches path and returns the response when it is a 200; the caller
+// closes its body.
+func (c *Client) get(path string) (*http.Response, error) {
+	resp, err := c.HTTP.Get(c.BaseURL + path)
+	if err != nil {
+		return nil, fmt.Errorf("portal: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		return nil, fmt.Errorf("portal: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	return resp, nil
 }
 
 // RenderSummary writes the Figure 3 "summary view" as text.

@@ -2,6 +2,7 @@ package portal
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -217,16 +218,11 @@ func TestHTTPIngestStatusCodes(t *testing.T) {
 	}
 	srv := httptest.NewServer(Serve(store))
 	defer srv.Close()
-	post := func(path, body string) int {
+	post := func(path, records string) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		return postParts(t, srv.URL+path, rawPart{"records", records})
 	}
-	if code := post("/ingest", `{"experiment":""}`); code != http.StatusBadRequest {
+	if code := post("/ingest", `[{"experiment":""}]`); code != http.StatusBadRequest {
 		t.Fatalf("invalid record = HTTP %d, want 400", code)
 	}
 	if code := post("/ingest/batch", `[{"experiment":"x"},{"experiment":""}]`); code != http.StatusBadRequest {
@@ -235,7 +231,7 @@ func TestHTTPIngestStatusCodes(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if code := post("/ingest", `{"experiment":"x"}`); code != http.StatusInternalServerError {
+	if code := post("/ingest", `[{"experiment":"x"}]`); code != http.StatusInternalServerError {
 		t.Fatalf("closed-store ingest = HTTP %d, want 500", code)
 	}
 	if code := post("/ingest/batch", `[{"experiment":"x"}]`); code != http.StatusInternalServerError {
@@ -312,14 +308,9 @@ func TestHTTPRecordGetStatusCodes(t *testing.T) {
 func TestHTTPIngestIgnoresClientFileSizes(t *testing.T) {
 	c, store := newPortalFixture(t)
 	srv := c.BaseURL
-	body := `{"experiment":"phantom","run":1,"time":"2023-08-16T09:00:00Z","file_sizes":{"plate.png":12345}}`
-	resp, err := http.Post(srv+"/ingest", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = HTTP %d", resp.StatusCode)
+	body := `[{"experiment":"phantom","run":1,"time":"2023-08-16T09:00:00Z","file_sizes":{"plate.png":12345}}]`
+	if code := postParts(t, srv+"/ingest", rawPart{"records", body}); code != http.StatusOK {
+		t.Fatalf("ingest = HTTP %d", code)
 	}
 	recs := store.Search(Query{Experiment: "phantom"})
 	if len(recs) != 1 || len(recs[0].FileSizes()) != 0 {
@@ -348,5 +339,27 @@ func TestBatchClientScalesTimeout(t *testing.T) {
 	c.HTTP.Timeout = 0
 	if got := c.batchClient(64 << 20); got != c.HTTP {
 		t.Fatal("disabled timeout should not be re-enabled")
+	}
+}
+
+// TestHTTPClientEscapesPathSegments: experiment names and record IDs are
+// free text, so the client escapes them into the URL path; unescaped, "#"
+// and "?" would cut the path short and the request would miss.
+func TestHTTPClientEscapesPathSegments(t *testing.T) {
+	c, _ := newPortalFixture(t)
+	for i, name := range []string{"run #1?", "50% done", "a/b", "plain"} {
+		id := fmt.Sprintf("rec %s #%d?", name, i)
+		if _, err := c.Ingest(Record{ID: id, Experiment: name, Run: 1, Time: time.Now(),
+			Fields: map[string]any{"samples": 2}, Files: map[string][]byte{"plate.png": []byte(name)}}); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := c.Summary(name)
+		if err != nil || sum.Experiment != name || sum.Records != 1 {
+			t.Fatalf("Summary(%q) = %+v, %v", name, sum, err)
+		}
+		got, err := c.Get(id)
+		if err != nil || got.ID != id || string(got.Files["plate.png"]) != name {
+			t.Fatalf("Get(%q) = %+v, %v", id, got, err)
+		}
 	}
 }
