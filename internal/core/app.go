@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"colormatch/internal/color"
@@ -138,27 +137,24 @@ type Gate interface {
 
 // NewCameraGate returns a Gate safe to use with a SimClock running multiple
 // workers: a loop blocked on the gate deregisters itself so virtual time can
-// advance for the loop holding the camera. clock may be nil (plain mutex).
+// advance for the loop holding the camera, and Unlock re-registers the next
+// waiter before handing the gate over, so the releasing loop's next sleep
+// cannot advance the clock past the hand-off. It is a wei.Reservations
+// lease on the camera, FIFO-fair like the module leases. clock may be nil
+// (no clock accounting).
 func NewCameraGate(clock *sim.SimClock) Gate {
-	return &cameraGate{clock: clock}
-}
-
-type cameraGate struct {
-	clock *sim.SimClock
-	mu    sync.Mutex
-}
-
-func (g *cameraGate) Lock() {
-	if g.clock != nil {
-		g.clock.DoneWorker()
+	var c sim.Clock = sim.RealClock{}
+	if clock != nil {
+		c = clock
 	}
-	g.mu.Lock()
-	if g.clock != nil {
-		g.clock.AddWorker(1)
-	}
+	return cameraGate{wei.NewReservations(c)}
 }
 
-func (g *cameraGate) Unlock() { g.mu.Unlock() }
+type cameraGate struct{ leases *wei.Reservations }
+
+func (g cameraGate) Lock() { g.leases.Acquire("camera") }
+
+func (g cameraGate) Unlock() { g.leases.Release("camera") }
 
 // App is one color-picker experiment run.
 type App struct {

@@ -119,8 +119,9 @@ func (m *Module) takePicture(ctx context.Context, args wei.Args) (wei.Result, er
 	}, nil
 }
 
-// DecodeFrame extracts the PNG bytes from a take_picture result, accepting
-// both the in-process and HTTP-JSON encodings.
+// DecodeFrame extracts the PNG bytes from a take_picture result's base64
+// image_png string. The string is the same in process and over HTTP, where
+// it crosses as a raw part of the action response body.
 func DecodeFrame(res wei.Result) ([]byte, error) {
 	v, ok := res["image_png"]
 	if !ok {

@@ -6,17 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"colormatch/internal/form"
 )
 
-// The HTTP wire protocol ("records body": the multipart/form-data layout
-// of multipart.go, a "records" JSON part then one raw part per attachment):
+// The HTTP wire protocol ("records body": the internal/form framing of
+// multipart.go, a "records" JSON part then one raw part per attachment):
 //   POST /ingest                      records body, one record -> {"id": ...}
 //   POST /ingest/batch                records body -> {"ids": [...]}
 //                                     (optional X-Idempotency-Key header:
@@ -136,7 +137,7 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		mw := multipart.NewWriter(w)
+		mw := form.NewWriter(w)
 		w.Header().Set("Content-Type", mw.FormDataContentType())
 		if err := writeRecords(mw, []Record{rec}); err != nil {
 			// Nothing is written yet when encoding fails; a failed write
@@ -296,7 +297,7 @@ func (c *Client) postRecords(op, path, key string, recs []Record, out any) error
 		}
 	}
 	body.Grow(n)
-	mw := multipart.NewWriter(&body)
+	mw := form.NewWriter(&body)
 	if err := writeRecords(mw, recs); err != nil {
 		return fmt.Errorf("portal: %s: %w", op, err)
 	}

@@ -1,40 +1,38 @@
 package portal
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"mime"
-	"mime/multipart"
-	"net/textproto"
 	"strconv"
 	"strings"
+
+	"colormatch/internal/form"
 )
 
-// Records with attachments travel as one multipart/form-data body (RFC
-// 7578), in both directions: ingest requests and the record fetch
-// response. The first part, named "records", holds the JSON array of the
-// records without their attachment bodies. Each attachment follows as a
-// part of its own, named "<record index>/<attachment name>", whose body is
-// the attachment's raw bytes.
+// Records with attachments travel as one records body, in both
+// directions: ingest requests and the record fetch response. It is the
+// framing of internal/form with a head part named "records", holding the
+// JSON array of the records without their attachment bodies. Each
+// attachment follows as a raw part named "<record index>/<attachment
+// name>".
 
-// recordsPart is the form name of a body's first part.
+// recordsPart is the form name of a body's head part.
 const recordsPart = "records"
 
-// writeRecords writes recs to mw as a multipart body and closes mw. The
+// writeRecords writes recs to mw as a records body and closes mw. The
 // records part is encoded and every attachment name checked before any
 // byte is written, so a record that cannot travel fails with nothing sent.
-func writeRecords(mw *multipart.Writer, recs []Record) error {
+func writeRecords(mw *form.Writer, recs []Record) error {
 	wires := make([]wireRecord, len(recs))
+	var parts []form.Part
 	for i, rec := range recs {
-		for name := range rec.Files {
-			// A part header holds no ASCII control character but tab: a line
-			// break would end the header early, and a reader refuses the rest.
-			if strings.ContainsFunc(name, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f }) {
-				return fmt.Errorf("%w: record %d: attachment name %q holds a control character", ErrInvalid, i, name)
+		for name, data := range rec.Files {
+			if err := form.CheckName(name); err != nil {
+				return fmt.Errorf("%w: record %d: %v", ErrInvalid, i, err)
 			}
+			parts = append(parts, form.Part{Name: strconv.Itoa(i) + "/" + name, Data: data})
 		}
 		wires[i] = toWire(rec)
 	}
@@ -42,58 +40,20 @@ func writeRecords(mw *multipart.Writer, recs []Record) error {
 	if err != nil {
 		return fmt.Errorf("%w: encode records: %v", ErrInvalid, err)
 	}
-	h := make(textproto.MIMEHeader)
-	h.Set("Content-Disposition", `form-data; name="`+recordsPart+`"`)
-	h.Set("Content-Type", "application/json")
-	pw, err := mw.CreatePart(h)
-	if err != nil {
-		return err
-	}
-	if _, err := pw.Write(js); err != nil {
-		return err
-	}
-	for i, rec := range recs {
-		for name, data := range rec.Files {
-			pw, err := mw.CreateFormFile(strconv.Itoa(i)+"/"+name, name)
-			if err != nil {
-				return err
-			}
-			if _, err := pw.Write(data); err != nil {
-				return err
-			}
-		}
-	}
-	return mw.Close()
+	return form.Write(mw, recordsPart, js, parts)
 }
 
-// readRecords decodes a multipart body written by writeRecords (or by any
-// RFC 7578 client that follows the same layout) from body, whose
-// Content-Type header is contentType. Attachment sizes are derived from
-// the parts; a file_sizes map in the records part is ignored.
+// readRecords decodes a records body from body, whose Content-Type header
+// is contentType. Attachment sizes are derived from the parts; a
+// file_sizes map in the records part is ignored.
 func readRecords(contentType string, body io.Reader) ([]Record, error) {
-	mediaType, params, err := mime.ParseMediaType(contentType)
-	if err != nil || mediaType != "multipart/form-data" || params["boundary"] == "" {
-		return nil, fmt.Errorf("content type %q: want multipart/form-data with a boundary", contentType)
-	}
-	mr := multipart.NewReader(body, params["boundary"])
-	part, err := mr.NextPart()
-	if errors.Is(err, io.EOF) {
-		return nil, errors.New("no records part")
-	}
+	r, head, err := form.NewReader(contentType, body, recordsPart)
 	if err != nil {
 		return nil, err
 	}
-	// FormName, not FileName: FileName keeps only the base name, so
-	// "0/a/b.png" would lose its "a/".
-	if form := part.FormName(); form != recordsPart {
-		return nil, fmt.Errorf("first part is %q, want %q", form, recordsPart)
-	}
-	var scratch bytes.Buffer
-	if _, err := scratch.ReadFrom(part); err != nil {
-		return nil, fmt.Errorf("records part: %w", err)
-	}
+	defer r.Close()
 	var wires []wireRecord
-	if err := json.Unmarshal(scratch.Bytes(), &wires); err != nil {
+	if err := json.Unmarshal(head, &wires); err != nil {
 		return nil, fmt.Errorf("records part: %w", err)
 	}
 	recs := make([]Record, len(wires))
@@ -105,38 +65,28 @@ func readRecords(contentType string, body io.Reader) ([]Record, error) {
 		recs[i].sizes = nil
 	}
 	for {
-		part, err := mr.NextPart()
+		part, data, err := r.Next()
 		if errors.Is(err, io.EOF) {
 			return recs, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		form := part.FormName()
-		if form == recordsPart {
-			return nil, errors.New("second records part")
-		}
-		idx, name, ok := strings.Cut(form, "/")
+		idx, name, ok := strings.Cut(part, "/")
 		if !ok {
-			return nil, fmt.Errorf("unexpected part %q", form)
+			return nil, fmt.Errorf("unexpected part %q", part)
 		}
+		// Only the canonical index names a record, so "00/x" cannot repeat
+		// "0/x" behind the reader's duplicate check.
 		i, err := strconv.Atoi(idx)
-		if err != nil || i < 0 || i >= len(recs) {
-			return nil, fmt.Errorf("part %q: no record %q among %d", form, idx, len(recs))
-		}
-		if recs[i].Files[name] != nil {
-			return nil, fmt.Errorf("part %q: duplicate attachment", form)
-		}
-		scratch.Reset()
-		if _, err := scratch.ReadFrom(part); err != nil {
-			return nil, fmt.Errorf("part %q: %w", form, err)
+		if err != nil || i < 0 || i >= len(recs) || strconv.Itoa(i) != idx {
+			return nil, fmt.Errorf("part %q: no record %q among %d", part, idx, len(recs))
 		}
 		if recs[i].Files == nil {
 			recs[i].Files = map[string][]byte{}
 		}
-		// The scratch buffer is reused for the next part: keep a copy sized
-		// to the attachment, never nil, so the duplicate check above sees
-		// an empty one too.
-		recs[i].Files[name] = append([]byte{}, scratch.Bytes()...)
+		// The reader reuses its buffer for the next part: keep a copy sized
+		// to the attachment, never nil, so an empty attachment is kept too.
+		recs[i].Files[name] = append([]byte{}, data...)
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"colormatch/internal/form"
 	"colormatch/internal/sim"
 )
 
@@ -191,7 +193,7 @@ func (s *WorkcellServer) handleModules(w http.ResponseWriter, req *http.Request)
 		} else {
 			log.Append(Event{Kind: EvCommandDone, Module: name, Action: ar.Action, Duration: dur})
 		}
-		writeJSON(w, resp)
+		writeAction(w, resp)
 	case "state":
 		writeJSON(w, map[string]any{"state": string(m.State())})
 	case "about":
@@ -253,6 +255,35 @@ func (s *WorkcellServer) handleSession(w http.ResponseWriter, _ *http.Request) {
 // but /reset cannot provision fresh modules.
 func ServeModules(reg *Registry) http.Handler {
 	return NewWorkcellServer(reg, ServerOptions{}).Handler()
+}
+
+// writeAction writes resp as an action response body: the internal/form
+// framing with resp as its head part, less the result's top-level
+// strings, which follow as raw parts in key order. A string under a key
+// no part name can hold stays in the head.
+func writeAction(w http.ResponseWriter, resp actResponse) {
+	var parts []form.Part
+	if len(resp.Result) > 0 {
+		head := make(Result, len(resp.Result))
+		for k, v := range resp.Result {
+			if s, ok := v.(string); ok && form.CheckName(k) == nil {
+				parts = append(parts, form.Part{Name: resultPart + k, Data: []byte(s)})
+			} else {
+				head[k] = v
+			}
+		}
+		sort.Slice(parts, func(i, j int) bool { return parts[i].Name < parts[j].Name })
+		resp.Result = head
+	}
+	js, err := json.Marshal(resp)
+	if err != nil {
+		http.Error(w, "wei: encode action response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	mw := form.NewWriter(w)
+	w.Header().Set("Content-Type", mw.FormDataContentType())
+	// Every part name is valid, so only a write to a gone client can fail.
+	_ = form.Write(mw, responsePart, js, parts)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

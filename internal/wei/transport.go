@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
+
+	"colormatch/internal/form"
 )
 
 // Registry is the in-process Client: modules run in the same address space
@@ -88,7 +91,7 @@ func (r *Registry) About(ctx context.Context, module string) (ModuleInfo, error)
 }
 
 // The HTTP wire protocol: each module is exposed under /modules/<name>/ with
-//   POST action  {"action": ..., "args": {...}} -> {"result": {...}} | {"error": ..., "err_class": ...}
+//   POST action  {"action": ..., "args": {...}} -> action response body
 //   GET  state   -> {"state": "ready"}
 //   GET  about   -> ModuleInfo
 // plus the whole-workcell endpoints served by WorkcellServer:
@@ -96,7 +99,22 @@ func (r *Registry) About(ctx context.Context, module string) (ModuleInfo, error)
 //   POST /reset   {"campaign": ...} -> ResetInfo
 //   GET  /session -> SessionInfo
 // mirroring how WEI module servers expose device drivers on attached
-// computers.
+// computers. Requests and every other answer are JSON. An action response
+// body is one multipart/form-data body in the internal/form framing, the
+// one the portal's records body uses:
+//   - a head part "response": {"result": {...}} | {"error": ..., "err_class": ...},
+//     the result without its top-level string values;
+//   - one raw part per top-level string value, named "result/<key>", in
+//     key order, so a camera frame crosses as its own bytes and not as a
+//     JSON string.
+// The client puts the strings back, so a Result reads the same over HTTP
+// as in process.
+
+// Part names of an action response body.
+const (
+	responsePart = "response"
+	resultPart   = "result/"
+)
 
 type actRequest struct {
 	Action string `json:"action"`
@@ -204,10 +222,10 @@ func (c *HTTPClient) Act(ctx context.Context, module, action string, args Args) 
 		return nil, &StatusError{Module: module, Op: "act", Code: resp.StatusCode,
 			Body: strings.TrimSpace(string(msg))}
 	}
-	var ar actResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
-		// A non-JSON or truncated body from a supposedly healthy server is a
-		// transport fault, not an action failure.
+	ar, err := readAction(resp.Header.Get("Content-Type"), resp.Body)
+	if err != nil {
+		// A malformed or truncated body from a supposedly healthy server is
+		// a transport fault, not an action failure.
 		return nil, transportErr(ctx, module, "decode", err)
 	}
 	if ar.Error != "" {
@@ -215,6 +233,39 @@ func (c *HTTPClient) Act(ctx context.Context, module, action string, args Args) 
 			Msg: ar.Error, ErrClass: parseErrClass(ar.ErrClass)}
 	}
 	return ar.Result, nil
+}
+
+// readAction decodes an action response body written by writeAction.
+func readAction(contentType string, body io.Reader) (actResponse, error) {
+	var ar actResponse
+	r, head, err := form.NewReader(contentType, body, responsePart)
+	if err != nil {
+		return ar, err
+	}
+	defer r.Close()
+	if err := json.Unmarshal(head, &ar); err != nil {
+		return ar, fmt.Errorf("%s part: %w", responsePart, err)
+	}
+	for {
+		name, data, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return ar, nil
+		}
+		if err != nil {
+			return ar, err
+		}
+		key, ok := strings.CutPrefix(name, resultPart)
+		if !ok {
+			return ar, fmt.Errorf("unexpected part %q", name)
+		}
+		if _, dup := ar.Result[key]; dup {
+			return ar, fmt.Errorf("part %q: result key also in the head", name)
+		}
+		if ar.Result == nil {
+			ar.Result = Result{}
+		}
+		ar.Result[key] = string(data)
+	}
 }
 
 // State implements Client over HTTP.
