@@ -7,9 +7,9 @@ import (
 	"colormatch/internal/vision/raster"
 )
 
-// BenchmarkCircles measures the circle Hough transform over a plate-sized
-// region with a realistic well count.
-func BenchmarkCircles(b *testing.B) {
+// benchPlate returns a plate-sized grayscale frame with a realistic well
+// count and the region around its wells.
+func benchPlate() (*raster.Gray, Rect) {
 	img := raster.NewRGBA(640, 480, color.RGB8{R: 245, G: 245, B: 245})
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 12; c++ {
@@ -17,8 +17,13 @@ func BenchmarkCircles(b *testing.B) {
 				color.RGB8{R: 90, G: 70, B: 110})
 		}
 	}
-	g := raster.FromRGBA(img)
-	region := Rect{X0: 130, Y0: 120, X1: 600, Y1: 440}
+	return raster.FromRGBA(img), Rect{X0: 130, Y0: 120, X1: 600, Y1: 440}
+}
+
+// BenchmarkCircles measures the circle Hough transform over a plate-sized
+// region with a realistic well count.
+func BenchmarkCircles(b *testing.B) {
+	g, region := benchPlate()
 	p := DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

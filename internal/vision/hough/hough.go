@@ -9,7 +9,10 @@ package hough
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"colormatch/internal/vision/raster"
 )
@@ -49,15 +52,37 @@ func DefaultParams() Params {
 	return Params{RMin: 9, RMax: 14, MagThresh: 60, MinSupport: 0.5}
 }
 
-// Scratch holds the accumulator and candidate buffers for the transform so a
-// long campaign of same-sized photos allocates them once. The slice returned
-// by CirclesScratch is backed by it and only valid until the next call.
+// Scratch holds the transform's buffers so a long campaign of same-sized
+// photos allocates them once: the list of strong edge pixels, one vote plane
+// and two three-row rings per worker, and each radius plane's candidates. The
+// slice returned by CirclesScratch is backed by it and only valid until the
+// next call. One Scratch must not be used by concurrent calls.
 type Scratch struct {
-	acc    []int32
-	smooth []int32
-	rowSum []int32
-	cands  []Circle
-	out    []Circle
+	edges   []edge
+	workers []planeScratch
+	planes  [][]Circle   // candidates of each radius plane, row-major
+	next    atomic.Int32 // index of the next unclaimed radius plane
+	wg      sync.WaitGroup
+	cands   []Circle
+	out     []Circle
+}
+
+// edge is a pixel whose Sobel magnitude reaches the threshold, with its unit
+// gradient vector.
+type edge struct {
+	x, y   int32
+	cs, sn float64
+}
+
+// planeScratch is one worker's buffers for the radius plane it is sweeping.
+// Rows of votes and smooth carry a zero cell at each end, and zero stands for
+// the rows beyond the plane's top and bottom, so the clamped box sum and the
+// peak test need no border cases.
+type planeScratch struct {
+	votes  []int32 // h rows of w+2
+	rowSum []int32 // ring of three rows of w: horizontal 3-sums
+	smooth []int32 // ring of three rows of w+2: 3×3 box sums
+	zero   []int32 // w+2 zeros
 }
 
 func grow(buf []int32, n int) []int32 {
@@ -79,10 +104,19 @@ func Circles(g *raster.Gray, region Rect, p Params) []Circle {
 	return CirclesScratch(g, region, p, &Scratch{})
 }
 
-// CirclesScratch is Circles with caller-owned scratch buffers. The gradient is
-// computed and consumed in a single fused pass over the region — no full-image
-// Sobel planes are materialized — and all accumulator memory lives in s.
+// CirclesScratch is Circles with caller-owned scratch buffers. One gradient
+// pass lists the region's strong edge pixels; each radius plane is then voted,
+// box-summed and searched for peaks on its own, with the planes spread over
+// runtime.GOMAXPROCS(0) workers, the calling goroutine being one of them.
+// Candidates are gathered in radius order, so the result does not depend on
+// the number of workers.
 func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle {
+	return circles(g, region, p, s, runtime.GOMAXPROCS(0))
+}
+
+// circles is CirclesScratch with the worker count given; it is capped at the
+// number of radius planes.
+func circles(g *raster.Gray, region Rect, p Params, s *Scratch, workers int) []Circle {
 	if p.RMin <= 0 || p.RMax < p.RMin {
 		return nil
 	}
@@ -104,147 +138,40 @@ func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle 
 		return nil
 	}
 	nr := p.RMax - p.RMin + 1
-	s.acc = grow(s.acc, nr*w*h)
-	acc := s.acc
+	s.edges = appendEdges(s.edges[:0], g, region, p.MagThresh)
 
-	// Fused gradient+vote pass. A pixel's votes depend only on its own 3×3
-	// Sobel neighborhood, so there is no need to materialize full magnitude
-	// and direction planes: compute the gradient where it is needed (the
-	// region, minus the image border where Sobel is defined as zero) and cast
-	// votes immediately. cos/sin of the gradient angle are gx/m and gy/m —
-	// same direction vector the atan2-based formulation produced, without the
-	// transcendental round trip.
-	gx0, gy0 := region.X0, region.Y0
-	if gx0 < 1 {
-		gx0 = 1
+	workers = max(1, min(workers, nr))
+	if cap(s.workers) < workers {
+		s.workers = make([]planeScratch, workers)
 	}
-	if gy0 < 1 {
-		gy0 = 1
+	s.workers = s.workers[:workers]
+	for i := range s.workers {
+		ps := &s.workers[i]
+		ps.votes = grow(ps.votes, (w+2)*h)
+		ps.rowSum = grow(ps.rowSum, 3*w)
+		ps.smooth = grow(ps.smooth, 3*(w+2))
+		ps.zero = grow(ps.zero, w+2)
 	}
-	gx1, gy1 := region.X1, region.Y1
-	if gx1 > g.W-1 {
-		gx1 = g.W - 1
+	if cap(s.planes) < nr {
+		s.planes = make([][]Circle, nr)
 	}
-	if gy1 > g.H-1 {
-		gy1 = g.H - 1
+	s.planes = s.planes[:nr]
+	s.next.Store(0)
+	s.wg.Add(workers - 1)
+	for k := 1; k < workers; k++ {
+		// The copy of region lets the closure capture it by value.
+		ps, region := &s.workers[k], region
+		go func() {
+			defer s.wg.Done()
+			s.sweep(ps, region, p, w, h)
+		}()
 	}
-	gw := g.W
-	for y := gy0; y < gy1; y++ {
-		up := g.Pix[(y-1)*gw : y*gw]
-		mid := g.Pix[y*gw : (y+1)*gw]
-		dn := g.Pix[(y+1)*gw : (y+2)*gw]
-		for x := gx0; x < gx1; x++ {
-			gx := -up[x-1] + up[x+1] +
-				-2*mid[x-1] + 2*mid[x+1] +
-				-dn[x-1] + dn[x+1]
-			gy := -up[x-1] - 2*up[x] - up[x+1] +
-				dn[x-1] + 2*dn[x] + dn[x+1]
-			m := math.Hypot(gx, gy)
-			if m < p.MagThresh {
-				continue
-			}
-			cs, sn := gx/m, gy/m
-			fx, fy := float64(x), float64(y)
-			for ri := 0; ri < nr; ri++ {
-				r := float64(p.RMin + ri)
-				// Vote on both sides: wells may be darker or lighter than
-				// the plate, so the gradient can point either way.
-				plane := acc[ri*w*h : (ri+1)*w*h]
-				cx := int(fx + r*cs + 0.5)
-				cy := int(fy + r*sn + 0.5)
-				if region.Contains(cx, cy) {
-					plane[(cy-region.Y0)*w+(cx-region.X0)]++
-				}
-				cx = int(fx - r*cs + 0.5)
-				cy = int(fy - r*sn + 0.5)
-				if region.Contains(cx, cy) {
-					plane[(cy-region.Y0)*w+(cx-region.X0)]++
-				}
-			}
-		}
-	}
+	s.sweep(&s.workers[0], region, p, w, h)
+	s.wg.Wait()
 
-	// Quantization spreads a circle's votes over a small neighborhood of the
-	// true center, so peaks are found on a 3×3 box sum of each radius plane.
-	// The box sum is separable: horizontal clamped 3-sums into rowSum, then a
-	// vertical 3-sum of those — identical integers to the direct 9-point sum.
 	cands := s.cands[:0]
-	s.smooth = grow(s.smooth, w*h)
-	s.rowSum = grow(s.rowSum, w*h)
-	smooth, rowSum := s.smooth, s.rowSum
-	for ri := 0; ri < nr; ri++ {
-		r := float64(p.RMin + ri)
-		minVotes := int32(p.MinSupport * 2 * math.Pi * r)
-		if minVotes < 3 {
-			minVotes = 3
-		}
-		plane := acc[ri*w*h : (ri+1)*w*h]
-		for y := 0; y < h; y++ {
-			row := plane[y*w : (y+1)*w]
-			dst := rowSum[y*w : (y+1)*w]
-			for x := range row {
-				sum := row[x]
-				if x > 0 {
-					sum += row[x-1]
-				}
-				if x < w-1 {
-					sum += row[x+1]
-				}
-				dst[x] = sum
-			}
-		}
-		for y := 0; y < h; y++ {
-			dst := smooth[y*w : (y+1)*w]
-			cur := rowSum[y*w : (y+1)*w]
-			copy(dst, cur)
-			if y > 0 {
-				above := rowSum[(y-1)*w : y*w]
-				for x := range dst {
-					dst[x] += above[x]
-				}
-			}
-			if y < h-1 {
-				below := rowSum[(y+1)*w : (y+2)*w]
-				for x := range dst {
-					dst[x] += below[x]
-				}
-			}
-		}
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				v := smooth[y*w+x]
-				if v < minVotes {
-					continue
-				}
-				// Strict local maximum (ties broken toward top-left).
-				peak := true
-				for dy := -1; dy <= 1 && peak; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						if dx == 0 && dy == 0 {
-							continue
-						}
-						yy, xx := y+dy, x+dx
-						if yy < 0 || yy >= h || xx < 0 || xx >= w {
-							continue
-						}
-						n := smooth[yy*w+xx]
-						if n > v || (n == v && (dy < 0 || (dy == 0 && dx < 0))) {
-							peak = false
-							break
-						}
-					}
-				}
-				if !peak {
-					continue
-				}
-				cands = append(cands, Circle{
-					X:     float64(x + region.X0),
-					Y:     float64(y + region.Y0),
-					R:     r,
-					Votes: int(v),
-				})
-			}
-		}
+	for _, pc := range s.planes {
+		cands = append(cands, pc...)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Votes > cands[j].Votes })
 	s.cands = cands
@@ -268,4 +195,149 @@ func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle 
 	}
 	s.out = out
 	return out
+}
+
+// appendEdges appends the region's strong edge pixels in row-major order. A
+// pixel's gradient depends only on its own 3×3 Sobel neighborhood, so it is
+// computed only inside the region, minus the image border where Sobel is
+// defined as zero. The unit vector gx/m, gy/m is the direction the
+// atan2-based formulation produced, without the transcendental round trip.
+func appendEdges(edges []edge, g *raster.Gray, region Rect, thresh float64) []edge {
+	// A squared magnitude below thresh²·(1−1e-9) cannot reach thresh under
+	// any rounding of either form, so it skips math.Hypot; every pixel that
+	// could pass still goes through Hypot, which alone decides.
+	var skip2 float64
+	if thresh > 0 {
+		skip2 = thresh * thresh * (1 - 1e-9)
+	}
+	x0, y0 := max(region.X0, 1), max(region.Y0, 1)
+	x1, y1 := min(region.X1, g.W-1), min(region.Y1, g.H-1)
+	gw := g.W
+	for y := y0; y < y1; y++ {
+		up := g.Pix[(y-1)*gw : y*gw]
+		mid := g.Pix[y*gw : (y+1)*gw]
+		dn := g.Pix[(y+1)*gw : (y+2)*gw]
+		for x := x0; x < x1; x++ {
+			gx := -up[x-1] + up[x+1] +
+				-2*mid[x-1] + 2*mid[x+1] +
+				-dn[x-1] + dn[x+1]
+			gy := -up[x-1] - 2*up[x] - up[x+1] +
+				dn[x-1] + 2*dn[x] + dn[x+1]
+			if gx*gx+gy*gy < skip2 {
+				continue
+			}
+			m := math.Hypot(gx, gy)
+			if m < thresh {
+				continue
+			}
+			edges = append(edges, edge{x: int32(x), y: int32(y), cs: gx / m, sn: gy / m})
+		}
+	}
+	return edges
+}
+
+// sweep claims radius planes until none is left, voting each into ps.votes
+// and collecting its peaks into s.planes.
+func (s *Scratch) sweep(ps *planeScratch, region Rect, p Params, w, h int) {
+	stride := w + 2
+	for {
+		ri := int(s.next.Add(1)) - 1
+		if ri >= len(s.planes) {
+			return
+		}
+		r := float64(p.RMin + ri)
+		minVotes := int32(p.MinSupport * 2 * math.Pi * r)
+		if minVotes < 3 {
+			minVotes = 3
+		}
+		for _, e := range s.edges {
+			// Vote on both sides: wells may be darker or lighter than the
+			// plate, so the gradient can point either way.
+			fx, fy := float64(e.x), float64(e.y)
+			cx := int(fx + r*e.cs + 0.5)
+			cy := int(fy + r*e.sn + 0.5)
+			if region.Contains(cx, cy) {
+				ps.votes[(cy-region.Y0)*stride+(cx-region.X0)+1]++
+			}
+			cx = int(fx - r*e.cs + 0.5)
+			cy = int(fy - r*e.sn + 0.5)
+			if region.Contains(cx, cy) {
+				ps.votes[(cy-region.Y0)*stride+(cx-region.X0)+1]++
+			}
+		}
+		s.planes[ri] = ps.peaks(s.planes[ri][:0], region, r, minVotes, w, h)
+	}
+}
+
+// peaks appends the voted plane's peaks in row-major order, in one rolling
+// pass that leaves the plane zeroed for the worker's next radius.
+//
+// Quantization spreads a circle's votes over a small neighborhood of the true
+// center, so peaks are found on a 3×3 box sum of the plane, clamped at its
+// border. Step y takes the horizontal 3-sums of vote row y into the rowSum
+// ring and clears that row, adds rows y-2..y of the ring into smooth row y-1,
+// and searches row y-2, whose neighbors above and below are then final.
+func (ps *planeScratch) peaks(cands []Circle, region Rect, r float64, minVotes int32, w, h int) []Circle {
+	stride := w + 2
+	rowSum := func(y int) []int32 {
+		if y < 0 || y >= h {
+			return ps.zero[:w]
+		}
+		i := y % 3
+		return ps.rowSum[i*w : (i+1)*w]
+	}
+	smooth := func(y int) []int32 {
+		if y < 0 || y >= h {
+			return ps.zero
+		}
+		i := y % 3
+		return ps.smooth[i*stride : (i+1)*stride]
+	}
+	for y := 0; y < h+2; y++ {
+		if y < h {
+			row := ps.votes[y*stride : (y+1)*stride]
+			dst := rowSum(y)
+			row = row[:len(dst)+2]
+			for x := range dst {
+				dst[x] = row[x] + row[x+1] + row[x+2]
+			}
+			clear(row)
+		}
+		if sy := y - 1; sy >= 0 && sy < h {
+			a, b, c := rowSum(sy-1), rowSum(sy), rowSum(sy+1)
+			dst := smooth(sy)[1 : w+1]
+			a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
+			for x := range dst {
+				dst[x] = a[x] + b[x] + c[x]
+			}
+		}
+		if py := y - 2; py >= 0 {
+			cands = appendPeaks(cands, smooth(py-1), smooth(py), smooth(py+1),
+				minVotes, region.X0-1, float64(py+region.Y0), r)
+		}
+	}
+	return cands
+}
+
+// appendPeaks appends the strict local maxima of the box-sum row cur that
+// reach minVotes; above and below are its neighbor rows. Ties go to the
+// earlier cell in row-major order: an equal neighbor above or to the left
+// suppresses the cell, one to the right or below must exceed it. The zero
+// cells and rows standing for the outside of the plane never suppress,
+// because minVotes is at least 3. Cell x of a row is pixel column x+x0.
+func appendPeaks(cands []Circle, above, cur, below []int32, minVotes int32, x0 int, y, r float64) []Circle {
+	above, below = above[:len(cur)], below[:len(cur)]
+	for x := 1; x < len(cur)-1; x++ {
+		v := cur[x]
+		if v < minVotes {
+			continue
+		}
+		if cur[x-1] >= v || cur[x+1] > v ||
+			above[x-1] >= v || above[x] >= v || above[x+1] >= v ||
+			below[x-1] > v || below[x] > v || below[x+1] > v {
+			continue
+		}
+		cands = append(cands, Circle{X: float64(x + x0), Y: y, R: r, Votes: int(v)})
+	}
+	return cands
 }

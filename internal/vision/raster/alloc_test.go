@@ -26,15 +26,6 @@ func TestMeanDiskIsAllocFree(t *testing.T) {
 	}
 }
 
-func TestSobelIntoIsAllocFree(t *testing.T) {
-	g := NewGray(320, 240)
-	var mag, dir Gray
-	SobelInto(g, &mag, &dir) // warm the scratch
-	if n := testing.AllocsPerRun(20, func() { SobelInto(g, &mag, &dir) }); n != 0 {
-		t.Fatalf("SobelInto into warm planes allocates %.1f times per call, want 0", n)
-	}
-}
-
 func TestComponentsScratchIsAllocFree(t *testing.T) {
 	img := NewRGBA(160, 120, color.RGB8{R: 240, G: 240, B: 240})
 	FillRect(img, 20, 20, 60, 60, color.RGB8{R: 10, G: 10, B: 10})

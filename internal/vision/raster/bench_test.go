@@ -25,15 +25,6 @@ func BenchmarkFromRGBAInto(b *testing.B) {
 	}
 }
 
-func BenchmarkSobelInto(b *testing.B) {
-	g := benchFrame()
-	var mag, dir Gray
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SobelInto(g, &mag, &dir)
-	}
-}
-
 func BenchmarkMeanDisk(b *testing.B) {
 	img := NewRGBA(320, 240, color.RGB8{R: 90, G: 120, B: 150})
 	b.ReportAllocs()

@@ -1,13 +1,12 @@
 // Package raster supplies the low-level image operations the vision pipeline
-// is built from: grayscale conversion, global (Otsu) thresholding, Sobel
-// gradients, connected-component labeling, and simple drawing primitives for
-// the synthetic renderer. It replaces the slice of OpenCV the paper's image
+// is built from: grayscale conversion, global (Otsu) thresholding,
+// connected-component labeling, and simple drawing primitives for the
+// synthetic renderer. It replaces the slice of OpenCV the paper's image
 // processing relies on.
 package raster
 
 import (
 	"image"
-	"math"
 
 	"colormatch/internal/color"
 )
@@ -231,39 +230,6 @@ func ComponentsScratch(mask []bool, w int, minCount int, s *ComponentScratch) []
 	s.stack = stack
 	s.out = out
 	return out
-}
-
-// Sobel computes gradient magnitude and direction (radians) per pixel.
-func Sobel(g *Gray) (mag, dir *Gray) {
-	mag, dir = &Gray{}, &Gray{}
-	SobelInto(g, mag, dir)
-	return mag, dir
-}
-
-// SobelInto computes gradient magnitude and direction into caller-owned
-// planes, reusing their buffers when large enough. Border pixels are zero, as
-// in Sobel.
-func SobelInto(g, mag, dir *Gray) {
-	mag.Resize(g.W, g.H)
-	dir.Resize(g.W, g.H)
-	for i := range mag.Pix {
-		mag.Pix[i] = 0
-		dir.Pix[i] = 0
-	}
-	w := g.W
-	for y := 1; y < g.H-1; y++ {
-		up, mid, dn := g.Pix[(y-1)*w:y*w], g.Pix[y*w:(y+1)*w], g.Pix[(y+1)*w:(y+2)*w]
-		magRow, dirRow := mag.Pix[y*w:(y+1)*w], dir.Pix[y*w:(y+1)*w]
-		for x := 1; x < w-1; x++ {
-			gx := -up[x-1] + up[x+1] +
-				-2*mid[x-1] + 2*mid[x+1] +
-				-dn[x-1] + dn[x+1]
-			gy := -up[x-1] - 2*up[x] - up[x+1] +
-				dn[x-1] + 2*dn[x] + dn[x+1]
-			magRow[x] = math.Hypot(gx, gy)
-			dirRow[x] = math.Atan2(gy, gx)
-		}
-	}
 }
 
 // NewRGBA returns a w×h RGBA image filled with the given color.

@@ -111,27 +111,6 @@ func TestComponentsLargeBlobNoStackOverflow(t *testing.T) {
 	}
 }
 
-func TestSobelEdgeResponse(t *testing.T) {
-	// Vertical step edge: left dark, right bright.
-	g := NewGray(20, 20)
-	for y := 0; y < 20; y++ {
-		for x := 10; x < 20; x++ {
-			g.Set(x, y, 200)
-		}
-	}
-	mag, dir := Sobel(g)
-	if mag.At(10, 10) < 100 {
-		t.Fatalf("edge magnitude %v too small", mag.At(10, 10))
-	}
-	if mag.At(5, 10) != 0 {
-		t.Fatalf("flat region magnitude %v", mag.At(5, 10))
-	}
-	// Gradient at the edge points in +x (dark→bright), so dir ≈ 0.
-	if d := dir.At(10, 10); math.Abs(d) > 0.3 {
-		t.Fatalf("edge direction %v, want ~0", d)
-	}
-}
-
 func TestFillCircleAndMeanDisk(t *testing.T) {
 	img := NewRGBA(50, 50, color.RGB8{R: 255, G: 255, B: 255})
 	c := color.RGB8{R: 10, G: 200, B: 30}

@@ -11,6 +11,7 @@ package render
 
 import (
 	"image"
+	"sync"
 
 	"colormatch/internal/color"
 	"colormatch/internal/labware"
@@ -145,9 +146,24 @@ func (s *Scene) SetPlate(p *labware.Plate, wellColor func(volumes []float64) (co
 }
 
 // Render rasterizes the scene. rng supplies pixel noise; nil renders
-// noise-free.
+// noise-free. The noise is drawn from rng on a goroutine of its own while the
+// scene is rasterized and lit, in the order a row-major loop of one
+// NormFloat64 per subpixel would draw it. Nothing else may draw from rng
+// until Render returns; by then that goroutine has drawn its last deviate
+// and closed its channel.
 func (s *Scene) Render(dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA {
 	g := s.Geom
+	var noise <-chan *[]float64
+	if rng != nil && s.NoiseStd > 0 {
+		noise = drawNoise(rng, g.ImgW, g.ImgH)
+		// Drains what a panic would leave unread, and returns only once
+		// the producer has closed the channel.
+		defer func() {
+			for chunk := range noise {
+				noisePool.Put(chunk)
+			}
+		}()
+	}
 	bench := color.RGB8{R: 228, G: 227, B: 224}
 	plateBody := color.RGB8{R: 249, G: 249, B: 247}
 	emptyWell := color.RGB8{R: 240, G: 241, B: 240}
@@ -180,42 +196,80 @@ func (s *Scene) Render(dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA {
 	// Fiducial marker.
 	dict.Render(img, s.MarkerID, int(g.MarkerX+jx), int(g.MarkerY+jy), int(g.MarkerCellPx))
 
-	var noiseRow []float64
-	if rng != nil && s.NoiseStd > 0 {
-		noiseRow = make([]float64, g.ImgW*3)
-	}
-	s.applyIlluminationAndNoise(img, rng, noiseRow)
+	s.applyIlluminationAndNoise(img, noise)
 	return img
 }
 
-// applyIlluminationAndNoise multiplies in the vignette and adds pixel noise.
-// Noise deviates are drawn one row at a time via NormFloat64Fill — same
-// stream, same order as per-subpixel draws, but ~w·3 fewer lock round trips
-// per row — and the clamp is an inline comparison chain rather than
-// math.Max/math.Min calls. Output is bit-identical to the scalar loop.
-func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, rng *sim.RNG, noiseRow []float64) {
-	noise := rng != nil && s.NoiseStd > 0
-	if s.IllumFalloff == 0 && !noise {
+// noiseChunkRows is the number of image rows of deviates one noise chunk
+// carries: 30 channel hand-offs for a 480-row frame.
+const noiseChunkRows = 16
+
+// noisePool recycles noise chunks across frames.
+var noisePool sync.Pool
+
+// drawNoise starts the goroutine that draws a w×h frame's noise from rng: one
+// deviate per subpixel, row-major, in chunks of noiseChunkRows rows taken
+// from noisePool. It closes the returned channel after the last chunk. The
+// receiver must take every chunk and put it back in noisePool once used.
+func drawNoise(rng *sim.RNG, w, h int) <-chan *[]float64 {
+	// Three chunks of lead cover the rasterization that precedes the first
+	// receive; after that drawing is the slower side, so a deeper buffer
+	// would only hold more memory.
+	out := make(chan *[]float64, 3)
+	go func() {
+		defer close(out)
+		for y := 0; y < h; y += noiseChunkRows {
+			n := min(noiseChunkRows, h-y) * w * 3
+			chunk, _ := noisePool.Get().(*[]float64)
+			if chunk == nil || cap(*chunk) < n {
+				buf := make([]float64, noiseChunkRows*w*3)
+				chunk = &buf
+			}
+			*chunk = (*chunk)[:n]
+			rng.NormFloat64Fill(*chunk)
+			out <- chunk
+		}
+	}()
+	return out
+}
+
+// applyIlluminationAndNoise multiplies in the vignette and adds pixel noise,
+// taking the deviates row by row from the chunks drawNoise sends (nil noise
+// means none). The clamp is an inline comparison chain rather than
+// math.Max/math.Min calls. Output is bit-identical to a scalar loop that
+// draws one NormFloat64 per subpixel in row-major order.
+func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, noise <-chan *[]float64) {
+	if s.IllumFalloff == 0 && noise == nil {
 		return
 	}
 	w, h := s.Geom.ImgW, s.Geom.ImgH
+	falloff, std := s.IllumFalloff, s.NoiseStd
 	cx, cy := float64(w)/2, float64(h)/2
 	rmax2 := cx*cx + cy*cy
+	var chunk *[]float64
+	var noiseRow []float64
 	for y := 0; y < h; y++ {
-		if noise {
-			rng.NormFloat64Fill(noiseRow)
+		if noise != nil {
+			k := y % noiseChunkRows
+			if k == 0 {
+				if chunk != nil {
+					noisePool.Put(chunk)
+				}
+				chunk = <-noise
+			}
+			noiseRow = (*chunk)[k*w*3 : (k+1)*w*3]
 		}
 		i := img.PixOffset(0, y)
 		for x := 0; x < w; x++ {
 			factor := 1.0
-			if s.IllumFalloff > 0 {
+			if falloff > 0 {
 				dx, dy := float64(x)-cx, float64(y)-cy
-				factor = 1 - s.IllumFalloff*(dx*dx+dy*dy)/rmax2
+				factor = 1 - falloff*(dx*dx+dy*dy)/rmax2
 			}
 			for c := 0; c < 3; c++ {
 				v := float64(img.Pix[i+c]) * factor
-				if noise {
-					v += s.NoiseStd * noiseRow[x*3+c]
+				if noise != nil {
+					v += std * noiseRow[x*3+c]
 				}
 				v += 0.5
 				if v > 255 {
@@ -227,5 +281,8 @@ func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, rng *sim.RNG, noiseRo
 			}
 			i += 4
 		}
+	}
+	if chunk != nil {
+		noisePool.Put(chunk)
 	}
 }

@@ -1,8 +1,12 @@
 package render
 
 import (
+	"fmt"
+	"image"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"colormatch/internal/color"
 	"colormatch/internal/labware"
@@ -137,5 +141,84 @@ func TestRenderNoiseIsSeedDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("render nondeterministic for same seed")
 		}
+	}
+}
+
+// referenceRender renders s by the definition: the noise-free raster, then,
+// for every subpixel in row-major order, the vignette factor and one
+// rng.NormFloat64 deviate.
+func referenceRender(s *Scene, dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA {
+	flat := *s
+	flat.IllumFalloff = 0
+	img := flat.Render(dict, nil)
+	w, h := s.Geom.ImgW, s.Geom.ImgH
+	cx, cy := float64(w)/2, float64(h)/2
+	rmax2 := cx*cx + cy*cy
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			dx, dy := float64(x)-cx, float64(y)-cy
+			factor := 1 - s.IllumFalloff*(dx*dx+dy*dy)/rmax2
+			px := img.Pix[img.PixOffset(x, y):]
+			for c := 0; c < 3; c++ {
+				v := float64(px[c])*factor + s.NoiseStd*rng.NormFloat64() + 0.5
+				px[c] = uint8(max(0, min(255, v)))
+			}
+		}
+	}
+	return img
+}
+
+// TestRenderMatchesScalarReference pins the noise stream's order: Render must
+// equal, byte for byte, the scalar loop drawing one deviate per subpixel, and
+// leave the stream where that loop leaves it. The scenes cover a frame height
+// that is not a whole number of noise chunks, no vignette, and noise strong
+// enough to clamp at both ends.
+func TestRenderMatchesScalarReference(t *testing.T) {
+	dict := aruco.Default()
+	for i, tweak := range []func(*Scene){
+		func(*Scene) {},
+		func(s *Scene) { s.Geom.ImgH = 470 },
+		func(s *Scene) { s.IllumFalloff = 0; s.JitterX, s.JitterY = -6, 5 },
+		func(s *Scene) { s.NoiseStd = 60 },
+	} {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			s := NewScene()
+			for w := 0; w < labware.PlateWells; w += 3 {
+				s.Filled[w] = true
+				s.WellColor[w] = color.RGB8{R: uint8(w * 2), G: 120, B: uint8(250 - w*2)}
+			}
+			tweak(s)
+			seed := int64(40 + i)
+			rng, ref := sim.NewRNG(seed), sim.NewRNG(seed)
+			got := s.Render(dict, rng)
+			want := referenceRender(s, dict, ref)
+			for j := range want.Pix {
+				if got.Pix[j] != want.Pix[j] {
+					t.Fatalf("byte %d (pixel %d, row %d): Render %d, reference %d",
+						j, j/4, j/want.Stride, got.Pix[j], want.Pix[j])
+				}
+			}
+			if a, b := rng.NormFloat64(), ref.NormFloat64(); a != b {
+				t.Fatalf("stream after Render yields %v, after the reference %v", a, b)
+			}
+		})
+	}
+}
+
+// TestRenderLeavesNoGoroutine renders a campaign's worth of noisy frames and
+// checks no noise producer outlives them. Render waits for the producer to
+// close its channel, so only its exit can still be in flight.
+func TestRenderLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewScene()
+	for i := 0; i < 32; i++ {
+		s.Render(aruco.Default(), sim.NewRNG(int64(i)))
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 32 renders, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

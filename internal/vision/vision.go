@@ -33,9 +33,12 @@ var ErrNoMarker = errors.New("vision: no fiducial marker detected")
 
 // Analyzer holds the pipeline configuration plus per-photo scratch buffers.
 // The scratch makes an Analyzer cheap to call in a loop — one grayscale
-// plane, one marker mask, and one Hough accumulator are allocated on the
-// first photo and reused for the rest of the campaign — but also means a
-// single Analyzer must not be used from multiple goroutines concurrently.
+// plane, one marker mask, and the Hough transform's edge list and one vote
+// plane per radius-plane worker are allocated on the first photo and reused
+// for the rest of the campaign. Within one Analyze call the Hough transform
+// spreads its radius planes over the host's cores, each worker on its own
+// vote plane; the scratch as a whole serves one call at a time, so a single
+// Analyzer must still not be used from multiple goroutines concurrently.
 type Analyzer struct {
 	Dict  *aruco.Dictionary
 	Geom  render.Geometry
