@@ -9,7 +9,6 @@
 //	fleet -campaigns 4 -workcells 2 -faults 0.05 -publish
 //	fleet -campaigns 4 -workcells 2 -portal http://localhost:2100
 //	fleet -campaigns 4 -remote http://a:2000,http://b:2000
-//	fleet -campaigns 8 -workcells 4 -lanes 2 -bench-out BENCH_fleet.json
 //
 // With -lanes K each local workcell runs K campaigns concurrently: the cell
 // is built with K liquid handlers, each campaign owns one and keeps its
@@ -50,11 +49,11 @@
 //	fleet -campaigns 100 -join-listen :2200 -join-grace 30s
 //
 // With -churn-cells N the pool is N in-process churnable workcell servers
-// and -churn applies a kill/restart schedule against them — the
-// churning-fleet benchmark:
+// and -churn applies a kill/restart schedule against them; the summary
+// gains churn_kills, the number of scheduled kills that fired:
 //
 //	fleet -campaigns 100 -churn-cells 4 -act-delay 2ms \
-//	    -churn "0@1s+2s,2@3s+2s" -bench-out BENCH_fleet.json
+//	    -churn "0@1s+2s,2@3s+2s"
 //
 // All timing is measured on the workcells' clocks (virtual for the local
 // pool — robot wall-clock, the quantity the paper benchmarks — and the wall
@@ -63,7 +62,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -88,8 +86,6 @@ func main() {
 		nCampaigns = flag.Int("campaigns", 8, "number of independent campaigns N")
 		nWorkcells = flag.Int("workcells", 2, "size of the simulated workcell pool M")
 		lanes      = flag.Int("lanes", 1, "concurrent campaigns per workcell K; cells get K liquid handlers and pipeline campaigns under module leases (local pool only)")
-		benchOut   = flag.String("bench-out", "", "write the run's makespan/speedup/utilization benchmark JSON to this file (merged per scenario)")
-		benchScen  = flag.String("bench-scenario", "", "scenario key for -bench-out (default lanes, or churn with -churn-cells)")
 		solverName = flag.String("solver", "genetic", "solver: genetic|genetic-grid|bayesian|random|grid")
 		batch      = flag.Int("batch", 4, "proposals requested from each solver at once (batch size k)")
 		samples    = flag.Int("samples", 32, "sample budget per campaign")
@@ -212,19 +208,7 @@ func main() {
 		stop := pool.Schedule(churnEvents)
 		defer stop()
 	}
-	// Host wall-clock cost of the run — the price of every CI invocation,
-	// as opposed to the virtual workcell time the summary reports. Measured
-	// here rather than in internal/fleet, which is a virtual-time package
-	// (archlint's wallclock check keeps time.Now out of it).
-	wallStart := time.Now()
 	res, err := fleet.Run(context.Background(), campaigns, opts)
-	wallSeconds := time.Since(wallStart).Seconds()
-	// The kills that actually fired: a run that ends before the schedule
-	// does never sees its later events.
-	var kills int64
-	for i := 0; i < cfg.churnCells; i++ {
-		kills += pool.Deaths(i)
-	}
 	if pub != nil {
 		// Final drain before the summary (and before a fatal exit): the
 		// run's event tail should reach the portal even when the run failed.
@@ -240,24 +224,17 @@ func main() {
 	}
 
 	s := summarize(res)
+	// The kills that actually fired: a run that ends before the schedule
+	// does never sees its later events.
+	for i := 0; i < cfg.churnCells; i++ {
+		s.ChurnKills += int(pool.Deaths(i))
+	}
 	enc := json.NewEncoder(os.Stdout)
 	if !*compact {
 		enc.SetIndent("", "  ")
 	}
 	if err := enc.Encode(s); err != nil {
 		fatal(err)
-	}
-	if *benchOut != "" {
-		scenario := *benchScen
-		if scenario == "" {
-			scenario = "lanes"
-			if cfg.churnCells > 0 {
-				scenario = "churn"
-			}
-		}
-		if err := writeBench(*benchOut, scenario, buildBench(s, int(kills), wallSeconds)); err != nil {
-			fatal(err)
-		}
 	}
 	if res.Failed > 0 {
 		stopProfiles()
@@ -378,96 +355,6 @@ func (c fleetConfig) elasticFlag() string {
 	}
 }
 
-// benchOutput is the perf-trajectory record written by -bench-out: the
-// numbers that should only get better PR over PR for a fixed workload.
-type benchOutput struct {
-	Campaigns    int `json:"campaigns"`
-	Workcells    int `json:"workcells"`
-	LanesPerCell int `json:"lanes_per_cell"`
-	Completed    int `json:"completed"`
-	Lost         int `json:"lost"`
-	Readmissions int `json:"readmissions"`
-	// ChurnEvents counts the -churn kills that fired during the run; a run
-	// that ends before its schedule does reports fewer than the schedule
-	// lists.
-	ChurnEvents        int       `json:"churn_events,omitempty"`
-	MakespanSeconds    float64   `json:"makespan_seconds"`
-	SequentialSeconds  float64   `json:"sequential_seconds"`
-	Speedup            float64   `json:"speedup_vs_sequential"`
-	CampaignsPerHour   float64   `json:"campaigns_per_hour"`
-	QueueWaitSeconds   float64   `json:"queue_wait_seconds"`
-	MeanUtilization    float64   `json:"mean_utilization"`
-	PerCellUtilization []float64 `json:"per_cell_utilization"`
-	// WallSeconds is host wall-clock time for the whole run — the real cost
-	// of a CI invocation, unlike the virtual-time makespan above — and
-	// CampaignsPerWallSecond the corresponding throughput. CI floor-asserts
-	// the latter so hot-loop regressions are visible PR over PR.
-	WallSeconds            float64 `json:"wall_seconds"`
-	CampaignsPerWallSecond float64 `json:"campaigns_per_wall_second"`
-}
-
-// benchFile is the on-disk -bench-out shape: one entry per scenario, so the
-// lanes workload and the churning-fleet workload live side by side.
-type benchFile struct {
-	Scenarios map[string]benchOutput `json:"scenarios"`
-}
-
-// buildBench extracts the benchmark slice of a run summary. Lost counts
-// campaigns the scheduler never accounted for — it must be zero; a non-zero
-// value means the fleet dropped work on the floor.
-func buildBench(s summary, churnEvents int, wallSeconds float64) benchOutput {
-	b := benchOutput{
-		Campaigns:         s.Campaigns,
-		Workcells:         s.Workcells,
-		LanesPerCell:      s.LanesPerCell,
-		Completed:         s.Completed,
-		Lost:              s.Campaigns - s.Completed - s.Failed - s.Canceled,
-		Readmissions:      s.Readmissions,
-		ChurnEvents:       churnEvents,
-		MakespanSeconds:   s.MakespanSeconds,
-		SequentialSeconds: s.SequentialSeconds,
-		Speedup:           s.Speedup,
-		CampaignsPerHour:  s.CampaignsPerHour,
-		QueueWaitSeconds:  s.QueueWaitSeconds,
-		WallSeconds:       wallSeconds,
-	}
-	if wallSeconds > 0 {
-		b.CampaignsPerWallSecond = float64(s.Completed) / wallSeconds
-	}
-	for _, wc := range s.PerWorkcell {
-		b.PerCellUtilization = append(b.PerCellUtilization, wc.Utilization)
-		b.MeanUtilization += wc.Utilization
-	}
-	if len(s.PerWorkcell) > 0 {
-		b.MeanUtilization /= float64(len(s.PerWorkcell))
-	}
-	return b
-}
-
-// writeBench merges one scenario's benchmark into the file at path,
-// preserving the other scenarios already recorded there. A pre-scenario
-// file (one flat benchmark object) migrates to scenarios["lanes"].
-func writeBench(path, scenario string, b benchOutput) error {
-	f := benchFile{Scenarios: map[string]benchOutput{}}
-	if data, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(data)) > 0 {
-		var existing benchFile
-		if json.Unmarshal(data, &existing) == nil && existing.Scenarios != nil {
-			f.Scenarios = existing.Scenarios
-		} else {
-			var legacy benchOutput
-			if json.Unmarshal(data, &legacy) == nil && legacy.Campaigns > 0 {
-				f.Scenarios["lanes"] = legacy
-			}
-		}
-	}
-	f.Scenarios[scenario] = b
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // splitURLs parses the -remote flag: comma-separated base URLs, empty
 // entries dropped.
 func splitURLs(s string) []string {
@@ -504,6 +391,7 @@ type summary struct {
 	Samples           int                      `json:"samples"`
 	Faults            int                      `json:"faults"`
 	Readmissions      int                      `json:"readmissions"`
+	ChurnKills        int                      `json:"churn_kills,omitempty"`
 	MakespanSeconds   float64                  `json:"makespan_seconds"`
 	SequentialSeconds float64                  `json:"sequential_seconds"`
 	Speedup           float64                  `json:"speedup_vs_sequential"`

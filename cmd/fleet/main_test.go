@@ -2,9 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -51,7 +48,7 @@ func TestSplitURLs(t *testing.T) {
 	}
 }
 
-func TestSummarizeLanesAndBenchOut(t *testing.T) {
+func TestSummarizeLanes(t *testing.T) {
 	target, _ := color.ParseHex("787878")
 	res, err := fleet.Run(context.Background(), buildCampaigns(4, "random", target, 8), fleet.Options{
 		Workcells: 1, LanesPerCell: 2, Batch: 4, Seed: 9,
@@ -62,6 +59,18 @@ func TestSummarizeLanesAndBenchOut(t *testing.T) {
 	s := summarize(res)
 	if s.LanesPerCell != 2 {
 		t.Fatalf("lanes_per_cell = %d", s.LanesPerCell)
+	}
+	if s.Completed != 4 || s.Campaigns-s.Completed-s.Failed-s.Canceled != 0 {
+		t.Fatalf("completed %d of %d (failed %d, canceled %d)", s.Completed, s.Campaigns, s.Failed, s.Canceled)
+	}
+	if s.MakespanSeconds <= 0 || s.Speedup <= 1 {
+		t.Fatalf("makespan %v, speedup %v: want > 0 and > 1", s.MakespanSeconds, s.Speedup)
+	}
+	if len(s.PerWorkcell) != 1 || s.PerWorkcell[0].Utilization <= 0 {
+		t.Fatalf("utilization missing: %+v", s.PerWorkcell)
+	}
+	if s.ChurnKills != 0 {
+		t.Fatalf("churn_kills = %d on a local pool", s.ChurnKills)
 	}
 	if s.QueueWaitSeconds <= 0 {
 		t.Fatalf("queue_wait_seconds = %v, want > 0 with 2 lanes on one cell", s.QueueWaitSeconds)
@@ -75,25 +84,6 @@ func TestSummarizeLanesAndBenchOut(t *testing.T) {
 	if s.PerWorkcell[0].WorkSeconds <= s.PerWorkcell[0].BusySeconds {
 		t.Fatalf("work %v <= busy %v: lanes did not overlap",
 			s.PerWorkcell[0].WorkSeconds, s.PerWorkcell[0].BusySeconds)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	if err := writeBench(path, "lanes", buildBench(s, 0, 1.5)); err != nil {
-		t.Fatal(err)
-	}
-	f := readBenchFile(t, path)
-	b := f.Scenarios["lanes"]
-	if b.LanesPerCell != 2 || b.Completed != 4 || b.MakespanSeconds <= 0 || b.Speedup <= 1 {
-		t.Fatalf("bench output = %+v", b)
-	}
-	if b.WallSeconds != 1.5 || b.CampaignsPerWallSecond != float64(b.Completed)/1.5 {
-		t.Fatalf("wall-clock fields = %v, %v", b.WallSeconds, b.CampaignsPerWallSecond)
-	}
-	if b.MeanUtilization <= 0 || len(b.PerCellUtilization) != 1 {
-		t.Fatalf("utilization missing: %+v", b)
-	}
-	if b.Lost != 0 {
-		t.Fatalf("lost = %d, want 0", b.Lost)
 	}
 }
 
@@ -162,72 +152,4 @@ func TestValidateFaultsWithRemoteErrorNamesBothFlags(t *testing.T) {
 			t.Errorf("error %q does not name %s", err, flag)
 		}
 	}
-}
-
-// TestWriteBenchScenarios covers the -bench-out merge behavior: scenarios
-// accumulate in one file, rewriting a scenario replaces only that entry.
-func TestWriteBenchScenarios(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-
-	if err := writeBench(path, "lanes", benchOutput{Campaigns: 8, Completed: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBench(path, "churn", benchOutput{Campaigns: 100, Completed: 100, Readmissions: 3, ChurnEvents: 2}); err != nil {
-		t.Fatal(err)
-	}
-	f := readBenchFile(t, path)
-	if len(f.Scenarios) != 2 {
-		t.Fatalf("got %d scenarios, want 2: %v", len(f.Scenarios), f.Scenarios)
-	}
-	if f.Scenarios["lanes"].Campaigns != 8 || f.Scenarios["churn"].Campaigns != 100 {
-		t.Fatalf("scenario mixup: %+v", f.Scenarios)
-	}
-	if f.Scenarios["churn"].Readmissions != 3 {
-		t.Fatalf("churn readmissions = %d, want 3", f.Scenarios["churn"].Readmissions)
-	}
-
-	// Rewriting one scenario must not clobber the other.
-	if err := writeBench(path, "churn", benchOutput{Campaigns: 120, Completed: 120}); err != nil {
-		t.Fatal(err)
-	}
-	f = readBenchFile(t, path)
-	if f.Scenarios["churn"].Campaigns != 120 || f.Scenarios["lanes"].Campaigns != 8 {
-		t.Fatalf("rewrite clobbered scenarios: %+v", f.Scenarios)
-	}
-}
-
-// TestWriteBenchMigratesLegacyFlatFile covers upgrading a pre-scenario
-// BENCH_fleet.json (one flat benchmark object) in place.
-func TestWriteBenchMigratesLegacyFlatFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	legacy, err := json.Marshal(benchOutput{Campaigns: 8, Completed: 8, Speedup: 3.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBench(path, "churn", benchOutput{Campaigns: 100, Completed: 100}); err != nil {
-		t.Fatal(err)
-	}
-	f := readBenchFile(t, path)
-	if got := f.Scenarios["lanes"]; got.Campaigns != 8 || got.Speedup != 3.5 {
-		t.Fatalf("legacy entry not migrated to lanes: %+v", f.Scenarios)
-	}
-	if f.Scenarios["churn"].Campaigns != 100 {
-		t.Fatalf("churn entry missing: %+v", f.Scenarios)
-	}
-}
-
-func readBenchFile(t *testing.T, path string) benchFile {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil || f.Scenarios == nil {
-		t.Fatalf("bench file is not scenario-shaped: %v\n%s", err, data)
-	}
-	return f
 }

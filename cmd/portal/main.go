@@ -4,16 +4,16 @@
 //
 //	portal -listen :2100
 //	portal -listen :2100 -data ./portal-data
-//	portal -listen :2100 -data ./portal-data -compact-segments 4 -replay-workers 2
+//	portal -listen :2100 -data ./portal-data -compact-segments 4
 //
 // Without -data the store is in-memory and dies with the process. With
 // -data every accepted record is appended to a JSON segment log (with
 // attachments in separate blob files) under the given directory and
 // replayed on the next start, so the archive survives restarts; a record
 // torn by a crash mid-append is dropped on replay. Replay decodes segments
-// on all cores (-replay-workers caps it), and sealed segments are folded
-// into a snapshot segment by background compaction once more than
-// -compact-segments of them accumulate (0 disables compaction). See
+// on all cores, and sealed segments are folded into a snapshot segment by
+// background compaction once more than -compact-segments of them accumulate
+// (0 disables compaction). See
 // docs/PORTAL.md for the directory layout and the full endpoint reference.
 //
 // The portal also serves live event streaming: fleets POST step events to
@@ -48,7 +48,6 @@ func main() {
 	listen := flag.String("listen", ":2100", "HTTP listen address")
 	dataDir := flag.String("data", "", "durable data directory (segment log + blobs), replayed on startup; empty = in-memory only")
 	compactSegs := flag.Int("compact-segments", 8, "background-compact the segment log once this many sealed segments accumulate; 0 disables")
-	replayWorkers := flag.Int("replay-workers", 0, "decode workers for startup replay; 0 = all cores, 1 = sequential")
 	watchBuffer := flag.Int("watch-buffer", 256, "per-subscriber event buffer; a watcher this far behind is evicted")
 	flag.Parse()
 
@@ -56,10 +55,7 @@ func main() {
 	hubOpts := portal.HubOptions{SubscriberBuffer: *watchBuffer}
 	if *dataDir != "" {
 		var err error
-		store, err = portal.OpenStoreWith(*dataDir, portal.Options{
-			ReplayWorkers:       *replayWorkers,
-			AutoCompactSegments: *compactSegs,
-		})
+		store, err = portal.OpenStoreWith(*dataDir, portal.Options{AutoCompactSegments: *compactSegs})
 		if err != nil {
 			fatal(err)
 		}

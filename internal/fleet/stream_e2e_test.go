@@ -408,6 +408,12 @@ func TestStreamE2EChurn(t *testing.T) {
 	if res.Completed != n {
 		t.Fatalf("completed = %d, want %d", res.Completed, n)
 	}
+	if pool.Deaths(0) < 1 {
+		t.Fatal("cell 0 never died; the churn never happened")
+	}
+	if res.Readmissions < 1 {
+		t.Fatalf("readmissions = %d, want >= 1", res.Readmissions)
+	}
 	if err := pub.Close(); err != nil {
 		t.Fatalf("publisher close: %v", err)
 	}

@@ -7,7 +7,7 @@
 // The invariants are the ones this codebase lives or dies on. Campaign
 // timing is measured on per-workcell virtual clocks, so a single stray
 // time.Now in a scheduler path silently corrupts every makespan and speedup
-// number in BENCH_fleet.json (wallclock). The portal's crash-safety rests on
+// number the fleet reports (wallclock). The portal's crash-safety rests on
 // a strict write→fsync→rename ordering and on never dropping a Close/Sync
 // error on a write path (durability). Test goroutines must not call t.Fatal
 // (goroutine-fatal), error sentinels must be matched with errors.Is so

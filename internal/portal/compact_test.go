@@ -15,9 +15,18 @@ import (
 // so modest workloads span many segment files.
 func smallSegments(t *testing.T, n int64) {
 	t.Helper()
-	old := maxSegmentBytes
-	maxSegmentBytes = n
-	t.Cleanup(func() { maxSegmentBytes = old })
+	old := segmentRotateBytes
+	segmentRotateBytes = n
+	t.Cleanup(func() { segmentRotateBytes = old })
+}
+
+// withReplayPool sizes the replay decode pool for the rest of the test;
+// 1 replays sequentially.
+func withReplayPool(t *testing.T, n int) {
+	t.Helper()
+	old := replayPool
+	replayPool = n
+	t.Cleanup(func() { replayPool = old })
 }
 
 // withCompactHook installs a compaction fault hook for the test.
@@ -300,7 +309,8 @@ func TestCompactedReplayParallelMatchesSequential(t *testing.T) {
 	s.Close()
 
 	collect := func(workers int) ([]Record, int) {
-		st, err := OpenStoreWith(dir, Options{ReplayWorkers: workers})
+		withReplayPool(t, workers)
+		st, err := OpenStore(dir)
 		if err != nil {
 			t.Fatalf("replay with %d workers: %v", workers, err)
 		}

@@ -76,7 +76,7 @@
 // summaries, and the Figure 3 HTML index) and [Client] is the matching
 // remote [Ingestor]. Records travel with their attachments as one
 // multipart/form-data body, each attachment a raw part, in both
-// directions. See docs/PORTAL.md for the wire-level operator guide,
-// and cmd/portalload for the mixed-traffic load harness that regression-
-// tests this package's latency claims.
+// directions. See docs/PORTAL.md for the wire-level operator guide; the
+// repo's benchmark (perfbench, `portal` and `distributed` workloads)
+// measures this package's latency and throughput under load.
 package portal

@@ -45,33 +45,29 @@ const (
 	blobDirName    = "blobs"
 )
 
-// maxSegmentBytes rotates the log so no single replay parse or truncation
+// segmentRotateBytes rotates the log so no single replay parse or truncation
 // repair has to handle an unbounded file. A variable so rotation tests can
 // shrink it.
-var maxSegmentBytes int64 = 4 << 20
+var segmentRotateBytes int64 = 4 << 20
 
 // replayChunkBytes is the decode unit for parallel replay: files are split
 // at line boundaries into chunks of roughly this size, so even a single
 // large snapshot segment decodes across every core. A variable for tests.
 var replayChunkBytes = 512 << 10
 
-// Options tunes OpenStoreWith. The zero value matches OpenStore: replay on
-// all cores, no automatic compaction.
+// replayPool sizes the decode worker pool for replay on open; 0 uses
+// GOMAXPROCS. A variable so tests can compare sequential and parallel
+// replay.
+var replayPool int
+
+// Options tunes OpenStoreWith. The zero value matches OpenStore: no
+// automatic compaction.
 type Options struct {
-	// ReplayWorkers caps the decode worker pool during replay; 0 uses
-	// GOMAXPROCS, 1 forces sequential replay (the pre-compaction baseline
-	// cmd/portalload measures against).
-	ReplayWorkers int
 	// AutoCompactSegments, when positive, starts a background compaction
 	// whenever more than this many sealed segments have accumulated past
 	// the newest snapshot. 0 disables automatic compaction; Store.Compact
 	// can still be called explicitly.
 	AutoCompactSegments int
-	// SegmentBytes overrides the segment rotation threshold (how large the
-	// active segment may grow before it is sealed). 0 keeps the default
-	// 4 MiB. Smaller segments seal sooner, giving compaction something to
-	// fold on small archives — cmd/portalload uses this.
-	SegmentBytes int64
 }
 
 // segRecord is the persisted form of one record: Fields inline, attachment
@@ -110,11 +106,6 @@ func segmentPath(dir string, seq int) string {
 
 func snapPath(dir string, seq int) string {
 	return filepath.Join(dir, segmentDirName, fmt.Sprintf("snap-%06d.snap", seq))
-}
-
-// maxReplayWorkers is the default decode pool size for replay.
-func maxReplayWorkers() int {
-	return runtime.GOMAXPROCS(0)
 }
 
 // numberedFile extracts the sequence number from a prefix-NNNNNN-suffix
@@ -157,17 +148,13 @@ func OpenStore(dir string) (*Store, error) {
 	return OpenStoreWith(dir, Options{})
 }
 
-// OpenStoreWith is OpenStore with replay and compaction tuning.
+// OpenStoreWith is OpenStore with compaction tuning.
 func OpenStoreWith(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("portal: open store: %w", err)
 	}
-	maxBytes := opts.SegmentBytes
-	if maxBytes <= 0 {
-		maxBytes = maxSegmentBytes
-	}
 	segDir := filepath.Join(dir, segmentDirName)
-	log, err := lockSegLog(segDir, "seg-", maxBytes)
+	log, err := lockSegLog(segDir, "seg-", segmentRotateBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +172,7 @@ func OpenStoreWith(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, watermarks, err := replayArchive(dir, snapN, paths, opts.ReplayWorkers)
+	s, watermarks, err := replayArchive(dir, snapN, paths, replayPool)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +275,7 @@ func decodeSegmentFiles(paths []string, workers int) ([]fileDecode, error) {
 		}
 	}
 	if workers <= 0 {
-		workers = maxReplayWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(chunks) {
 		workers = len(chunks)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -277,9 +278,9 @@ func TestReplayRejectsMidLogCorruption(t *testing.T) {
 // TestSegmentRotation shrinks the rotation threshold so a small workload
 // spans several segment files, and checks replay stitches them back.
 func TestSegmentRotation(t *testing.T) {
-	old := maxSegmentBytes
-	maxSegmentBytes = 256
-	defer func() { maxSegmentBytes = old }()
+	old := segmentRotateBytes
+	segmentRotateBytes = 256
+	defer func() { segmentRotateBytes = old }()
 
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
@@ -516,5 +517,85 @@ func TestOpenStoreRejectsSecondWriter(t *testing.T) {
 			}
 			reopened.Close()
 		})
+	}
+}
+
+// TestReadsNeverTakeWriteLock pins the read path's isolation from writers:
+// with the writer mutex held, as a long batch append or a compaction swap
+// holds it, Search, SearchPage, Summarize and Get (attachment body
+// included) still complete on a disk store, in process and over Serve.
+func TestReadsNeverTakeWriteLock(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs := diskRecords(30)
+	ids, err := s.IngestBatch(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Serve(s))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+
+	checkGet := func(r Record, err error) error {
+		if err != nil {
+			return err
+		}
+		if got, want := string(r.Files["plate.png"]), string(recs[7].Files["plate.png"]); got != want {
+			return fmt.Errorf("get %s: plate.png %q, want %q", ids[7], got, want)
+		}
+		return nil
+	}
+	checkPage := func(p Page, err error) error {
+		if err != nil {
+			return err
+		}
+		if len(p.Records) != 4 || p.Next == "" {
+			return fmt.Errorf("page of %d records, next %q; want 4 and a cursor", len(p.Records), p.Next)
+		}
+		return nil
+	}
+	checkSummary := func(sum Summary, err error) error {
+		if err != nil {
+			return err
+		}
+		if sum.Records != 10 || sum.Images != 10 {
+			return fmt.Errorf("summary %+v, want 10 records and 10 images", sum)
+		}
+		return nil
+	}
+	reads := []struct {
+		name string
+		run  func() error
+	}{
+		{"Search", func() error {
+			if got := s.Search(Query{Experiment: "exp-1"}); len(got) != 10 {
+				return fmt.Errorf("%d records, want 10", len(got))
+			}
+			return nil
+		}},
+		{"SearchPage", func() error { return checkPage(s.SearchPage(Query{Experiment: "exp-1", Limit: 4})) }},
+		{"Summarize", func() error { return checkSummary(s.Summarize("exp-1")) }},
+		{"Get", func() error { return checkGet(s.Get(ids[7])) }},
+		{"HTTP search", func() error { return checkPage(c.SearchPage(Query{Experiment: "exp-1", Limit: 4})) }},
+		{"HTTP summary", func() error { return checkSummary(c.Summary("exp-1")) }},
+		{"HTTP get", func() error { return checkGet(c.Get(ids[7])) }},
+	}
+
+	s.wmu.Lock()
+	defer s.wmu.Unlock() // before s.Close, which takes it
+	for _, r := range reads {
+		done := make(chan error, 1)
+		go func() { done <- r.run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s with the writer mutex held: %v", r.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked behind the writer mutex", r.name)
+		}
 	}
 }

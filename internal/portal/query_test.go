@@ -238,7 +238,8 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Close()
-			reopened, err := OpenStoreWith(dir, Options{ReplayWorkers: 4})
+			withReplayPool(t, 4)
+			reopened, err := OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +356,8 @@ func TestRandomizedWorkloadMatchesScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					workers := 1 + step%4
-					if s, err = OpenStoreWith(dir, Options{ReplayWorkers: workers}); err != nil {
+					withReplayPool(t, workers)
+					if s, err = OpenStore(dir); err != nil {
 						t.Fatalf("step %d reopen (workers=%d): %v", step, workers, err)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -378,7 +379,7 @@ func snapDecode(data []byte, workers int) (snapHeader, []segRecord, error) {
 		errs[i] = cr.err
 	}
 	if workers <= 0 {
-		workers = maxReplayWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= 1 || nChunks <= 1 {
 		for i := range metas {

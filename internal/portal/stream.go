@@ -67,8 +67,8 @@ type StreamEvent struct {
 	Note      string        `json:"note,omitempty"`
 	// PubNanos is the publisher's wall-clock stamp (UnixNano), set when the
 	// event enters the publish queue. Subscribers on the same host subtract
-	// it from their receive time to measure fan-out latency (portalload's
-	// watch phase); it carries no experiment-time meaning.
+	// it from their receive time to measure fan-out latency (perfbench's
+	// watch lag, TestWatchFanout); it carries no experiment-time meaning.
 	PubNanos int64 `json:"pub_nanos,omitempty"`
 }
 
@@ -184,7 +184,7 @@ func OpenHub(opts HubOptions) (*Hub, error) {
 		keys: make(map[string]string),
 	}
 	if opts.Dir != "" {
-		log, err := lockSegLog(opts.Dir, "ev-", maxSegmentBytes)
+		log, err := lockSegLog(opts.Dir, "ev-", segmentRotateBytes)
 		if err != nil {
 			return nil, err
 		}
