@@ -19,8 +19,12 @@
 //
 // With -portal each campaign's records and the fleet summary are published
 // to the given cmd/portal-style server: every campaign's records are
-// flushed in one POST /ingest/batch round-trip at campaign end. Against a
-// portal started with -data the campaign archive survives portal restarts.
+// flushed in one POST /ingest/batch round-trip at campaign end, and the
+// summary follows as a one-record batch. Every batch carries an
+// idempotency key its retries reuse, so a retry after a lost response
+// never ingests twice. Against a portal started with -data the campaign
+// archive survives portal restarts. -publish does the same into an
+// in-memory store that lives only as long as the run.
 //
 // With -stream (requires -portal) the fleet additionally publishes every
 // step event live as it happens — command_sent, step_end, gate_wait,
@@ -92,8 +96,8 @@ func main() {
 		seed       = flag.Int64("seed", 1, "base seed for workcells and campaigns")
 		targetHex  = flag.String("target", "787878", "target color as RRGGBB hex")
 		faultRate  = flag.Float64("faults", 0, "per-command receive-fault probability on every workcell (local pool only)")
-		publish    = flag.Bool("publish", false, "publish campaign records and a fleet summary to an in-memory portal")
-		portalURL  = flag.String("portal", "", "publish campaign records and the fleet summary to this cmd/portal base URL (batch-flushed per campaign; overrides -publish)")
+		publish    = flag.Bool("publish", false, "publish campaign records and a fleet summary to an in-memory portal store (one keyed batch per campaign, then the keyed summary)")
+		portalURL  = flag.String("portal", "", "publish campaign records and the fleet summary to this cmd/portal base URL (one keyed batch per campaign, then the keyed summary, so retries never ingest twice; overrides -publish)")
 		stream     = flag.Bool("stream", false, "also stream step events live to the -portal server (POST /events) as campaigns run")
 		compact    = flag.Bool("compact", false, "emit compact JSON instead of indented")
 		remote     = flag.String("remote", "", "comma-separated workcell server base URLs; one remote cell per URL (overrides -workcells; -seed still seeds campaign solvers)")
@@ -143,11 +147,13 @@ func main() {
 		LanesPerCell: *lanes,
 		Batch:        *batch,
 		Seed:         *seed,
-		Publish:      *publish,
 		Faults:       sim.FaultPlan{PReceive: *faultRate},
 	}
-	if *portalURL != "" {
+	switch {
+	case *portalURL != "":
 		opts.Portal = portal.NewClient(*portalURL)
+	case *publish:
+		opts.Portal = portal.NewStore()
 	}
 	var pub *portal.EventPublisher
 	if *stream {

@@ -22,11 +22,12 @@
 // the event stream is durable too (an events/ segment log under the data
 // dir), so watch cursors survive a portal restart.
 //
-// Endpoints: POST /ingest, POST /ingest/batch, POST /events, GET /search
-// (with cursor pagination), GET /records/<id>, GET /experiments,
+// Endpoints: POST /ingest/batch (the one record write, deduplicated by
+// its X-Idempotency-Key header), POST /events, GET /search (with cursor
+// pagination), GET /records/<id>, GET /experiments,
 // GET /experiments/<name>/summary, GET /watch (SSE or long-poll),
-// GET /healthz. Records with their attachments (the two ingest requests
-// and the GET /records/<id> response) travel as one multipart/form-data
+// GET /healthz. Records with their attachments (the ingest request and
+// the GET /records/<id> response) travel as one multipart/form-data
 // body: a "records" part holding the records' JSON, then one raw part per
 // attachment named "<record index>/<attachment name>", so any client can
 // upload with curl -F.

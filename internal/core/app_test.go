@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,3 +259,37 @@ func (blackSolver) Propose(n int) [][]float64 {
 	return out
 }
 func (blackSolver) Observe([]solver.Sample) {}
+
+// TestAppPublishRetryAfterLostResponseIngestsOnce: an App publishing
+// straight to a remote portal, whose first write is committed but loses its
+// response on the wire. The publish flow's retry resends the record under
+// the key its first attempt carried, so the portal ends with exactly one
+// record per published iteration.
+func TestAppPublishRetryAfterLostResponseIngestsOnce(t *testing.T) {
+	app, wc, _ := newTestApp(t, Config{Experiment: "lossy", BatchSize: 4, TotalSamples: 8}, 3)
+	store := portal.NewStore()
+	h := portal.Serve(store)
+	var lost atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/ingest/batch" && lost.CompareAndSwap(false, true) {
+			h.ServeHTTP(httptest.NewRecorder(), req)
+			panic(http.ErrAbortHandler)
+		}
+		h.ServeHTTP(w, req)
+	}))
+	defer srv.Close()
+	app.EnablePublishing(flow.NewRunner(wc.Clock), portal.NewClient(srv.URL))
+	res, err := app.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lost.Load() {
+		t.Fatal("no write lost its response")
+	}
+	if res.Published != 2 {
+		t.Fatalf("published = %d, want 2", res.Published)
+	}
+	if store.Len() != res.Published {
+		t.Fatalf("portal records = %d for %d published iterations", store.Len(), res.Published)
+	}
+}

@@ -78,20 +78,18 @@ type Options struct {
 	// Faults, when non-zero, attaches a fault injector with this plan to
 	// every workcell's engine.
 	Faults sim.FaultPlan
-	// Publish stores every campaign's records plus a fleet summary record in
-	// an in-memory portal store (Result.Store). Records are keyed by the
-	// campaign's experiment name with the scheduling attempt as the run
-	// number, so a campaign rescheduled off a sick workcell keeps its failed
-	// attempt's partial records separable from the final attempt's.
-	Publish bool
-	// Portal, when set, receives the published records instead of the run's
-	// private in-memory store: pass portal.NewClient(url) to publish to a
-	// remote cmd/portal server (cmd/fleet -portal), or any other Ingestor.
-	// Setting Portal implies Publish; Result.Store stays nil. Destinations
-	// that also implement portal.BatchIngestor (the Store and the HTTP
-	// Client both do) receive each campaign's records as one keyed batch
-	// delivered at campaign end (portal.Buffer.Deliver, with its retries)
-	// rather than a round-trip per iteration.
+	// Portal, when set, receives every campaign's records plus a fleet
+	// summary record: pass portal.NewStore() to keep them in process
+	// (cmd/fleet -publish), portal.NewClient(url) to publish to a remote
+	// cmd/portal server (cmd/fleet -portal), or any other Ingestor. Records
+	// are keyed by the campaign's experiment name with the scheduling
+	// attempt as the run number, so a campaign rescheduled off a sick
+	// workcell keeps its failed attempt's partial records separable from the
+	// final attempt's. Each campaign's records reach Portal as one keyed
+	// batch delivered at campaign end (portal.Buffer.Deliver, with its
+	// retries) rather than a round-trip per iteration, and the summary as a
+	// one-record batch under a key minted once and reused by every retry,
+	// so no retry after a lost response ingests twice.
 	Portal portal.Ingestor
 	// EventSink, when set, streams every campaign's engine events as they
 	// happen — command_sent, step_end, gate_wait, … bracketed by
@@ -171,8 +169,8 @@ type CampaignResult struct {
 	// itself still ran to its recorded outcome.
 	PublishErr error
 	// RecordIDs are the destination-assigned IDs of this campaign's
-	// published records, in publish order, when the portal destination is
-	// batch-capable and the end-of-campaign flush succeeded; nil otherwise.
+	// published records, in publish order, when a portal destination is set
+	// and the end-of-campaign flush succeeded; nil otherwise.
 	// These are the real portal IDs — the per-record publish flow only sees
 	// the buffer's "buffered-N" placeholders for auto-ID records.
 	RecordIDs []string
@@ -250,10 +248,6 @@ type Result struct {
 	// the portal destination (per-campaign delivery failures are on each
 	// CampaignResult.PublishErr). The run itself still succeeded.
 	PublishErr error
-	// Store holds published records when Options.Publish is set without an
-	// external Options.Portal destination; with Portal set the records live
-	// wherever that Ingestor put them and Store is nil.
-	Store *portal.Store
 }
 
 // task is one schedulable campaign with its mutable attempt state.
@@ -503,16 +497,6 @@ func Run(ctx context.Context, campaigns []Campaign, opts Options) (*Result, erro
 		Campaigns: make([]CampaignResult, len(campaigns)),
 		Lanes:     opts.LanesPerCell,
 	}
-	// dest is the publish destination every campaign and the fleet summary
-	// flow to: the caller's Portal when set, otherwise a run-private
-	// in-memory store surfaced as Result.Store.
-	var store *portal.Store
-	dest := opts.Portal
-	if dest == nil && opts.Publish {
-		store = portal.NewStore()
-		dest = store
-	}
-
 	tasks := make([]*task, len(campaigns))
 	for i, c := range campaigns {
 		if c.ID == 0 {
@@ -530,7 +514,7 @@ func Run(ctx context.Context, campaigns []Campaign, opts Options) (*Result, erro
 
 	f := &fleetRun{
 		ctx: ctx, opts: opts, reg: reg, d: newDispatcher(tasks),
-		dest: dest, res: res, slotBy: make(map[string]*slotInfo),
+		res: res, slotBy: make(map[string]*slotInfo),
 	}
 	sub := reg.subscribe()
 	f.wg.Add(1)
@@ -545,8 +529,7 @@ func Run(ctx context.Context, campaigns []Campaign, opts Options) (*Result, erro
 		res.Workcells[i] = s.stats
 		clocks[i] = s.clock
 	}
-	finish(res, clocks, dest)
-	res.Store = store
+	finish(res, clocks, opts.Portal)
 	return res, ctx.Err()
 }
 
@@ -562,7 +545,6 @@ type fleetRun struct {
 	opts Options
 	reg  *Registry
 	d    *dispatcher
-	dest portal.Ingestor
 
 	resMu sync.Mutex // guards res.Campaigns writes across workers
 	res   *Result
@@ -890,7 +872,7 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 		if sc != nil {
 			sc.AddWorker(1)
 		}
-		cres := runOne(ctx, t, c.w, l, c.cell, setup, c.dest, c.opts)
+		cres := runOne(ctx, t, c.w, l, c.cell, setup, c.opts)
 		if sc != nil {
 			sc.DoneWorker()
 		}
@@ -945,7 +927,7 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 }
 
 // runOne executes a single campaign attempt in lane `lane` of workcell w.
-func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetup, dest portal.Ingestor, opts Options) CampaignResult {
+func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetup, opts Options) CampaignResult {
 	cr := CampaignResult{Campaign: t.c, Workcell: w, Attempts: t.attempts, Lane: lane}
 	eng := cell.Engine()
 	clock := cell.Clock()
@@ -983,10 +965,9 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 	// Fork the long-lived workcell engine with a per-campaign event log, and
 	// give the campaign its own flow runner, so each campaign's metrics and
 	// publish counts stay separable. The shared destination is the only
-	// cross-campaign publication state, and when it can ingest batches the
-	// campaign publishes through a buffer flushed once at campaign end — one
-	// round-trip per campaign against a remote portal instead of one per
-	// iteration.
+	// cross-campaign publication state, and the campaign publishes to it
+	// through a buffer delivered once at campaign end — one round-trip per
+	// campaign against a remote portal instead of one per iteration.
 	campEng := eng.WithLog(wei.NewEventLog(clock))
 	var stream *campaignStream
 	if opts.EventSink != nil {
@@ -1005,25 +986,21 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 	}
 	var runner *flow.Runner
 	var buf *portal.Buffer
-	campDest := dest
-	if dest != nil {
+	var campDest portal.Ingestor
+	if opts.Portal != nil {
 		runner = flow.NewRunner(clock)
-		if batcher, ok := dest.(portal.BatchIngestor); ok {
-			buf = portal.NewBuffer(batcher)
-			campDest = buf
-		}
+		buf = portal.NewBuffer(opts.Portal)
+		campDest = buf
 	}
 	start := clock.Now()
 	result, err := core.RunCampaign(ctx, cfg, campEng, sol, setup.Gate, runner, campDest)
 	cr.Wall = clock.Now().Sub(start)
-	if runner != nil {
-		// Publication flows are asynchronous; make sure every record landed
-		// in the buffer (or the destination) before the flush and before the
-		// attempt is accounted done. Failed campaigns return without waiting
-		// on their publisher, so this wait is not redundant with App.Run's.
-		runner.WaitAll()
-	}
 	if buf != nil {
+		// Publication flows are asynchronous; make sure every record landed
+		// in the buffer before the flush and before the attempt is accounted
+		// done. Failed campaigns return without waiting on their publisher,
+		// so this wait is not redundant with App.Run's.
+		runner.WaitAll()
 		// The batch flush replaces the publish flow's per-record ingest, so
 		// Deliver gives it the same retry budget (publishFlow's ingest
 		// Retries: 2), resending a failed batch under its frozen idempotency
@@ -1065,7 +1042,7 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 }
 
 // finish derives the aggregate fleet metrics and publishes the summary
-// record to dest (the external portal or the run's in-memory store).
+// record to dest, the Options.Portal destination, when set.
 func finish(res *Result, clocks []sim.Clock, dest portal.Ingestor) {
 	var summaries []metrics.Summary
 	for _, cr := range res.Campaigns {

@@ -163,10 +163,11 @@ func TestRunCancellationMidRun(t *testing.T) {
 // healthy workcell, the sick cell retires, and the fleet still completes.
 func TestRunReschedulesOffFaultyWorkcell(t *testing.T) {
 	campaigns := quickCampaigns(4, 8)
+	store := portal.NewStore()
 	res, err := Run(context.Background(), campaigns, Options{
 		Workcells: 2,
 		Seed:      3,
-		Publish:   true,
+		Portal:    store,
 		Tune: func(w int, wc *core.SimWorkcell, eng *wei.Engine) {
 			if w == 0 {
 				eng.Faults = sim.NewInjector(sim.FaultPlan{PReceive: 1}, sim.NewRNG(99))
@@ -197,7 +198,7 @@ func TestRunReschedulesOffFaultyWorkcell(t *testing.T) {
 			}
 			// The final attempt's records publish under its attempt number,
 			// separable from any partials the failed attempt left behind.
-			recs := res.Store.Search(portal.Query{
+			recs := store.Search(portal.Query{
 				Experiment: "fleet_" + cr.Campaign.Name,
 				Run:        cr.Attempts, HasRun: true,
 			})
@@ -271,8 +272,9 @@ func TestRunAllWorkcellsFaulty(t *testing.T) {
 func TestRunPublishesFleetSummary(t *testing.T) {
 	// One workcell so both campaigns share it: publish counts must still be
 	// per-campaign, not cumulative across the shared cell.
+	store := portal.NewStore()
 	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{
-		Workcells: 1, Seed: 13, Publish: true,
+		Workcells: 1, Seed: 13, Portal: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,22 +285,19 @@ func TestRunPublishesFleetSummary(t *testing.T) {
 			t.Errorf("campaign %d published = %d, want 2", i, cr.Result.Published)
 		}
 	}
-	if res.Store == nil {
-		t.Fatal("no portal store")
-	}
-	recs := res.Store.Search(portal.Query{Experiment: "fleet"})
+	recs := store.Search(portal.Query{Experiment: "fleet"})
 	if len(recs) != 1 {
-		t.Fatalf("fleet summary records = %d, want 1 (store has %d)", len(recs), res.Store.Len())
+		t.Fatalf("fleet summary records = %d, want 1 (store has %d)", len(recs), store.Len())
 	}
 	if recs[0].Fields["completed"] != 2 {
 		t.Errorf("summary fields = %+v", recs[0].Fields)
 	}
 	// Per-campaign iteration records were published too, keyed by the
 	// attempt number (1: completed first try).
-	if res.Store.Len() <= 1 {
-		t.Fatalf("store has only %d records", res.Store.Len())
+	if store.Len() <= 1 {
+		t.Fatalf("store has only %d records", store.Len())
 	}
-	camp := res.Store.Search(portal.Query{Experiment: "fleet_c01"})
+	camp := store.Search(portal.Query{Experiment: "fleet_c01"})
 	if len(camp) == 0 {
 		t.Fatal("no records for campaign c01")
 	}

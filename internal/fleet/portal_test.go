@@ -1,19 +1,22 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"colormatch/internal/portal"
 )
 
 // TestFleetPublishesToExternalPortal routes a fleet run at an
-// Options.Portal destination instead of the run-private store: every
-// campaign's records and the fleet summary land there, and Result.Store
-// stays nil.
+// Options.Portal destination: every campaign's records and the fleet
+// summary land there.
 func TestFleetPublishesToExternalPortal(t *testing.T) {
 	store := portal.NewStore()
 	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{
@@ -24,9 +27,6 @@ func TestFleetPublishesToExternalPortal(t *testing.T) {
 	}
 	if res.Completed != 2 {
 		t.Fatalf("completed = %d", res.Completed)
-	}
-	if res.Store != nil {
-		t.Fatal("Result.Store should be nil when Options.Portal is set")
 	}
 	for _, cr := range res.Campaigns {
 		if cr.PublishErr != nil {
@@ -48,8 +48,8 @@ func TestFleetPublishesToExternalPortal(t *testing.T) {
 // failingIngestor rejects everything — an unreachable portal.
 type failingIngestor struct{}
 
-func (failingIngestor) Ingest(portal.Record) (string, error) {
-	return "", errors.New("portal unreachable")
+func (failingIngestor) IngestBatchKeyed(string, []portal.Record) ([]string, error) {
+	return nil, errors.New("portal unreachable")
 }
 
 // TestFleetSurfacesSummaryPublishFailure: with an external portal that is
@@ -142,22 +142,15 @@ func TestFleetPortalSurvivesRestart(t *testing.T) {
 	}
 }
 
-// flakyBatchPortal is a batch-capable destination whose first failures
-// IngestBatch calls fail — a portal briefly unreachable exactly at the
-// end-of-campaign flush.
+// flakyBatchPortal is a destination whose first failures IngestBatchKeyed
+// calls fail — a portal briefly unreachable exactly at the end-of-campaign
+// flush.
 type flakyBatchPortal struct {
 	*portal.Store
 	failures int
 	calls    int
 }
 
-func (p *flakyBatchPortal) IngestBatch(recs []portal.Record) ([]string, error) {
-	return p.IngestBatchKeyed("", recs)
-}
-
-// IngestBatchKeyed must be overridden alongside IngestBatch: the embedded
-// *portal.Store would otherwise promote its own keyed method and the
-// Buffer's keyed flush path would skip the injected failures entirely.
 func (p *flakyBatchPortal) IngestBatchKeyed(key string, recs []portal.Record) ([]string, error) {
 	p.calls++
 	if p.calls <= p.failures {
@@ -214,21 +207,21 @@ func TestFleetFlushExhaustsRetries(t *testing.T) {
 	}
 }
 
-// invalidBatchPortal rejects every batch as an invalid submission — the
-// portal's 400, which a client maps back to portal.ErrInvalid.
+// invalidBatchPortal rejects every campaign batch as an invalid submission
+// — the portal's 400, which a client maps back to portal.ErrInvalid. The
+// fleet summary record passes through to the store, so calls counts only
+// the campaign flush.
 type invalidBatchPortal struct {
 	*portal.Store
 	calls int
 }
 
-func (p *invalidBatchPortal) IngestBatch([]portal.Record) ([]string, error) {
+func (p *invalidBatchPortal) IngestBatchKeyed(key string, recs []portal.Record) ([]string, error) {
+	if len(recs) == 1 && recs[0].Experiment == "fleet" {
+		return p.Store.IngestBatchKeyed(key, recs)
+	}
 	p.calls++
 	return nil, fmt.Errorf("%w: batch rejected", portal.ErrInvalid)
-}
-
-// See flakyBatchPortal.IngestBatchKeyed for why this override exists.
-func (p *invalidBatchPortal) IngestBatchKeyed(string, []portal.Record) ([]string, error) {
-	return p.IngestBatch(nil)
 }
 
 // TestFleetFlushDoesNotRetryInvalidBatch: a rejected submission is not a
@@ -247,5 +240,52 @@ func TestFleetFlushDoesNotRetryInvalidBatch(t *testing.T) {
 	}
 	if dest.calls != 1 {
 		t.Fatalf("invalid batch flushed %d times, want 1", dest.calls)
+	}
+}
+
+// lossyPortal serves store over HTTP but loses the response to the first
+// POST /ingest/batch that carries a record of experiment exp: the store
+// commits the write, then the connection is aborted before any answer
+// reaches the client. lost reports whether that has happened.
+func lossyPortal(t *testing.T, store *portal.Store, exp string) (url string, lost *atomic.Bool) {
+	t.Helper()
+	h := portal.Serve(store)
+	lost = new(atomic.Bool)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/ingest/batch" {
+			body, _ := io.ReadAll(req.Body)
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			if bytes.Contains(body, []byte(`"experiment":"`+exp+`"`)) && lost.CompareAndSwap(false, true) {
+				h.ServeHTTP(httptest.NewRecorder(), req)
+				panic(http.ErrAbortHandler)
+			}
+		}
+		h.ServeHTTP(w, req)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL, lost
+}
+
+// TestFleetSummaryLostResponseIngestsOnce: the portal commits the fleet
+// summary but the response is lost on the wire. The publish flow's retry
+// resends it under the key its first attempt carried and gets the original
+// ID back, so the portal holds exactly one summary record.
+func TestFleetSummaryLostResponseIngestsOnce(t *testing.T) {
+	store := portal.NewStore()
+	url, lost := lossyPortal(t, store, "fleet")
+	res, err := Run(context.Background(), quickCampaigns(1, 8), Options{
+		Workcells: 1, Seed: 9, Portal: portal.NewClient(url),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lost.Load() {
+		t.Fatal("the summary write never lost its response")
+	}
+	if res.PublishErr != nil {
+		t.Fatalf("summary publish error: %v", res.PublishErr)
+	}
+	if sum := store.Search(portal.Query{Experiment: "fleet"}); len(sum) != 1 {
+		t.Fatalf("fleet summary records = %d, want 1", len(sum))
 	}
 }

@@ -164,20 +164,27 @@ func TestPublishRetriesFlakyPortal(t *testing.T) {
 	if flaky.store.Len() != 1 {
 		t.Fatal("record not ingested after retries")
 	}
+	// Every attempt carries the one key the flow run minted, so a retry
+	// after a lost response would be deduplicated.
+	if len(flaky.keys) != 3 || flaky.keys[0] == "" || flaky.keys[1] != flaky.keys[0] || flaky.keys[2] != flaky.keys[0] {
+		t.Fatalf("attempt keys = %q, want one non-empty key on all 3", flaky.keys)
+	}
 }
 
 type flakyIngestor struct {
 	failFirst int
 	calls     int
+	keys      []string
 	store     *portal.Store
 }
 
-func (f *flakyIngestor) Ingest(rec portal.Record) (string, error) {
+func (f *flakyIngestor) IngestBatchKeyed(key string, recs []portal.Record) ([]string, error) {
 	f.calls++
+	f.keys = append(f.keys, key)
 	if f.calls <= f.failFirst {
-		return "", fmt.Errorf("portal unavailable (call %d)", f.calls)
+		return nil, fmt.Errorf("portal unavailable (call %d)", f.calls)
 	}
-	return f.store.Ingest(rec)
+	return f.store.IngestBatchKeyed(key, recs)
 }
 
 // TestFlowCanceledBetweenSteps: a canceled submission stops at the next step

@@ -8,8 +8,11 @@ import (
 )
 
 // publishFlow builds the shared validate-then-ingest publication shape:
-// a named validation step, then an ingest step that retries since the
-// portal is a remote service in the distributed deployment.
+// a named validation step, which also mints the run's idempotency key, then
+// an ingest step that retries since the portal is a remote service in the
+// distributed deployment. Every attempt sends the record as a one-record
+// batch under that one key, so a retry after a lost response gets the
+// original ID back instead of ingesting a second copy.
 func publishFlow(name, validateStep string, validate func(portal.Record) error, dest portal.Ingestor) *Flow {
 	return &Flow{
 		Name: name,
@@ -24,7 +27,7 @@ func publishFlow(name, validateStep string, validate func(portal.Record) error, 
 					if err := validate(rec); err != nil {
 						return nil, err
 					}
-					return Input{"record": rec}, nil
+					return Input{"record": rec, "key": portal.NewBatchKey()}, nil
 				},
 			},
 			{
@@ -32,11 +35,11 @@ func publishFlow(name, validateStep string, validate func(portal.Record) error, 
 				Retries: 2,
 				Run: func(ctx context.Context, in Input) (Input, error) {
 					rec := in["record"].(portal.Record)
-					id, err := dest.Ingest(rec)
+					ids, err := dest.IngestBatchKeyed(in["key"].(string), []portal.Record{rec})
 					if err != nil {
 						return nil, err
 					}
-					return Input{"id": id}, nil
+					return Input{"id": ids[0]}, nil
 				},
 			},
 		},

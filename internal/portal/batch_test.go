@@ -13,7 +13,7 @@ import (
 func TestIngestBatchAssignsIDs(t *testing.T) {
 	s := NewStore()
 	recs := diskRecords(4)
-	ids, err := s.IngestBatch(recs)
+	ids, err := s.IngestBatchKeyed("", recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 	s := NewStore()
 	recs := diskRecords(3)
 	recs[2].Experiment = "" // poisoned
-	if _, err := s.IngestBatch(recs); err == nil {
+	if _, err := s.IngestBatchKeyed("", recs); err == nil {
 		t.Fatal("batch with invalid record accepted")
 	}
 	if s.Len() != 0 {
@@ -44,7 +44,7 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 	// Duplicate IDs inside one batch are rejected too.
 	dup := diskRecords(2)
 	dup[0].ID, dup[1].ID = "same", "same"
-	if _, err := s.IngestBatch(dup); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := s.IngestBatchKeyed("", dup); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("intra-batch duplicate accepted: %v", err)
 	}
 	if s.Len() != 0 {
@@ -58,7 +58,7 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 func TestIngestBatchDoesNotMutateCaller(t *testing.T) {
 	s := NewStore()
 	recs := []Record{{Experiment: "e", Time: time.Now()}, {Experiment: "e", Time: time.Now()}}
-	ids, err := s.IngestBatch(recs)
+	ids, err := s.IngestBatchKeyed("", recs)
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("batch: %v, %v", ids, err)
 	}
@@ -77,34 +77,33 @@ func TestBufferFlushRetriesAfterTransientFailure(t *testing.T) {
 	flaky := &flakyBatcher{dest: s, failures: 1}
 	buf := NewBuffer(flaky)
 	for i := 0; i < 3; i++ {
-		buf.Ingest(Record{Experiment: "retry", Run: i, Time: time.Now()})
+		ingestOne(buf, Record{Experiment: "retry", Run: i, Time: time.Now()})
 	}
-	if _, err := buf.Flush(); err == nil {
+	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("first flush should fail")
 	}
-	ids, err := buf.Flush()
+	ids, err := buf.box.flush()
 	if err != nil || len(ids) != 3 {
 		t.Fatalf("retried flush: %v, %v", ids, err)
 	}
-	if s.Len() != 3 || buf.Len() != 0 {
-		t.Fatalf("after retry: store=%d buffer=%d", s.Len(), buf.Len())
+	if f, q := buf.box.push(); s.Len() != 3 || f+q != 0 {
+		t.Fatalf("after retry: store=%d buffer=%d", s.Len(), f+q)
 	}
 }
 
-// flakyBatcher fails its first `failures` IngestBatch calls, then delegates.
+// flakyBatcher fails its first `failures` IngestBatchKeyed calls, then
+// delegates.
 type flakyBatcher struct {
-	dest     BatchIngestor
+	dest     Ingestor
 	failures int
 }
 
-func (f *flakyBatcher) Ingest(rec Record) (string, error) { return f.dest.Ingest(rec) }
-
-func (f *flakyBatcher) IngestBatch(recs []Record) ([]string, error) {
+func (f *flakyBatcher) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	if f.failures > 0 {
 		f.failures--
 		return nil, errTransient
 	}
-	return f.dest.IngestBatch(recs)
+	return f.dest.IngestBatchKeyed(key, recs)
 }
 
 var errTransient = fmt.Errorf("transient portal outage")
@@ -134,11 +133,11 @@ func TestBufferRetryAfterLostResponseDoesNotDoubleIngest(t *testing.T) {
 	buf := NewBuffer(NewClient(srv.URL))
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 4; i++ {
-		if _, err := buf.Ingest(Record{Experiment: "lost", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
+		if _, err := ingestOne(buf, Record{Experiment: "lost", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := buf.Flush(); err == nil {
+	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("flush through lost response reported success")
 	}
 	// The server-side store already has the batch; the retry must not
@@ -146,7 +145,7 @@ func TestBufferRetryAfterLostResponseDoesNotDoubleIngest(t *testing.T) {
 	if store.Len() != 4 {
 		t.Fatalf("server store has %d records after lost response, want 4", store.Len())
 	}
-	ids, err := buf.Flush()
+	ids, err := buf.box.flush()
 	if err != nil {
 		t.Fatalf("retried flush: %v", err)
 	}
@@ -219,15 +218,60 @@ func TestKeyedBatchDedupeSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestKeyMemoryEvictsOldestPastCap: the store's and the hub's dedupe
+// memories hold at most maxBatchKeys keys. One key past the cap the oldest
+// is forgotten, so its retry commits anew, while the newest is still
+// answered; and re-remembering a key does not add a second order entry.
+func TestKeyMemoryEvictsOldestPastCap(t *testing.T) {
+	s := NewStore()
+	h, err := OpenHub(HubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	write := func(i int) {
+		t.Helper()
+		if _, err := s.IngestBatchKeyed(key(i), []Record{{Experiment: "cap", Run: i, Time: t0}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.PublishEventsKeyed(key(i), []StreamEvent{benchEvent("cap", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkOrder := func(oldest string) {
+		t.Helper()
+		for name, order := range map[string][]string{"store": s.batches.order, "hub": h.keys.order} {
+			if len(order) != maxBatchKeys || order[0] != oldest {
+				t.Fatalf("%s remembers %d keys from %q, want %d from %q", name, len(order), order[0], maxBatchKeys, oldest)
+			}
+		}
+	}
+	for i := 0; i <= maxBatchKeys; i++ {
+		write(i)
+	}
+	checkOrder(key(1))
+	n := maxBatchKeys + 1
+	write(maxBatchKeys) // the newest key is still answered from memory
+	if s.Len() != n || h.LastSeq() != int64(n) {
+		t.Fatalf("remembered key re-ingested: store=%d hub=%d, want %d", s.Len(), h.LastSeq(), n)
+	}
+	write(0) // the evicted key commits anew
+	if s.Len() != n+1 || h.LastSeq() != int64(n+1) {
+		t.Fatalf("evicted key still answered: store=%d hub=%d, want %d", s.Len(), h.LastSeq(), n+1)
+	}
+	checkOrder(key(2))
+	s.batches.put(key(5), nil)
+	h.keys.put(key(5), "")
+	checkOrder(key(2))
+}
+
 // keyRecorder records every keyed batch call it forwards.
 type keyRecorder struct {
 	*Store
 	keys  []string
 	sizes []int
-}
-
-func (k *keyRecorder) IngestBatch(recs []Record) ([]string, error) {
-	return k.IngestBatchKeyed("", recs)
 }
 
 func (k *keyRecorder) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
@@ -248,18 +292,18 @@ func TestBufferQueuesNewRecordsDuringRetry(t *testing.T) {
 	buf := NewBuffer(dest)
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
-		buf.Ingest(Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
+		ingestOne(buf, Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 	}
-	if _, err := buf.Flush(); err == nil {
+	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("first flush should fail")
 	}
 	for i := 3; i < 5; i++ {
-		buf.Ingest(Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
+		ingestOne(buf, Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 	}
-	if buf.Len() != 5 {
-		t.Fatalf("buffer Len = %d, want 5", buf.Len())
+	if f, q := buf.box.push(); f+q != 5 {
+		t.Fatalf("buffer Len = %d, want 5", f+q)
 	}
-	ids, err := buf.Flush()
+	ids, err := buf.box.flush()
 	if err != nil || len(ids) != 5 {
 		t.Fatalf("retry flush: %v, %v", ids, err)
 	}
@@ -282,7 +326,7 @@ func TestBufferQueuesNewRecordsDuringRetry(t *testing.T) {
 
 func TestIngestBatchEmpty(t *testing.T) {
 	s := NewStore()
-	ids, err := s.IngestBatch(nil)
+	ids, err := s.IngestBatchKeyed("", nil)
 	if err != nil || ids != nil {
 		t.Fatalf("empty batch: %v, %v", ids, err)
 	}
@@ -293,7 +337,7 @@ func TestBufferFlushesOnce(t *testing.T) {
 	buf := NewBuffer(s)
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
-		id, err := buf.Ingest(Record{Experiment: "buf", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
+		id, err := ingestOne(buf, Record{Experiment: "buf", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 		if err != nil || id == "" {
 			t.Fatalf("buffer ingest: %q, %v", id, err)
 		}
@@ -301,18 +345,18 @@ func TestBufferFlushesOnce(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("buffer leaked records before flush")
 	}
-	if buf.Len() != 5 {
-		t.Fatalf("buffer Len = %d", buf.Len())
+	if f, q := buf.box.push(); f+q != 5 {
+		t.Fatalf("buffer Len = %d", f+q)
 	}
-	ids, err := buf.Flush()
+	ids, err := buf.box.flush()
 	if err != nil || len(ids) != 5 {
 		t.Fatalf("flush: %v, %v", ids, err)
 	}
-	if s.Len() != 5 || buf.Len() != 0 {
-		t.Fatalf("after flush: store=%d buffer=%d", s.Len(), buf.Len())
+	if f, q := buf.box.push(); s.Len() != 5 || f+q != 0 {
+		t.Fatalf("after flush: store=%d buffer=%d", s.Len(), f+q)
 	}
 	// Empty re-flush is a no-op.
-	if ids, err := buf.Flush(); err != nil || ids != nil {
+	if ids, err := buf.box.flush(); err != nil || ids != nil {
 		t.Fatalf("re-flush: %v, %v", ids, err)
 	}
 }
@@ -320,20 +364,20 @@ func TestBufferFlushesOnce(t *testing.T) {
 func TestBufferRetainsRecordsOnFailedFlush(t *testing.T) {
 	s := NewStore()
 	buf := NewBuffer(s)
-	buf.Ingest(Record{Experiment: "ok", Time: time.Now()})
-	buf.Ingest(Record{ID: "dup", Experiment: "ok", Time: time.Now()})
-	buf.Ingest(Record{ID: "dup", Experiment: "ok", Time: time.Now()})
-	if _, err := buf.Flush(); err == nil {
+	ingestOne(buf, Record{Experiment: "ok", Time: time.Now()})
+	ingestOne(buf, Record{ID: "dup", Experiment: "ok", Time: time.Now()})
+	ingestOne(buf, Record{ID: "dup", Experiment: "ok", Time: time.Now()})
+	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("flush of duplicate ids succeeded")
 	}
 	// Nothing was lost: the records are still buffered for a retry.
-	if buf.Len() != 3 {
-		t.Fatalf("buffer Len after failed flush = %d", buf.Len())
+	if f, q := buf.box.push(); f+q != 3 {
+		t.Fatalf("buffer Len after failed flush = %d", f+q)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("failed flush partially ingested: %d", s.Len())
 	}
-	if _, err := buf.Ingest(Record{}); err == nil {
+	if _, err := ingestOne(buf, Record{}); err == nil {
 		t.Fatal("buffer accepted record without experiment")
 	}
 }
@@ -345,10 +389,10 @@ func TestBufferRetainsRecordsOnFailedFlush(t *testing.T) {
 func TestAutoIDSkipsClaimedSequenceNumbers(t *testing.T) {
 	s := NewStore()
 	now := time.Now()
-	if _, err := s.Ingest(Record{ID: "rec-000001", Experiment: "squat", Time: now}); err != nil {
+	if _, err := ingestOne(s, Record{ID: "rec-000001", Experiment: "squat", Time: now}); err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Ingest(Record{Experiment: "auto", Time: now})
+	id, err := ingestOne(s, Record{Experiment: "auto", Time: now})
 	if err != nil {
 		t.Fatalf("auto-ID ingest wedged by claimed sequence ID: %v", err)
 	}
@@ -357,7 +401,7 @@ func TestAutoIDSkipsClaimedSequenceNumbers(t *testing.T) {
 	}
 	// The skip also holds within one batch: an explicit ID earlier in the
 	// batch must not collide with a later auto-ID record.
-	ids, err := s.IngestBatch([]Record{
+	ids, err := s.IngestBatchKeyed("", []Record{
 		{ID: "rec-000003", Experiment: "squat", Time: now},
 		{Experiment: "auto", Time: now},
 	})
@@ -370,7 +414,7 @@ func TestAutoIDSkipsClaimedSequenceNumbers(t *testing.T) {
 	// ...in either order: the explicit IDs are claimed before any auto ID
 	// is assigned, so an auto record ahead of the explicit one in the same
 	// batch must also skip it.
-	ids, err = s.IngestBatch([]Record{
+	ids, err = s.IngestBatchKeyed("", []Record{
 		{Experiment: "auto", Time: now},
 		{ID: "rec-000005", Experiment: "squat", Time: now},
 	})

@@ -33,7 +33,7 @@ func benchRecords(n int) []Record {
 // hot experiment-scoped queries against a large archive.
 func benchStore(n int) *Store {
 	s := NewStore()
-	if _, err := s.IngestBatch(benchRecords(n)); err != nil {
+	if _, err := s.IngestBatchKeyed("", benchRecords(n)); err != nil {
 		panic(err)
 	}
 	return s
@@ -161,7 +161,7 @@ func TestRestartCompactedParallelBeatsRawSequential(t *testing.T) {
 	const records = 10000
 	recs := benchRecords(records)
 	for i := 0; i < records; i += 100 {
-		if _, err := s.IngestBatch(recs[i : i+100]); err != nil {
+		if _, err := s.IngestBatchKeyed("", recs[i:i+100]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -62,7 +62,7 @@ func TestCompactBasic(t *testing.T) {
 	}
 	recs := diskRecords(20)
 	for _, r := range recs[:15] {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestCompactBasic(t *testing.T) {
 		t.Fatalf("Len after compaction = %d", s.Len())
 	}
 	for _, r := range recs[15:] {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestCompactionCrashEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := s.Ingest(r); err != nil {
+			if _, err := ingestOne(s, r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -236,7 +236,7 @@ func TestCompactPreservesCursors(t *testing.T) {
 	}
 	recs := diskRecords(15)
 	for _, r := range recs {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func TestCompactedReplayParallelMatchesSequential(t *testing.T) {
 	}
 	recs := diskRecords(30)
 	for _, r := range recs[:20] {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,7 +302,7 @@ func TestCompactedReplayParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs[20:] { // tail segments after the snapshot
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,7 +343,7 @@ func TestCompactDropsOrphanBlobs(t *testing.T) {
 	recs := diskRecords(6)
 	var ids []string
 	for _, r := range recs {
-		id, err := s.Ingest(r)
+		id, err := ingestOne(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestCompactDropsOrphanBlobs(t *testing.T) {
 		{Experiment: "orphan", Time: t0, Files: map[string][]byte{"lost.png": []byte("orphaned bytes")}},
 		{Experiment: "orphan", Time: t0, Fields: map[string]any{"score": math.NaN()}},
 	}
-	if _, err := s.IngestBatch(bad); err == nil {
+	if _, err := s.IngestBatchKeyed("", bad); err == nil {
 		t.Fatal("unencodable batch accepted")
 	}
 	before, err := filepath.Glob(filepath.Join(dir, blobDirName, "b-*.bin"))
@@ -390,7 +390,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 	}
 	recs := diskRecords(20)
 	for _, r := range recs {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +426,7 @@ func TestCompactRejectsCorruptSealedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range diskRecords(10) {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}

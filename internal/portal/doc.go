@@ -44,16 +44,16 @@
 //
 // # Ingest
 //
-// [Ingestor] is the single-record publish seam used by the flow layer;
-// [BatchIngestor] extends it with [Store.IngestBatch], which validates and
-// appends many records under one lock acquisition (and, over HTTP, one
-// round-trip). [KeyedBatchIngestor] adds idempotency keys: a batch retried
-// under the same key after a lost response is answered with the original
-// commit's IDs instead of being ingested twice, a guarantee that rides the
-// segment log and so survives restarts. [Buffer] adapts between the
-// single-record and batch shapes: it is an Ingestor that queues records in
-// memory and forwards them to the destination in keyed batches on Flush
-// (one attempt) or [Buffer.Deliver] (paced retries) — the shape a fleet
+// [Ingestor] is the one record write seam, and every write is a keyed
+// batch: [Store.IngestBatchKeyed] validates and appends many records under
+// one lock acquisition (and, over HTTP, one round-trip), and a batch
+// retried under the same key after a lost response is answered with the
+// original commit's IDs instead of being ingested twice — a guarantee that
+// rides the segment log and so survives restarts. [NewBatchKey] mints the
+// keys. The flow layer publishes each record as a one-record batch under a
+// key minted once per flow run. [Buffer] is an Ingestor that queues
+// records in memory and forwards them to the destination in batches it
+// keys itself on [Buffer.Deliver] (paced retries) — the shape a fleet
 // campaign uses to publish its whole run at once, safely retryable end to
 // end. [EventPublisher] is the same keyed outbox for stream events,
 // drained by a background goroutine.
@@ -71,12 +71,11 @@
 //
 // # HTTP
 //
-// [Serve] exposes the store over HTTP (ingest, batch ingest with
-// idempotency keys, search with cursors, record fetch, experiment
-// summaries, and the Figure 3 HTML index) and [Client] is the matching
-// remote [Ingestor]. Records travel with their attachments as one
-// multipart/form-data body, each attachment a raw part, in both
-// directions. See docs/PORTAL.md for the wire-level operator guide; the
+// [Serve] exposes the store over HTTP (keyed batch ingest, search with
+// cursors, record fetch, experiment summaries, and the Figure 3 HTML
+// index) and [Client] is the matching remote [Ingestor]. Records travel
+// with their attachments as one multipart/form-data body, each attachment
+// a raw part, in both directions. See docs/PORTAL.md for the wire-level operator guide; the
 // repo's benchmark (perfbench, `portal` and `distributed` workloads)
 // measures this package's latency and throughput under load.
 package portal

@@ -24,13 +24,17 @@ func ExampleOpenStore() {
 		panic(err)
 	}
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
+	var recs []portal.Record
 	for run := 1; run <= 3; run++ {
-		store.Ingest(portal.Record{
+		recs = append(recs, portal.Record{
 			Experiment: "color_picker",
 			Run:        run,
 			Time:       t0.Add(time.Duration(run) * time.Hour),
 			Files:      map[string][]byte{"plate.png": []byte("…")},
 		})
+	}
+	if _, err := store.IngestBatchKeyed(portal.NewBatchKey(), recs); err != nil {
+		panic(err)
 	}
 	store.Close() // simulated restart
 
@@ -50,12 +54,16 @@ func ExampleOpenStore() {
 func ExampleStore_SearchPage() {
 	store := portal.NewStore()
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
+	var recs []portal.Record
 	for i := 0; i < 7; i++ {
-		store.Ingest(portal.Record{
+		recs = append(recs, portal.Record{
 			Experiment: "sweep",
 			Run:        i,
 			Time:       t0.Add(time.Duration(i) * time.Minute),
 		})
+	}
+	if _, err := store.IngestBatchKeyed(portal.NewBatchKey(), recs); err != nil {
+		panic(err)
 	}
 	q := portal.Query{Experiment: "sweep", Limit: 3}
 	for page := 1; ; page++ {
@@ -75,20 +83,21 @@ func ExampleStore_SearchPage() {
 	// page 3: 1 records
 }
 
-// ExampleClient_Ingest publishes one record to a running portal server over
-// HTTP and reads its experiment summary back.
-func ExampleClient_Ingest() {
+// ExampleClient_IngestBatchKeyed publishes one record to a running portal
+// server over HTTP, under an idempotency key that any retry of the same
+// batch would reuse, and reads its experiment summary back.
+func ExampleClient_IngestBatchKeyed() {
 	store := portal.NewStore()
 	srv := httptest.NewServer(portal.Serve(store))
 	defer srv.Close()
 
 	client := portal.NewClient(srv.URL)
-	id, err := client.Ingest(portal.Record{
+	ids, err := client.IngestBatchKeyed(portal.NewBatchKey(), []portal.Record{{
 		Experiment: "remote_exp",
 		Run:        1,
 		Time:       time.Date(2023, 8, 16, 10, 0, 0, 0, time.UTC),
 		Fields:     map[string]any{"samples": 15, "best_score": 12.5},
-	})
+	}})
 	if err != nil {
 		panic(err)
 	}
@@ -96,6 +105,6 @@ func ExampleClient_Ingest() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%s: %d records, best %.1f\n", id, sum.Records, sum.BestScore)
+	fmt.Printf("%s: %d records, best %.1f\n", ids[0], sum.Records, sum.BestScore)
 	// Output: rec-000001: 1 records, best 12.5
 }

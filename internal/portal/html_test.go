@@ -11,7 +11,7 @@ import (
 func TestHTMLIndex(t *testing.T) {
 	store := NewStore()
 	for run := 1; run <= 3; run++ {
-		store.Ingest(Record{
+		ingestOne(store, Record{
 			Experiment: "webexp",
 			Run:        run,
 			Time:       time.Date(2023, 8, 16, 9+run, 0, 0, 0, time.UTC),
@@ -71,7 +71,7 @@ func TestHTMLIndexEmptyStore(t *testing.T) {
 
 func TestHTMLEscapesExperimentNames(t *testing.T) {
 	store := NewStore()
-	store.Ingest(Record{Experiment: "<script>alert(1)</script>", Run: 1, Time: time.Now()})
+	ingestOne(store, Record{Experiment: "<script>alert(1)</script>", Run: 1, Time: time.Now()})
 	srv := httptest.NewServer(Serve(store))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/")

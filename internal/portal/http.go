@@ -84,26 +84,6 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 		o(&cfg)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		recs, err := readRecords(req.Header.Get("Content-Type"), req.Body)
-		if err == nil && len(recs) != 1 {
-			err = fmt.Errorf("%d records, want 1", len(recs))
-		}
-		if err != nil {
-			http.Error(w, "bad record: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		id, err := store.Ingest(recs[0])
-		if err != nil {
-			http.Error(w, err.Error(), ingestStatus(err))
-			return
-		}
-		writeJSON(w, map[string]any{"id": id})
-	})
 	mux.HandleFunc("/ingest/batch", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -242,50 +222,19 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimSuffix(baseURL, "/"), HTTP: &http.Client{Timeout: 30 * time.Second}}
 }
 
-// Ingest implements Ingestor over HTTP.
-func (c *Client) Ingest(rec Record) (string, error) {
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := c.postRecords("ingest", "/ingest", "", []Record{rec}, &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
-}
-
 // idempotencyHeader carries a batch's dedupe key on POST /ingest/batch.
 const idempotencyHeader = "X-Idempotency-Key"
 
-// IngestBatch implements BatchIngestor over HTTP: the whole batch travels
+// IngestBatchKeyed implements Ingestor over HTTP: the whole batch travels
 // in one POST /ingest/batch round-trip and is accepted or rejected as a
-// unit.
-func (c *Client) IngestBatch(recs []Record) ([]string, error) {
-	return c.IngestBatchKeyed("", recs)
-}
-
-// IngestBatchKeyed implements KeyedBatchIngestor over HTTP: the key rides
-// the X-Idempotency-Key header, so a retry of a batch whose response was
-// lost in transit (after the server committed it) is answered from the
-// server's dedupe memory instead of ingesting a second copy.
+// unit. The key rides the X-Idempotency-Key header, so a retry of a batch
+// whose response was lost in transit (after the server committed it) is
+// answered from the server's dedupe memory instead of ingesting a second
+// copy.
 func (c *Client) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	var out struct {
-		IDs []string `json:"ids"`
-	}
-	if err := c.postRecords("ingest batch", "/ingest/batch", key, recs, &out); err != nil {
-		return nil, err
-	}
-	if len(out.IDs) != len(recs) {
-		return nil, fmt.Errorf("portal: batch response has %d ids for %d records", len(out.IDs), len(recs))
-	}
-	return out.IDs, nil
-}
-
-// postRecords posts recs to path as one multipart records body, under the
-// idempotency key when key is set, and decodes the JSON answer into out.
-func (c *Client) postRecords(op, path, key string, recs []Record, out any) error {
 	var body bytes.Buffer
 	// Room for every attachment up front, so the multi-megabyte frames are
 	// copied into the body once; the records part and part headers fit in
@@ -299,11 +248,11 @@ func (c *Client) postRecords(op, path, key string, recs []Record, out any) error
 	body.Grow(n)
 	mw := form.NewWriter(&body)
 	if err := writeRecords(mw, recs); err != nil {
-		return fmt.Errorf("portal: %s: %w", op, err)
+		return nil, fmt.Errorf("portal: ingest batch: %w", err)
 	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, bytes.NewReader(body.Bytes()))
+	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ingest/batch", bytes.NewReader(body.Bytes()))
 	if err != nil {
-		return fmt.Errorf("portal: %s: %w", op, err)
+		return nil, fmt.Errorf("portal: ingest batch: %w", err)
 	}
 	req.Header.Set("Content-Type", mw.FormDataContentType())
 	if key != "" {
@@ -311,16 +260,22 @@ func (c *Client) postRecords(op, path, key string, recs []Record, out any) error
 	}
 	resp, err := c.batchClient(body.Len()).Do(req)
 	if err != nil {
-		return fmt.Errorf("portal: %s: %w", op, err)
+		return nil, fmt.Errorf("portal: ingest batch: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return ingestError(op, resp)
+		return nil, ingestError("ingest batch", resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("portal: decode %s response: %w", op, err)
+	var out struct {
+		IDs []string `json:"ids"`
 	}
-	return nil
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, fmt.Errorf("portal: decode ingest batch response: %w", err)
+	}
+	if len(out.IDs) != len(recs) {
+		return nil, fmt.Errorf("portal: batch response has %d ids for %d records", len(out.IDs), len(recs))
+	}
+	return out.IDs, nil
 }
 
 // batchClient returns the HTTP client to use for an n-byte records upload.

@@ -24,7 +24,7 @@ func newPortalFixture(t *testing.T) (*Client, *Store) {
 func TestHTTPIngestAndGetWithFiles(t *testing.T) {
 	c, store := newPortalFixture(t)
 	img := []byte{0x89, 'P', 'N', 'G', 0, 1, 2, 3}
-	id, err := c.Ingest(Record{
+	id, err := ingestOne(c, Record{
 		Experiment: "http_exp",
 		Run:        1,
 		Time:       time.Date(2023, 8, 16, 10, 0, 0, 0, time.UTC),
@@ -52,7 +52,7 @@ func TestHTTPIngestAndGetWithFiles(t *testing.T) {
 func TestHTTPSearchOmitsFileBodies(t *testing.T) {
 	c, _ := newPortalFixture(t)
 	for i := 0; i < 5; i++ {
-		if _, err := c.Ingest(Record{
+		if _, err := ingestOne(c, Record{
 			Experiment: "s",
 			Run:        i,
 			Time:       time.Now(),
@@ -78,7 +78,7 @@ func TestHTTPSearchOmitsFileBodies(t *testing.T) {
 func TestHTTPSummary(t *testing.T) {
 	c, _ := newPortalFixture(t)
 	for run := 1; run <= 3; run++ {
-		c.Ingest(Record{
+		ingestOne(c, Record{
 			Experiment: "sumexp",
 			Run:        run,
 			Time:       time.Now(),
@@ -105,7 +105,7 @@ func TestHTTPIngestBatch(t *testing.T) {
 		{Experiment: "batch", Run: 2, Time: time.Date(2023, 8, 16, 9, 1, 0, 0, time.UTC)},
 		{Experiment: "batch", Run: 3, Time: time.Date(2023, 8, 16, 9, 2, 0, 0, time.UTC)},
 	}
-	ids, err := c.IngestBatch(recs)
+	ids, err := c.IngestBatchKeyed("", recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestHTTPIngestBatch(t *testing.T) {
 
 	// One invalid record rejects the whole batch server-side.
 	bad := []Record{{Experiment: "batch", Run: 4, Time: time.Now()}, {Run: 5}}
-	if _, err := c.IngestBatch(bad); err == nil {
+	if _, err := c.IngestBatchKeyed("", bad); err == nil {
 		t.Fatal("invalid batch accepted")
 	}
 	if store.Len() != 3 {
 		t.Fatalf("partial batch ingested: %d", store.Len())
 	}
-	if ids, err := c.IngestBatch(nil); err != nil || ids != nil {
+	if ids, err := c.IngestBatchKeyed("", nil); err != nil || ids != nil {
 		t.Fatalf("empty batch: %v, %v", ids, err)
 	}
 }
@@ -137,7 +137,7 @@ func TestHTTPSearchPagination(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		recs = append(recs, Record{Experiment: "pg", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 	}
-	if _, err := c.IngestBatch(recs); err != nil {
+	if _, err := c.IngestBatchKeyed("", recs); err != nil {
 		t.Fatal(err)
 	}
 	var runs []int
@@ -178,7 +178,7 @@ func TestHTTPSearchPagination(t *testing.T) {
 		{Experiment: "subsec", Run: 1, Time: t0.Add(300 * time.Millisecond)},
 		{Experiment: "subsec", Run: 2, Time: t0.Add(700 * time.Millisecond)},
 	}
-	if _, err := c.IngestBatch(sub); err != nil {
+	if _, err := c.IngestBatchKeyed("", sub); err != nil {
 		t.Fatal(err)
 	}
 	page, err = c.SearchPage(Query{Experiment: "subsec", After: t0.Add(500 * time.Millisecond)})
@@ -194,7 +194,7 @@ func TestHTTPSearchPagination(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	c, _ := newPortalFixture(t)
-	if _, err := c.Ingest(Record{}); err == nil {
+	if _, err := ingestOne(c, Record{}); err == nil {
 		t.Fatal("invalid record ingested")
 	}
 	if _, err := c.Get("missing"); err == nil {
@@ -203,7 +203,7 @@ func TestHTTPErrors(t *testing.T) {
 	srv := httptest.NewServer(Serve(NewStore()))
 	srv.Close()
 	dead := NewClient(srv.URL)
-	if _, err := dead.Ingest(Record{Experiment: "x"}); err == nil {
+	if _, err := ingestOne(dead, Record{Experiment: "x"}); err == nil {
 		t.Fatal("ingest to dead server succeeded")
 	}
 }
@@ -218,23 +218,23 @@ func TestHTTPIngestStatusCodes(t *testing.T) {
 	}
 	srv := httptest.NewServer(Serve(store))
 	defer srv.Close()
-	post := func(path, records string) int {
+	post := func(key, records string) int {
 		t.Helper()
-		return postParts(t, srv.URL+path, rawPart{"records", records})
+		return postParts(t, srv.URL+"/ingest/batch", key, rawPart{"records", records})
 	}
-	if code := post("/ingest", `[{"experiment":""}]`); code != http.StatusBadRequest {
-		t.Fatalf("invalid record = HTTP %d, want 400", code)
+	if code := post("k-1", `[{"experiment":""}]`); code != http.StatusBadRequest {
+		t.Fatalf("invalid keyed record = HTTP %d, want 400", code)
 	}
-	if code := post("/ingest/batch", `[{"experiment":"x"},{"experiment":""}]`); code != http.StatusBadRequest {
+	if code := post("", `[{"experiment":"x"},{"experiment":""}]`); code != http.StatusBadRequest {
 		t.Fatalf("invalid batch = HTTP %d, want 400", code)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if code := post("/ingest", `[{"experiment":"x"}]`); code != http.StatusInternalServerError {
-		t.Fatalf("closed-store ingest = HTTP %d, want 500", code)
+	if code := post("k-2", `[{"experiment":"x"}]`); code != http.StatusInternalServerError {
+		t.Fatalf("closed-store keyed ingest = HTTP %d, want 500", code)
 	}
-	if code := post("/ingest/batch", `[{"experiment":"x"}]`); code != http.StatusInternalServerError {
+	if code := post("", `[{"experiment":"x"}]`); code != http.StatusInternalServerError {
 		t.Fatalf("closed-store batch = HTTP %d, want 500", code)
 	}
 }
@@ -266,7 +266,7 @@ func TestHTTPRecordGetStatusCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	id, err := store.Ingest(Record{Experiment: "g", Time: time.Now(),
+	id, err := ingestOne(store, Record{Experiment: "g", Time: time.Now(),
 		Files: map[string][]byte{"plate.png": []byte("img")}})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestHTTPIngestIgnoresClientFileSizes(t *testing.T) {
 	c, store := newPortalFixture(t)
 	srv := c.BaseURL
 	body := `[{"experiment":"phantom","run":1,"time":"2023-08-16T09:00:00Z","file_sizes":{"plate.png":12345}}]`
-	if code := postParts(t, srv+"/ingest", rawPart{"records", body}); code != http.StatusOK {
+	if code := postParts(t, srv+"/ingest/batch", "", rawPart{"records", body}); code != http.StatusOK {
 		t.Fatalf("ingest = HTTP %d", code)
 	}
 	recs := store.Search(Query{Experiment: "phantom"})
@@ -349,7 +349,7 @@ func TestHTTPClientEscapesPathSegments(t *testing.T) {
 	c, _ := newPortalFixture(t)
 	for i, name := range []string{"run #1?", "50% done", "a/b", "plain"} {
 		id := fmt.Sprintf("rec %s #%d?", name, i)
-		if _, err := c.Ingest(Record{ID: id, Experiment: name, Run: 1, Time: time.Now(),
+		if _, err := ingestOne(c, Record{ID: id, Experiment: name, Run: 1, Time: time.Now(),
 			Fields: map[string]any{"samples": 2}, Files: map[string][]byte{"plate.png": []byte(name)}}); err != nil {
 			t.Fatal(err)
 		}

@@ -42,10 +42,18 @@ func rawBody(t testing.TB, parts ...rawPart) (string, []byte) {
 
 // postParts posts a hand-built multipart body to url and returns the HTTP
 // status.
-func postParts(t *testing.T, url string, parts ...rawPart) int {
+func postParts(t *testing.T, url, key string, parts ...rawPart) int {
 	t.Helper()
 	ct, body := rawBody(t, parts...)
-	resp, err := http.Post(url, ct, bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ct)
+	if key != "" {
+		req.Header.Set(idempotencyHeader, key)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +62,10 @@ func postParts(t *testing.T, url string, parts ...rawPart) int {
 }
 
 // TestReadRecordsRejectsMalformedBodies: every malformed body is a 400
-// from both ingest endpoints, never a panic and never a partial ingest.
+// from the write endpoint, never a panic and never a partial ingest —
+// posted bare ("ingest/batch/…") and under an idempotency key as the
+// publish flow sends its one-record batches ("ingest/…"). A refused keyed
+// body must not burn its key: the same key then commits a good batch.
 func TestReadRecordsRejectsMalformedBodies(t *testing.T) {
 	two := rawPart{"records", `[{"experiment":"x"},{"experiment":"x"}]`}
 	cases := []struct {
@@ -78,15 +89,22 @@ func TestReadRecordsRejectsMalformedBodies(t *testing.T) {
 		{"unknown part", []rawPart{two, {"comment", "hi"}}},
 		{"part without a name", []rawPart{two, {"", "img"}}},
 	}
-	for _, path := range []string{"/ingest", "/ingest/batch"} {
+	for _, v := range []struct{ name, key string }{{"ingest/batch", ""}, {"ingest", "malformed-1"}} {
 		for _, tc := range cases {
-			t.Run(strings.TrimPrefix(path, "/")+"/"+tc.name, func(t *testing.T) {
+			t.Run(v.name+"/"+tc.name, func(t *testing.T) {
 				c, store := newPortalFixture(t)
-				if code := postParts(t, c.BaseURL+path, tc.parts...); code != http.StatusBadRequest {
+				url := c.BaseURL + "/ingest/batch"
+				if code := postParts(t, url, v.key, tc.parts...); code != http.StatusBadRequest {
 					t.Fatalf("HTTP %d, want 400", code)
 				}
 				if store.Len() != 0 {
 					t.Fatalf("%d records ingested from a malformed body", store.Len())
+				}
+				if v.key == "" {
+					return
+				}
+				if code := postParts(t, url, v.key, rawPart{"records", `[{"experiment":"x"}]`}); code != http.StatusOK || store.Len() != 1 {
+					t.Fatalf("key burned by a refused body: HTTP %d, %d records", code, store.Len())
 				}
 			})
 		}
@@ -99,20 +117,20 @@ func TestReadRecordsRejectsMalformedBodies(t *testing.T) {
 func TestIngestRejectsNonMultipartBodies(t *testing.T) {
 	c, store := newPortalFixture(t)
 	one := `{"experiment":"old","run":1,"time":"2023-08-16T09:00:00Z","files":{"plate.png":"aW1n"}}`
-	for _, tc := range []struct{ path, ct, body string }{
-		{"/ingest", "application/json", one},
-		{"/ingest/batch", "application/json", "[" + one + "]"},
-		{"/ingest/batch", "", "[" + one + "]"},
-		{"/ingest/batch", "multipart/form-data", "[" + one + "]"}, // no boundary
-		{"/ingest/batch", "multipart/mixed; boundary=x", "--x\r\n\r\n[]\r\n--x--\r\n"},
+	for _, tc := range []struct{ ct, body string }{
+		{"application/json", one},
+		{"application/json", "[" + one + "]"},
+		{"", "[" + one + "]"},
+		{"multipart/form-data", "[" + one + "]"}, // no boundary
+		{"multipart/mixed; boundary=x", "--x\r\n\r\n[]\r\n--x--\r\n"},
 	} {
-		resp, err := http.Post(c.BaseURL+tc.path, tc.ct, strings.NewReader(tc.body))
+		resp, err := http.Post(c.BaseURL+"/ingest/batch", tc.ct, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s as %q = HTTP %d, want 400", tc.path, tc.ct, resp.StatusCode)
+			t.Fatalf("%q body %.20q = HTTP %d, want 400", tc.ct, tc.body, resp.StatusCode)
 		}
 	}
 	if store.Len() != 0 {
@@ -163,11 +181,11 @@ func TestMultipartRoundTrip(t *testing.T) {
 			srv := httptest.NewServer(Serve(store))
 			defer srv.Close()
 			c := NewClient(srv.URL)
-			ids, err := c.IngestBatch(recs)
+			ids, err := c.IngestBatchKeyed("", recs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := c.Ingest(recs[0])
+			single, err := ingestOne(c, recs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +217,7 @@ func TestMultipartRoundTrip(t *testing.T) {
 			}
 			again := found[0]
 			again.ID, again.Experiment = "", "rt_sizes_only"
-			if _, err := c.IngestBatch([]Record{again}); err != nil {
+			if _, err := c.IngestBatchKeyed("", []Record{again}); err != nil {
 				t.Fatal(err)
 			}
 			if sum, err := c.Summary("rt_sizes_only"); err != nil || sum.Images != 0 {
@@ -217,7 +235,7 @@ func TestWriteRecordsRejectsControlCharacterNames(t *testing.T) {
 	c, store := newPortalFixture(t)
 	for _, name := range []string{"a\r\nContent-Type: text/html", "a\nb", "a\rb", "nul\x00", "del\x7f", "esc\x1b[0m"} {
 		rec := Record{Experiment: "crlf", Time: time.Now(), Files: map[string][]byte{name: []byte("x")}}
-		if _, err := c.Ingest(rec); !errors.Is(err, ErrInvalid) {
+		if _, err := ingestOne(c, rec); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("name %q: err = %v, want ErrInvalid", name, err)
 		}
 	}

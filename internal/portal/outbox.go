@@ -79,7 +79,7 @@ func (o *outbox[T]) flush() ([]string, error) {
 			if o.maxBatch > 0 {
 				n = min(n, o.maxBatch)
 			}
-			o.frozen, o.queue, o.key = o.queue[:n:n], o.queue[n:], newBatchKey()
+			o.frozen, o.queue, o.key = o.queue[:n:n], o.queue[n:], NewBatchKey()
 			if len(o.queue) == 0 {
 				o.queue = nil // release the drained backing array
 			}
@@ -123,9 +123,10 @@ func (o *outbox[T]) deliver(ctx context.Context, retries int, pause time.Duratio
 	return ids, err
 }
 
-// newBatchKey returns a fresh idempotency key; empty (disabling dedupe for
-// that batch) only if the system's randomness source fails.
-func newBatchKey() string {
+// NewBatchKey returns a fresh idempotency key for one batch and its
+// retries; empty (disabling dedupe for that batch) only if the system's
+// randomness source fails.
+func NewBatchKey() string {
 	var buf [12]byte
 	if _, err := rand.Read(buf[:]); err != nil {
 		return ""

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// scriptedBatcher is a KeyedBatchIngestor over a Store that answers its
+// scriptedBatcher is an Ingestor over a Store that answers its
 // calls from a script of errors (calls past the script succeed), running
 // onCall, when set, at the start of every call.
 type scriptedBatcher struct {
@@ -15,10 +15,6 @@ type scriptedBatcher struct {
 	script []error
 	calls  int
 	onCall func()
-}
-
-func (s *scriptedBatcher) IngestBatch(recs []Record) ([]string, error) {
-	return s.IngestBatchKeyed("", recs)
 }
 
 func (s *scriptedBatcher) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
@@ -55,7 +51,7 @@ func TestBufferDeliverStopsWhenCanceled(t *testing.T) {
 			}
 			buf := NewBuffer(dest)
 			for i := 0; i < 3; i++ {
-				buf.Ingest(Record{Experiment: "cancel", Run: i, Time: time.Now()})
+				ingestOne(buf, Record{Experiment: "cancel", Run: i, Time: time.Now()})
 			}
 			start := time.Now()
 			ids, err := buf.Deliver(ctx)
@@ -68,8 +64,8 @@ func TestBufferDeliverStopsWhenCanceled(t *testing.T) {
 			if dest.calls != 1 {
 				t.Fatalf("destination called %d times, want 1", dest.calls)
 			}
-			if buf.Len() != 3 || dest.Len() != 0 {
-				t.Fatalf("buffer=%d store=%d, want 3 buffered, 0 stored", buf.Len(), dest.Len())
+			if f, q := buf.box.push(); f+q != 3 || dest.Len() != 0 {
+				t.Fatalf("buffer=%d store=%d, want 3 buffered, 0 stored", f+q, dest.Len())
 			}
 		})
 	}
@@ -86,18 +82,18 @@ func TestBufferFlushReturnsIDsAcrossFailures(t *testing.T) {
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	ingest := func(from, to int) {
 		for i := from; i < to; i++ {
-			buf.Ingest(Record{Experiment: "ids", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
+			ingestOne(buf, Record{Experiment: "ids", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 		}
 	}
 	ingest(0, 3)
-	if _, err := buf.Flush(); err == nil {
+	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("first flush should fail")
 	}
 	ingest(3, 5)
-	if _, err := buf.Flush(); err == nil {
+	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("second flush should fail on the queued batch")
 	}
-	ids, err := buf.Flush()
+	ids, err := buf.box.flush()
 	if err != nil || len(ids) != 5 {
 		t.Fatalf("third flush = %v, %v; want 5 ids", ids, err)
 	}
@@ -107,7 +103,7 @@ func TestBufferFlushReturnsIDsAcrossFailures(t *testing.T) {
 			t.Fatalf("id %d = %s -> %+v, %v; want run %d", i, id, rec, err, i)
 		}
 	}
-	if again, err := buf.Flush(); err != nil || again != nil {
+	if again, err := buf.box.flush(); err != nil || again != nil {
 		t.Fatalf("empty re-flush = %v, %v", again, err)
 	}
 }

@@ -406,11 +406,11 @@ func replayArchive(dir string, snapN int, paths []string, workers int) (*Store, 
 		// Rebuild the idempotency-key memory from contiguous key runs (the
 		// latest run of a key wins, matching the in-memory FIFO).
 		if sr.Batch != "" {
+			ids, _ := s.batches.get(sr.Batch)
 			if sr.Batch != lastBatch {
-				s.rememberBatch(sr.Batch, nil)
-				s.batches[sr.Batch] = s.batches[sr.Batch][:0]
+				ids = nil
 			}
-			s.batches[sr.Batch] = append(s.batches[sr.Batch], sr.ID)
+			s.batches.put(sr.Batch, append(ids, sr.ID))
 		}
 		lastBatch = sr.Batch
 		return nil

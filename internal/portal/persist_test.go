@@ -47,7 +47,7 @@ func assertMatchesFresh(t *testing.T, reopened *Store, want []Record) {
 	t.Helper()
 	fresh := NewStore()
 	for _, r := range want {
-		if _, err := fresh.Ingest(r); err != nil {
+		if _, err := ingestOne(fresh, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 	recs := diskRecords(7)
 	var ids []string
 	for _, r := range recs {
-		id, err := s.Ingest(r)
+		id, err := ingestOne(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(recs[0]); err == nil {
+	if _, err := ingestOne(s, recs[0]); err == nil {
 		t.Fatal("closed store accepted a record")
 	}
 
@@ -117,7 +117,7 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 	}
 	// The reopened store keeps accepting: IDs must not collide with the
 	// replayed sequence.
-	id, err := reopened.Ingest(Record{Experiment: "exp-0", Run: 99, Time: time.Now()})
+	id, err := ingestOne(reopened, Record{Experiment: "exp-0", Run: 99, Time: time.Now()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 	recs := diskRecords(6)
 	for _, r := range recs {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	assertMatchesFresh(t, reopened, recs[:5])
 	// The torn bytes were truncated away: appending and reopening again
 	// must not resurrect garbage.
-	if _, err := reopened.Ingest(Record{Experiment: "exp-0", Run: 50, Time: time.Now().UTC()}); err != nil {
+	if _, err := ingestOne(reopened, Record{Experiment: "exp-0", Run: 50, Time: time.Now().UTC()}); err != nil {
 		t.Fatal(err)
 	}
 	reopened.Close()
@@ -193,7 +193,7 @@ func TestCrashRecoveryMissingFinalNewline(t *testing.T) {
 	}
 	recs := diskRecords(3)
 	for _, r := range recs {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestCrashRecoveryMissingFinalNewline(t *testing.T) {
 	// All 3 records survive — the tear lost no data.
 	assertMatchesFresh(t, reopened, recs)
 	// Appending after the repair must not merge lines.
-	if _, err := reopened.Ingest(Record{Experiment: "exp-0", Run: 77, Time: time.Now().UTC()}); err != nil {
+	if _, err := ingestOne(reopened, Record{Experiment: "exp-0", Run: 77, Time: time.Now().UTC()}); err != nil {
 		t.Fatal(err)
 	}
 	reopened.Close()
@@ -234,7 +234,7 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := diskRecords(5)
-	if _, err := s.IngestBatch(recs); err != nil {
+	if _, err := s.IngestBatchKeyed("", recs); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -260,7 +260,7 @@ func TestReplayRejectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenStore(dir)
 	for _, r := range diskRecords(4) {
-		s.Ingest(r)
+		ingestOne(s, r)
 	}
 	s.Close()
 	seg := lastSegment(t, dir)
@@ -289,7 +289,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	recs := diskRecords(12)
 	for _, r := range recs {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestDiskStoreConcurrentIngestAndSearch(t *testing.T) {
 					Time:       t0.Add(time.Duration(w*50+j) * time.Second),
 					Files:      map[string][]byte{"plate.png": {byte(j)}},
 				}
-				if _, err := s.Ingest(rec); err != nil {
+				if _, err := ingestOne(s, rec); err != nil {
 					t.Error(err)
 					return
 				}
@@ -369,7 +369,7 @@ func TestFailedAppendLeavesLogCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := diskRecords(2)
-	if _, err := s.Ingest(good[0]); err != nil {
+	if _, err := ingestOne(s, good[0]); err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
@@ -377,7 +377,7 @@ func TestFailedAppendLeavesLogCommitted(t *testing.T) {
 		{Experiment: "fine", Run: 1, Time: t0, Fields: map[string]any{"samples": 1}},
 		{Experiment: "poisoned", Run: 2, Time: t0, Fields: map[string]any{"score": math.NaN()}},
 	}
-	if _, err := s.IngestBatch(bad); err == nil {
+	if _, err := s.IngestBatchKeyed("", bad); err == nil {
 		t.Fatal("batch with unmarshalable field accepted")
 	} else if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("unencodable record classified as store fault: %v", err)
@@ -388,7 +388,7 @@ func TestFailedAppendLeavesLogCommitted(t *testing.T) {
 	// This ingest is assigned the same rec ID the failed batch's first
 	// record would have gotten; both on the same line boundary if a phantom
 	// line had been staged.
-	if _, err := s.Ingest(good[1]); err != nil {
+	if _, err := ingestOne(s, good[1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -414,16 +414,16 @@ func TestFailedRollbackPoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := diskRecords(3)
-	if _, err := s.Ingest(recs[0]); err != nil {
+	if _, err := ingestOne(s, recs[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Sabotage the segment file: the next flush fails, and so does the
 	// rollback truncate.
 	s.log.f.Close()
-	if _, err := s.IngestBatch(recs[1:2]); err == nil {
+	if _, err := s.IngestBatchKeyed("", recs[1:2]); err == nil {
 		t.Fatal("append through a dead segment file succeeded")
 	}
-	if _, err := s.Ingest(recs[2]); err == nil || !strings.Contains(err.Error(), "earlier failure") {
+	if _, err := ingestOne(s, recs[2]); err == nil || !strings.Contains(err.Error(), "earlier failure") {
 		t.Fatalf("poisoned log accepted a record: %v", err)
 	}
 	// Retire the wedged store (Close errors on the dead file but still
@@ -446,7 +446,7 @@ func TestGetAfterCloseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Ingest(diskRecords(1)[0])
+	id, err := ingestOne(s, diskRecords(1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestReplayRejectsCorruptTerminatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range diskRecords(3) {
-		if _, err := s.Ingest(r); err != nil {
+		if _, err := ingestOne(s, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -531,7 +531,7 @@ func TestReadsNeverTakeWriteLock(t *testing.T) {
 	}
 	defer s.Close()
 	recs := diskRecords(30)
-	ids, err := s.IngestBatch(recs)
+	ids, err := s.IngestBatchKeyed("", recs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,28 +46,14 @@ func (r Record) FileSizes() map[string]int {
 	return out
 }
 
-// Ingestor accepts published records; the in-process Store, the HTTP
-// client, and the batching Buffer all implement it, so the publish flow is
-// transport-agnostic.
+// Ingestor accepts published records, always as one keyed batch: the
+// in-process Store, the HTTP Client and the queueing Buffer implement it.
+// The whole batch is validated before any record is accepted, so a rejected
+// batch leaves the destination unchanged. A batch resubmitted under the
+// same non-empty idempotency key after a lost response is answered with the
+// original commit's IDs instead of being ingested twice; an empty key
+// disables that dedupe. Mint keys with NewBatchKey.
 type Ingestor interface {
-	Ingest(rec Record) (id string, err error)
-}
-
-// BatchIngestor accepts many records at once: one lock acquisition on the
-// store, one round-trip over HTTP. The whole batch is validated before any
-// record is accepted, so a rejected batch leaves the destination unchanged.
-type BatchIngestor interface {
-	Ingestor
-	IngestBatch(recs []Record) (ids []string, err error)
-}
-
-// KeyedBatchIngestor is a BatchIngestor that deduplicates retried batches:
-// a batch resubmitted under the same non-empty idempotency key after a lost
-// response is answered with the original commit's IDs instead of being
-// ingested twice. Store and Client implement it; Buffer keys every batch
-// it sends when the destination offers it.
-type KeyedBatchIngestor interface {
-	BatchIngestor
 	IngestBatchKeyed(key string, recs []Record) (ids []string, err error)
 }
 
@@ -182,6 +168,35 @@ func mergeSlots(sn *snapshot, idx, add []int) []int {
 // beyond any plausible in-flight retry window.
 const maxBatchKeys = 4096
 
+// keyMemory maps recently committed idempotency keys to their commit's
+// answer, forgetting the oldest past maxBatchKeys. The zero value is ready
+// to use; callers serialize access.
+type keyMemory[V any] struct {
+	vals  map[string]V
+	order []string // keys oldest first, each once
+}
+
+func (m *keyMemory[V]) get(key string) (V, bool) {
+	v, ok := m.vals[key]
+	return v, ok
+}
+
+// put remembers key's answer. Re-remembering a key replaces its answer and
+// keeps its place in the eviction order.
+func (m *keyMemory[V]) put(key string, v V) {
+	if m.vals == nil {
+		m.vals = make(map[string]V)
+	}
+	if _, ok := m.vals[key]; !ok {
+		m.order = append(m.order, key)
+	}
+	m.vals[key] = v
+	for len(m.order) > maxBatchKeys {
+		delete(m.vals, m.order[0])
+		m.order = m.order[1:]
+	}
+}
+
 // Store is the searchable record store. The read path (SearchPage, Get,
 // Summarize, Experiments, Len) serves from an immutable copy-on-write
 // snapshot loaded through one atomic pointer, so reads never block behind
@@ -208,8 +223,7 @@ type Store struct {
 	compacted int
 	// batches remembers recently used idempotency keys and the IDs their
 	// batches committed with, so a retried batch is answered, not re-run.
-	batches    map[string][]string
-	batchOrder []string
+	batches keyMemory[[]string]
 	// autoCompact, when positive, triggers background compaction once that
 	// many sealed segments accumulate past the last snapshot.
 	autoCompact   int
@@ -220,7 +234,7 @@ type Store struct {
 
 // NewStore returns an empty in-memory store.
 func NewStore() *Store {
-	s := &Store{batches: make(map[string][]string)}
+	s := &Store{}
 	s.snap.Store(&snapshot{byExp: make(map[string][]int)})
 	return s
 }
@@ -247,29 +261,15 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Ingest implements Ingestor, assigning an ID when absent.
-func (s *Store) Ingest(rec Record) (string, error) {
-	ids, err := s.IngestBatch([]Record{rec})
-	if err != nil {
-		return "", err
-	}
-	return ids[0], nil
-}
-
-// IngestBatch implements BatchIngestor: validate every record, then accept
+// IngestBatchKeyed implements Ingestor: validate every record, then accept
 // them all under one lock acquisition (and one segment-log flush for
-// disk-backed stores). On error no record is ingested and the caller's
-// records are untouched — in particular no provisional IDs are assigned,
-// so a Buffer retrying a failed batch presents it again unchanged.
-func (s *Store) IngestBatch(recs []Record) ([]string, error) {
-	return s.IngestBatchKeyed("", recs)
-}
-
-// IngestBatchKeyed is IngestBatch with an idempotency key: a non-empty key
-// already committed on this store is answered with the original batch's
-// IDs and ingests nothing, so a publisher retrying after a lost response
-// cannot double-ingest. Keys ride the segment log, so the guarantee
-// survives a restart. An empty key behaves exactly like IngestBatch.
+// disk-backed stores), assigning IDs where absent. On error no record is
+// ingested and the caller's records are untouched — in particular no
+// provisional IDs are assigned, so a Buffer retrying a failed batch
+// presents it again unchanged. A non-empty key already committed on this
+// store is answered with the original batch's IDs and ingests nothing, so
+// a publisher retrying after a lost response cannot double-ingest. Keys
+// ride the segment log, so the guarantee survives a restart.
 func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -283,7 +283,7 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 		return nil, fmt.Errorf("portal: store is closed")
 	}
 	if key != "" {
-		if ids, ok := s.batches[key]; ok {
+		if ids, ok := s.batches.get(key); ok {
 			return append([]string(nil), ids...), nil
 		}
 	}
@@ -382,22 +382,10 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	}
 	s.snap.Store(old.with(added))
 	if key != "" {
-		s.rememberBatch(key, ids)
+		s.batches.put(key, append([]string(nil), ids...))
 	}
 	s.maybeCompact()
 	return ids, nil
-}
-
-// rememberBatch records a committed idempotency key. Callers hold wmu.
-func (s *Store) rememberBatch(key string, ids []string) {
-	if _, ok := s.batches[key]; !ok {
-		s.batchOrder = append(s.batchOrder, key)
-	}
-	s.batches[key] = append([]string(nil), ids...)
-	for len(s.batchOrder) > maxBatchKeys {
-		delete(s.batches, s.batchOrder[0])
-		s.batchOrder = s.batchOrder[1:]
-	}
 }
 
 // Get returns the record with the given ID, loading its attachments from

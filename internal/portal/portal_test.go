@@ -12,13 +12,23 @@ func rec(exp string, run int, t time.Time, fields map[string]any) Record {
 	return Record{Experiment: exp, Run: run, Time: t, Fields: fields}
 }
 
+// ingestOne writes rec to dst as a one-record unkeyed batch and returns
+// its ID.
+func ingestOne(dst Ingestor, rec Record) (string, error) {
+	ids, err := dst.IngestBatchKeyed("", []Record{rec})
+	if err != nil {
+		return "", err
+	}
+	return ids[0], nil
+}
+
 func TestIngestAssignsIDs(t *testing.T) {
 	s := NewStore()
-	id1, err := s.Ingest(rec("e1", 1, time.Now(), nil))
+	id1, err := ingestOne(s, rec("e1", 1, time.Now(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := s.Ingest(rec("e1", 2, time.Now(), nil))
+	id2, err := ingestOne(s, rec("e1", 2, time.Now(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +42,20 @@ func TestIngestAssignsIDs(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Ingest(Record{}); err == nil {
+	if _, err := ingestOne(s, Record{}); err == nil {
 		t.Fatal("empty record accepted")
 	}
-	if _, err := s.Ingest(Record{ID: "x", Experiment: "e"}); err != nil {
+	if _, err := ingestOne(s, Record{ID: "x", Experiment: "e"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(Record{ID: "x", Experiment: "e"}); err == nil {
+	if _, err := ingestOne(s, Record{ID: "x", Experiment: "e"}); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
 }
 
 func TestGet(t *testing.T) {
 	s := NewStore()
-	id, _ := s.Ingest(rec("e1", 3, time.Now(), map[string]any{"k": "v"}))
+	id, _ := ingestOne(s, rec("e1", 3, time.Now(), map[string]any{"k": "v"}))
 	got, err := s.Get(id)
 	if err != nil || got.Run != 3 || got.Fields["k"] != "v" {
 		t.Fatalf("Get = %+v, %v", got, err)
@@ -63,7 +73,7 @@ func TestSearchFilters(t *testing.T) {
 		if i%2 == 1 {
 			exp = "b"
 		}
-		s.Ingest(rec(exp, i, t0.Add(time.Duration(i)*time.Minute), nil))
+		ingestOne(s, rec(exp, i, t0.Add(time.Duration(i)*time.Minute), nil))
 	}
 	if got := s.Search(Query{Experiment: "a"}); len(got) != 5 {
 		t.Fatalf("experiment filter: %d", len(got))
@@ -87,9 +97,9 @@ func TestSearchFilters(t *testing.T) {
 
 func TestExperimentsList(t *testing.T) {
 	s := NewStore()
-	s.Ingest(rec("zeta", 1, time.Now(), nil))
-	s.Ingest(rec("alpha", 1, time.Now(), nil))
-	s.Ingest(rec("alpha", 2, time.Now(), nil))
+	ingestOne(s, rec("zeta", 1, time.Now(), nil))
+	ingestOne(s, rec("alpha", 1, time.Now(), nil))
+	ingestOne(s, rec("alpha", 2, time.Now(), nil))
 	got := s.Experiments()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Fatalf("Experiments = %v", got)
@@ -102,7 +112,7 @@ func TestSummarizeFigure3Shape(t *testing.T) {
 	s := NewStore()
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for run := 1; run <= 12; run++ {
-		s.Ingest(Record{
+		ingestOne(s, Record{
 			Experiment: "color_picker_20230816",
 			Run:        run,
 			Time:       t0.Add(time.Duration(run) * 40 * time.Minute),
@@ -130,7 +140,7 @@ func TestSummarizeFigure3Shape(t *testing.T) {
 
 func TestRenderViews(t *testing.T) {
 	s := NewStore()
-	id, _ := s.Ingest(Record{
+	id, _ := ingestOne(s, Record{
 		Experiment: "exp",
 		Run:        12,
 		Time:       time.Date(2023, 8, 16, 12, 0, 0, 0, time.UTC),
@@ -171,7 +181,7 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func(i int) {
 			for j := 0; j < 50; j++ {
-				s.Ingest(rec("conc", i*50+j, time.Now(), nil))
+				ingestOne(s, rec("conc", i*50+j, time.Now(), nil))
 				s.Search(Query{Experiment: "conc", Limit: 5})
 			}
 			done <- struct{}{}
@@ -190,13 +200,13 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 // the disk-backed one.
 func TestCloseRejectsIngestInMemory(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Ingest(Record{Experiment: "e", Time: time.Now()}); err != nil {
+	if _, err := ingestOne(s, Record{Experiment: "e", Time: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(Record{Experiment: "e", Time: time.Now()}); err == nil {
+	if _, err := ingestOne(s, Record{Experiment: "e", Time: time.Now()}); err == nil {
 		t.Fatal("closed in-memory store accepted a record")
 	}
 	// Reads keep working.

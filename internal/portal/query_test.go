@@ -18,7 +18,7 @@ func TestSearchLimitAppliesAfterTimeOrdering(t *testing.T) {
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	// Ingest newest-first: ingest order is the reverse of time order.
 	for i := 9; i >= 0; i-- {
-		s.Ingest(rec("e", i, t0.Add(time.Duration(i)*time.Minute), nil))
+		ingestOne(s, rec("e", i, t0.Add(time.Duration(i)*time.Minute), nil))
 	}
 	got := s.Search(Query{Experiment: "e", Limit: 3})
 	if len(got) != 3 {
@@ -40,7 +40,7 @@ func TestSearchPagePagination(t *testing.T) {
 	s := NewStore()
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 10; i++ {
-		s.Ingest(rec("page", i, t0.Add(time.Duration(i)*time.Minute), nil))
+		ingestOne(s, rec("page", i, t0.Add(time.Duration(i)*time.Minute), nil))
 	}
 	var runs []int
 	cursor := ""
@@ -76,7 +76,7 @@ func TestSearchPageExactBoundary(t *testing.T) {
 	s := NewStore()
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 9; i++ {
-		s.Ingest(rec("exact", i, t0.Add(time.Duration(i)*time.Minute), nil))
+		ingestOne(s, rec("exact", i, t0.Add(time.Duration(i)*time.Minute), nil))
 	}
 	cursor, total := "", 0
 	for pages := 0; ; pages++ {
@@ -111,7 +111,7 @@ func TestSearchPageEmptyStore(t *testing.T) {
 
 func TestSearchPageBadCursor(t *testing.T) {
 	s := NewStore()
-	s.Ingest(rec("e", 1, time.Now(), nil))
+	ingestOne(s, rec("e", 1, time.Now(), nil))
 	if _, err := s.SearchPage(Query{Cursor: "!!!not-base64!!!"}); err == nil {
 		t.Fatal("bad cursor accepted")
 	}
@@ -129,7 +129,7 @@ func TestSearchPageRunFilter(t *testing.T) {
 	s := NewStore()
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 20; i++ {
-		s.Ingest(rec("rf", i%2, t0.Add(time.Duration(i)*time.Minute), nil))
+		ingestOne(s, rec("rf", i%2, t0.Add(time.Duration(i)*time.Minute), nil))
 	}
 	cursor, total := "", 0
 	for hops := 0; ; hops++ {
@@ -160,7 +160,7 @@ func TestSearchPageTimeWindowWithCursor(t *testing.T) {
 	s := NewStore()
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 12; i++ {
-		s.Ingest(rec("tw", i, t0.Add(time.Duration(i)*time.Minute), nil))
+		ingestOne(s, rec("tw", i, t0.Add(time.Duration(i)*time.Minute), nil))
 	}
 	q := Query{Experiment: "tw", After: t0.Add(3 * time.Minute), Before: t0.Add(9 * time.Minute), Limit: 2}
 	var runs []int
@@ -203,7 +203,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 				exp = "y"
 			}
 			offset := time.Duration((i*7)%40) * time.Minute
-			if _, err := s.Ingest(rec(exp, i%4, t0.Add(offset), nil)); err != nil {
+			if _, err := ingestOne(s, rec(exp, i%4, t0.Add(offset), nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -330,10 +330,10 @@ func TestRandomizedWorkloadMatchesScan(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 4: // single ingest
 					r := makeRec()
-					if _, err := s.Ingest(r); err != nil {
+					if _, err := ingestOne(s, r); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := mirror.Ingest(r); err != nil {
+					if _, err := ingestOne(mirror, r); err != nil {
 						t.Fatal(err)
 					}
 				case op < 7: // batch ingest
@@ -341,10 +341,10 @@ func TestRandomizedWorkloadMatchesScan(t *testing.T) {
 					for i := range recs {
 						recs[i] = makeRec()
 					}
-					if _, err := s.IngestBatch(recs); err != nil {
+					if _, err := s.IngestBatchKeyed("", recs); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := mirror.IngestBatch(recs); err != nil {
+					if _, err := mirror.IngestBatchKeyed("", recs); err != nil {
 						t.Fatal(err)
 					}
 				case op < 9: // compact
@@ -393,7 +393,7 @@ func TestConcurrentIngestAndPaginatedSearch(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for j := 0; j < 200; j++ {
-				s.Ingest(rec("cc", w, t0.Add(time.Duration(w*200+j)*time.Second), nil))
+				ingestOne(s, rec("cc", w, t0.Add(time.Duration(w*200+j)*time.Second), nil))
 			}
 		}(w)
 	}

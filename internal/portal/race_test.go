@@ -49,7 +49,7 @@ func raceWorkout(t *testing.T, s *Store, compact bool) {
 						Fields:     map[string]any{"samples": 1, "best_score": float64(i)},
 					}
 				}
-				if _, err := s.IngestBatch(recs); err != nil {
+				if _, err := s.IngestBatchKeyed("", recs); err != nil {
 					t.Error(err)
 					return
 				}

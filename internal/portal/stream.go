@@ -164,12 +164,10 @@ type Hub struct {
 	base   int64         // seqs 1..base have been trimmed from memory
 	last   int64         // seq of the newest published event
 	subs   map[*Subscriber]struct{}
-	// Idempotency-key memory, FIFO-capped like the record store's batch
-	// keys: key -> cursor returned by the original commit.
-	keys     map[string]string
-	keyOrder []string
-	log      *segLog // nil when memory-only
-	closed   bool
+	// keys maps a committed batch key to the cursor its commit returned.
+	keys   keyMemory[string]
+	log    *segLog // nil when memory-only
+	closed bool
 }
 
 // OpenHub opens a streaming hub, replaying the durable event log under
@@ -181,7 +179,6 @@ func OpenHub(opts HubOptions) (*Hub, error) {
 	h := &Hub{
 		opts: opts,
 		subs: make(map[*Subscriber]struct{}),
-		keys: make(map[string]string),
 	}
 	if opts.Dir != "" {
 		log, err := lockSegLog(opts.Dir, "ev-", segmentRotateBytes)
@@ -222,7 +219,7 @@ func (h *Hub) replay(paths []string) error {
 				h.events = append(h.events, ev)
 			}
 			if b.Key != "" {
-				h.rememberKeyLocked(b.Key, encodeStreamCursor(h.last))
+				h.keys.put(b.Key, encodeStreamCursor(h.last))
 			}
 		}
 	}
@@ -271,7 +268,7 @@ func (h *Hub) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) 
 		return "", ErrStreamClosed
 	}
 	if key != "" {
-		if cursor, ok := h.keys[key]; ok {
+		if cursor, ok := h.keys.get(key); ok {
 			return cursor, nil
 		}
 	}
@@ -302,23 +299,10 @@ func (h *Hub) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) 
 	h.trimLocked()
 	cursor := encodeStreamCursor(h.last)
 	if key != "" {
-		h.rememberKeyLocked(key, cursor)
+		h.keys.put(key, cursor)
 	}
 	h.fanOutLocked(batch)
 	return cursor, nil
-}
-
-// rememberKeyLocked records a committed batch key, evicting oldest-first
-// past the cap. Caller holds h.mu.
-func (h *Hub) rememberKeyLocked(key, cursor string) {
-	if _, dup := h.keys[key]; !dup {
-		h.keyOrder = append(h.keyOrder, key)
-	}
-	h.keys[key] = cursor
-	for len(h.keyOrder) > maxBatchKeys {
-		delete(h.keys, h.keyOrder[0])
-		h.keyOrder = h.keyOrder[1:]
-	}
 }
 
 // trimLocked enforces MaxHistory on the in-memory backfill window. Caller

@@ -216,7 +216,7 @@ func TestRaceStreamDurableWithCompaction(t *testing.T) {
 			for i := range recs {
 				recs[i] = Record{Experiment: "exp", Run: b, Time: t0.Add(time.Duration(b) * time.Minute)}
 			}
-			if _, err := s.IngestBatch(recs); err != nil {
+			if _, err := s.IngestBatchKeyed("", recs); err != nil {
 				t.Error(err)
 				return
 			}
