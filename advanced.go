@@ -1,10 +1,12 @@
 package colormatch
 
 // This file exposes the composable layer beneath Run: the simulated
-// workcell, the WEI engine and transports, the publish flow, and the data
-// portal. Use these when the one-call facade is too coarse — e.g. to serve
-// modules over HTTP, share one workcell between several application loops,
-// or attach a custom solver, fault plan, or portal.
+// workcell, the WEI engine and transports, and the data portal. Use these
+// when the one-call facade is too coarse — e.g. to serve modules over HTTP,
+// share one workcell between several application loops, or attach a custom
+// solver, fault plan, or portal. Publishing needs no extra wiring: set an
+// App's Dest to a portal store or client, and Run delivers the run's
+// records there as one keyed batch when it returns.
 
 import (
 	"context"
@@ -12,7 +14,6 @@ import (
 
 	"colormatch/internal/core"
 	"colormatch/internal/fleet"
-	"colormatch/internal/flow"
 	"colormatch/internal/portal"
 	"colormatch/internal/sim"
 	"colormatch/internal/wei"
@@ -55,12 +56,6 @@ type App = core.App
 // NewApp wires an application against an engine and solver.
 func NewApp(cfg Config, engine *Engine, sol Solver) (*App, error) {
 	return core.NewApp(cfg, engine, sol)
-}
-
-// NewPublisher returns the asynchronous flow runner used for data
-// publication, stamped from the workcell's clock.
-func NewPublisher(wc *Workcell) *flow.Runner {
-	return flow.NewRunner(wc.Clock)
 }
 
 // ServeWorkcell returns an HTTP handler exposing every module of the

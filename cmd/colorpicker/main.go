@@ -16,7 +16,6 @@ import (
 	"colormatch/internal/color"
 	"colormatch/internal/core"
 	"colormatch/internal/experiments"
-	"colormatch/internal/flow"
 	"colormatch/internal/metrics"
 	"colormatch/internal/portal"
 	"colormatch/internal/sim"
@@ -68,7 +67,7 @@ func main() {
 		fatal(err)
 	}
 	store := portal.NewStore()
-	app.EnablePublishing(flow.NewRunner(wc.Clock), store)
+	app.Dest = store
 
 	res, err := app.Run(context.Background())
 	if err != nil {

@@ -80,7 +80,7 @@ func TestAdvancedAPIDistributedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewPortalStore()
-	app.EnablePublishing(NewPublisher(wc), store)
+	app.Dest = store
 	res, err := app.Run(nil)
 	if err != nil {
 		t.Fatal(err)

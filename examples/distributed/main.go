@@ -3,7 +3,8 @@
 // device computers), the data portal behind another (ACDC), and the
 // application driving both over the wire. Everything still runs in this one
 // process for convenience, but every command and every published record
-// crosses real HTTP.
+// crosses real HTTP. It exits non-zero unless the portal, queried back
+// over HTTP, holds all three iterations' records.
 //
 //	go run ./examples/distributed
 package main
@@ -44,11 +45,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	app.EnablePublishing(colormatch.NewPublisher(wc), colormatch.NewPortalClient(portalSrv.URL))
+	app.Dest = colormatch.NewPortalClient(portalSrv.URL)
 
 	res, err := app.Run(nil)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if res.PublishErr != nil {
+		log.Fatal(res.PublishErr)
 	}
 	fmt.Printf("experiment done: best #%02x%02x%02x score %.2f, %v of robot time\n\n",
 		res.Best.Color.R, res.Best.Color.G, res.Best.Color.B,
@@ -62,6 +66,10 @@ func main() {
 	}
 	fmt.Printf("portal summary: %d runs, %d samples, best score %.2f, %d image(s)\n",
 		sum.Runs, sum.Samples, sum.BestScore, sum.Images)
+	// 24 samples at batch 8 are three iterations, one record each.
+	if sum.Runs != 3 || sum.Samples != 24 {
+		log.Fatalf("portal holds %d runs, %d samples; want 3 runs, 24 samples", sum.Runs, sum.Samples)
+	}
 	recs, err := pc.Search("distributed_demo", 1)
 	if err != nil {
 		log.Fatal(err)

@@ -6,9 +6,9 @@
 // cp_wf_newplate / cp_wf_mix_colors / cp_wf_trashplate / cp_wf_replenish
 // workflows through the WEI engine, processes each camera frame with the
 // vision pipeline, grades samples against the target color, feeds the
-// solver, publishes every iteration's data through an asynchronous flow,
-// and applies the plate-full / reservoir-low / wells-in-budget checks until
-// the termination criteria are met.
+// solver, publishes every iteration's data to the portal, and applies the
+// plate-full / reservoir-low / wells-in-budget checks until the termination
+// criteria are met.
 package core
 
 import (
@@ -22,7 +22,6 @@ import (
 	"colormatch/internal/device"
 	"colormatch/internal/device/camera"
 	"colormatch/internal/device/ot2"
-	"colormatch/internal/flow"
 	"colormatch/internal/labware"
 	"colormatch/internal/metrics"
 	"colormatch/internal/portal"
@@ -122,6 +121,12 @@ type Result struct {
 	Published int
 	Plates    int
 	Events    []wei.Event
+	// RecordIDs are the portal-assigned IDs of the run's published
+	// records, in iteration order; nil when delivery failed.
+	RecordIDs []string
+	// PublishErr reports records that could not be delivered to the
+	// portal. It does not fail the run.
+	PublishErr error
 }
 
 // Elapsed returns the experiment's duration.
@@ -162,15 +167,13 @@ type App struct {
 	Engine   *wei.Engine
 	Solver   solver.Solver
 	Analyzer *vision.Analyzer
-	// Publisher and Dest enable data publication; leaving either nil skips
-	// the publish step.
-	Publisher *flow.Runner
-	Dest      portal.Ingestor
+	// Dest, when set, receives every iteration's record: Run queues them
+	// and delivers them as one keyed batch when it returns.
+	Dest portal.Ingestor
 	// CameraGate, when set in DeckMode, is held across each photo workflow.
 	CameraGate Gate
 
 	wfNewPlate, wfMix, wfPhoto, wfTrash, wfReplenish *wei.WorkflowSpec
-	publishFlow                                      *flow.Flow
 	numDyes                                          int
 }
 
@@ -197,13 +200,6 @@ func NewApp(cfg Config, engine *wei.Engine, sol solver.Solver) (*App, error) {
 	return a, nil
 }
 
-// EnablePublishing attaches an async publisher targeting dest.
-func (a *App) EnablePublishing(runner *flow.Runner, dest portal.Ingestor) {
-	a.Publisher = runner
-	a.Dest = dest
-	a.publishFlow = flow.PublishColorPicker(dest)
-}
-
 // baseParams are the workflow parameters common to every run.
 func (a *App) baseParams() map[string]any {
 	return map[string]any{
@@ -214,17 +210,31 @@ func (a *App) baseParams() map[string]any {
 
 // Run executes the experiment to termination. The returned Result is valid
 // (partial) even when an error is returned, so resilience experiments can
-// measure how far a run got before an unrecoverable failure.
+// measure how far a run got before an unrecoverable failure. With Dest set,
+// Run delivers the records published so far before it returns, on every
+// return path.
 func (a *App) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cfg := a.Config
 	res := &Result{Config: cfg, Start: a.Engine.Clock.Now()}
+	var buf *portal.Buffer
+	if a.Dest != nil {
+		buf = portal.NewBuffer(a.Dest)
+	}
 	defer func() {
 		res.End = a.Engine.Clock.Now()
 		res.Events = a.Engine.Log.Events()
 		res.Metrics = metrics.Compute(res.Events, len(res.Samples))
+		if buf == nil {
+			return
+		}
+		ids, err := buf.Deliver(ctx)
+		if err != nil {
+			res.PublishErr = fmt.Errorf("core: deliver records: %w", err)
+		}
+		res.RecordIDs, res.Published = ids, len(ids)
 	}()
 
 	plateOnCamera := false
@@ -351,8 +361,13 @@ func (a *App) Run(ctx context.Context) (*Result, error) {
 			})
 		}
 
-		// Publish (step 4) — asynchronous, does not block the robots.
-		a.publish(ctx, iteration, batchSamples, best, frame)
+		// Publish (step 4): queued for delivery at the end of the run, so
+		// the robots never wait on the portal.
+		if buf != nil {
+			if err := a.publish(buf, iteration, batchSamples, best, frame); err != nil {
+				return res, err
+			}
+		}
 
 		// Solver evaluates the data (step 5).
 		a.Engine.Log.Append(wei.Event{Kind: wei.EvCompute, Note: fmt.Sprintf("solver %s iteration %d", a.Solver.Name(), iteration)})
@@ -372,14 +387,6 @@ func (a *App) Run(ctx context.Context) (*Result, error) {
 	if plateOnCamera {
 		if _, err := a.Engine.RunWorkflow(ctx, a.wfTrash, a.baseParams()); err != nil {
 			return res, fmt.Errorf("core: final trash plate: %w", err)
-		}
-	}
-	if a.Publisher != nil {
-		a.Publisher.WaitAll()
-		for _, run := range a.Publisher.Runs() {
-			if run.State() == flow.StateSucceeded {
-				res.Published++
-			}
 		}
 	}
 	if b, ok := solver.Best(res.Samples); ok {
@@ -441,11 +448,8 @@ func (a *App) analyzeFrame(rec *wei.RunRecord) ([]byte, *vision.Result, error) {
 	return frame, analysis, nil
 }
 
-// publish submits the iteration's record through the publish flow.
-func (a *App) publish(ctx context.Context, iteration int, batch []solver.Sample, best float64, frame []byte) {
-	if a.Publisher == nil || a.publishFlow == nil {
-		return
-	}
+// publish queues the iteration's record in buf.
+func (a *App) publish(buf *portal.Buffer, iteration int, batch []solver.Sample, best float64, frame []byte) error {
 	colors := make([]any, len(batch))
 	scores := make([]any, len(batch))
 	ratios := make([]any, len(batch))
@@ -479,8 +483,11 @@ func (a *App) publish(ctx context.Context, iteration int, batch []solver.Sample,
 		},
 		Files: map[string][]byte{"plate.png": frame},
 	}
-	a.Publisher.Submit(ctx, a.publishFlow, flow.Input{"record": rec})
+	if err := buf.Add(rec); err != nil {
+		return fmt.Errorf("core: publish: %w", err)
+	}
 	a.Engine.Log.Append(wei.Event{Kind: wei.EvPublish, Note: fmt.Sprintf("iteration %d", iteration)})
+	return nil
 }
 
 // note appends a free-text event to the experiment log.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"colormatch/internal/flow"
 	"colormatch/internal/portal"
 	"colormatch/internal/sim"
 	"colormatch/internal/solver"
@@ -29,7 +29,7 @@ func newTestApp(t *testing.T, cfg Config, seed int64) (*App, *SimWorkcell, *port
 		t.Fatal(err)
 	}
 	store := portal.NewStore()
-	app.EnablePublishing(flow.NewRunner(wc.Clock), store)
+	app.Dest = store
 	return app, wc, store
 }
 
@@ -262,11 +262,11 @@ func (blackSolver) Observe([]solver.Sample) {}
 
 // TestAppPublishRetryAfterLostResponseIngestsOnce: an App publishing
 // straight to a remote portal, whose first write is committed but loses its
-// response on the wire. The publish flow's retry resends the record under
-// the key its first attempt carried, so the portal ends with exactly one
-// record per published iteration.
+// response on the wire. Delivery's retry resends the run's batch under the
+// key its first attempt carried, so the portal ends with exactly one record
+// per published iteration.
 func TestAppPublishRetryAfterLostResponseIngestsOnce(t *testing.T) {
-	app, wc, _ := newTestApp(t, Config{Experiment: "lossy", BatchSize: 4, TotalSamples: 8}, 3)
+	app, _, _ := newTestApp(t, Config{Experiment: "lossy", BatchSize: 4, TotalSamples: 8}, 3)
 	store := portal.NewStore()
 	h := portal.Serve(store)
 	var lost atomic.Bool
@@ -278,7 +278,7 @@ func TestAppPublishRetryAfterLostResponseIngestsOnce(t *testing.T) {
 		h.ServeHTTP(w, req)
 	}))
 	defer srv.Close()
-	app.EnablePublishing(flow.NewRunner(wc.Clock), portal.NewClient(srv.URL))
+	app.Dest = portal.NewClient(srv.URL)
 	res, err := app.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +286,86 @@ func TestAppPublishRetryAfterLostResponseIngestsOnce(t *testing.T) {
 	if !lost.Load() {
 		t.Fatal("no write lost its response")
 	}
+	if res.PublishErr != nil {
+		t.Fatalf("publish error after a retried lost response: %v", res.PublishErr)
+	}
 	if res.Published != 2 {
 		t.Fatalf("published = %d, want 2", res.Published)
 	}
 	if store.Len() != res.Published {
 		t.Fatalf("portal records = %d for %d published iterations", store.Len(), res.Published)
+	}
+}
+
+// quittingSolver proposes pure black for `left` batches, then proposes
+// nothing, which fails the run at its next iteration.
+type quittingSolver struct {
+	blackSolver
+	left int
+}
+
+func (s *quittingSolver) Propose(n int) [][]float64 {
+	if s.left == 0 {
+		return nil
+	}
+	s.left--
+	return s.blackSolver.Propose(n)
+}
+
+// TestFailedRunDeliversItsRecords: a run that fails partway still delivers
+// every record it published before the failure, and the delivery is over by
+// the time RunCampaign returns — no publisher is left writing behind it.
+func TestFailedRunDeliversItsRecords(t *testing.T) {
+	wc := NewSimWorkcell(WorkcellOptions{Seed: 5})
+	engine := wei.NewEngine(wc.Registry, wc.Clock, wei.NewEventLog(wc.Clock))
+	store := portal.NewStore()
+	cfg := Config{Experiment: "partial", BatchSize: 4, TotalSamples: 16}
+	res, err := RunCampaign(context.Background(), cfg, engine, &quittingSolver{left: 2}, nil, store)
+	if err == nil || !strings.Contains(err.Error(), "solver proposed 0 of 4") {
+		t.Fatalf("err = %v, want the solver failure", err)
+	}
+	if len(res.Samples) != 8 {
+		t.Fatalf("samples = %d, want 8 from two iterations", len(res.Samples))
+	}
+	if res.PublishErr != nil {
+		t.Fatalf("publish error: %v", res.PublishErr)
+	}
+	if got := store.Len(); got != 2 || res.Published != 2 || len(res.RecordIDs) != 2 {
+		t.Fatalf("store=%d published=%d ids=%d, want 2 each", got, res.Published, len(res.RecordIDs))
+	}
+	for i, id := range res.RecordIDs {
+		if rec, err := store.Get(id); err != nil || rec.Run != i+1 {
+			t.Fatalf("record %d = %s -> %+v, %v; want run %d", i, id, rec, err, i+1)
+		}
+	}
+}
+
+// TestAppRejectedRecordIsSentOnce: a portal that rejects the run's batch as
+// invalid (HTTP 400) sees it exactly once — resending a rejected submission
+// cannot succeed — and the rejection surfaces as Result.PublishErr without
+// failing the run.
+func TestAppRejectedRecordIsSentOnce(t *testing.T) {
+	app, _, _ := newTestApp(t, Config{Experiment: "rejected", BatchSize: 4, TotalSamples: 4}, 4)
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPost && req.URL.Path == "/ingest/batch" {
+			posts.Add(1)
+		}
+		http.Error(w, "record rejected", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	app.Dest = portal.NewClient(srv.URL)
+	res, err := app.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("POST /ingest/batch arrived %d times, want 1", n)
+	}
+	if !errors.Is(res.PublishErr, portal.ErrInvalid) {
+		t.Fatalf("PublishErr = %v, want portal.ErrInvalid", res.PublishErr)
+	}
+	if res.Published != 0 || res.RecordIDs != nil {
+		t.Fatalf("published=%d ids=%v after a rejected delivery", res.Published, res.RecordIDs)
 	}
 }

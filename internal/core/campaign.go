@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"colormatch/internal/flow"
 	"colormatch/internal/portal"
 	"colormatch/internal/solver"
 	"colormatch/internal/wei"
@@ -20,18 +19,16 @@ import (
 // (lane pipelining, multi-OT2 operation). Pass nil for a campaign that has
 // the workcell to itself.
 //
-// pub and dest enable data publication when both are non-nil. Give each
-// campaign its own runner: Run counts every run the runner has executed, so
-// a runner shared across campaigns makes Result.Published cumulative. The
-// returned Result is valid (partial) even when an error is returned.
-func RunCampaign(ctx context.Context, cfg Config, engine *wei.Engine, sol solver.Solver, gate Gate, pub *flow.Runner, dest portal.Ingestor) (*Result, error) {
+// dest, when non-nil, receives the campaign's records as one keyed batch
+// delivered before RunCampaign returns, on success and failure alike; the
+// outcome is in Result.RecordIDs and Result.PublishErr. The returned Result
+// is valid (partial) even when an error is returned.
+func RunCampaign(ctx context.Context, cfg Config, engine *wei.Engine, sol solver.Solver, gate Gate, dest portal.Ingestor) (*Result, error) {
 	app, err := NewApp(cfg, engine, sol)
 	if err != nil {
 		return nil, err
 	}
 	app.CameraGate = gate
-	if pub != nil && dest != nil {
-		app.EnablePublishing(pub, dest)
-	}
+	app.Dest = dest
 	return app.Run(ctx)
 }

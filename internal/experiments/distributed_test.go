@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"colormatch/internal/core"
-	"colormatch/internal/flow"
 	"colormatch/internal/portal"
 	"colormatch/internal/sim"
 	"colormatch/internal/wei"
@@ -40,7 +39,7 @@ func TestFullExperimentOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.EnablePublishing(flow.NewRunner(wc.Clock), portal.NewClient(portalSrv.URL))
+	app.Dest = portal.NewClient(portalSrv.URL)
 
 	res, err := app.Run(context.Background())
 	if err != nil {

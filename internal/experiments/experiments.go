@@ -14,7 +14,6 @@ import (
 
 	"colormatch/internal/color"
 	"colormatch/internal/core"
-	"colormatch/internal/flow"
 	"colormatch/internal/metrics"
 	"colormatch/internal/portal"
 	"colormatch/internal/report"
@@ -80,12 +79,12 @@ func RunOne(cfg core.Config, opts RunOptions) (*core.Result, *portal.Store, erro
 		return nil, nil, err
 	}
 	var store *portal.Store
-	var runner *flow.Runner
+	var dest portal.Ingestor
 	if opts.Publish {
 		store = portal.NewStore()
-		runner = flow.NewRunner(wc.Clock)
+		dest = store
 	}
-	res, err := core.RunCampaign(context.Background(), cfg, engine, sol, nil, runner, store)
+	res, err := core.RunCampaign(context.Background(), cfg, engine, sol, nil, dest)
 	return res, store, err
 }
 
@@ -325,7 +324,7 @@ func Figure3(seed int64, w io.Writer) (*portal.Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		app.EnablePublishing(flow.NewRunner(wc.Clock), store)
+		app.Dest = store
 		if _, err := app.Run(context.Background()); err != nil {
 			return nil, fmt.Errorf("experiments: figure 3 run %d: %w", run, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"colormatch/internal/core"
-	"colormatch/internal/flow"
 	"colormatch/internal/labware"
 	"colormatch/internal/metrics"
 	"colormatch/internal/portal"
@@ -85,11 +84,11 @@ type Options struct {
 	// are keyed by the campaign's experiment name with the scheduling
 	// attempt as the run number, so a campaign rescheduled off a sick
 	// workcell keeps its failed attempt's partial records separable from the
-	// final attempt's. Each campaign's records reach Portal as one keyed
-	// batch delivered at campaign end (portal.Buffer.Deliver, with its
-	// retries) rather than a round-trip per iteration, and the summary as a
-	// one-record batch under a key minted once and reused by every retry,
-	// so no retry after a lost response ingests twice.
+	// final attempt's. Each campaign's App delivers its records to Portal
+	// as one keyed batch at campaign end rather than a round-trip per
+	// iteration, and the summary follows as a one-record batch; both go
+	// through portal.Buffer.Deliver, whose paced retries resend a batch
+	// under its one key, so no retry after a lost response ingests twice.
 	Portal portal.Ingestor
 	// EventSink, when set, streams every campaign's engine events as they
 	// happen — command_sent, step_end, gate_wait, … bracketed by
@@ -171,8 +170,6 @@ type CampaignResult struct {
 	// RecordIDs are the destination-assigned IDs of this campaign's
 	// published records, in publish order, when a portal destination is set
 	// and the end-of-campaign flush succeeded; nil otherwise.
-	// These are the real portal IDs — the per-record publish flow only sees
-	// the buffer's "buffered-N" placeholders for auto-ID records.
 	RecordIDs []string
 	// Result is the full experiment result of the final attempt (may be a
 	// valid partial result even for failed campaigns).
@@ -962,11 +959,10 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 		return cr
 	}
 
-	// Fork the long-lived workcell engine with a per-campaign event log, and
-	// give the campaign its own flow runner, so each campaign's metrics and
-	// publish counts stay separable. The shared destination is the only
-	// cross-campaign publication state, and the campaign publishes to it
-	// through a buffer delivered once at campaign end — one round-trip per
+	// Fork the long-lived workcell engine with a per-campaign event log, so
+	// each campaign's metrics stay separable. The shared destination is the
+	// only cross-campaign publication state: the campaign's App delivers its
+	// records there as one batch at campaign end — one round-trip per
 	// campaign against a remote portal instead of one per iteration.
 	campEng := eng.WithLog(wei.NewEventLog(clock))
 	var stream *campaignStream
@@ -984,35 +980,12 @@ func runOne(ctx context.Context, t *task, w, lane int, cell Cell, setup LaneSetu
 		campEng.Log.SetSink(stream.engineEvent)
 		stream.lifecycle(evCampaignStart, clock.Now(), -1, "")
 	}
-	var runner *flow.Runner
-	var buf *portal.Buffer
-	var campDest portal.Ingestor
-	if opts.Portal != nil {
-		runner = flow.NewRunner(clock)
-		buf = portal.NewBuffer(opts.Portal)
-		campDest = buf
-	}
 	start := clock.Now()
-	result, err := core.RunCampaign(ctx, cfg, campEng, sol, setup.Gate, runner, campDest)
+	result, err := core.RunCampaign(ctx, cfg, campEng, sol, setup.Gate, opts.Portal)
 	cr.Wall = clock.Now().Sub(start)
-	if buf != nil {
-		// Publication flows are asynchronous; make sure every record landed
-		// in the buffer before the flush and before the attempt is accounted
-		// done. Failed campaigns return without waiting on their publisher,
-		// so this wait is not redundant with App.Run's.
-		runner.WaitAll()
-		// The batch flush replaces the publish flow's per-record ingest, so
-		// Deliver gives it the same retry budget (publishFlow's ingest
-		// Retries: 2), resending a failed batch under its frozen idempotency
-		// key. The records die with the attempt if every try fails.
-		if ids, ferr := buf.Deliver(ctx); ferr != nil {
-			cr.PublishErr = fmt.Errorf("fleet: flush campaign records: %w", ferr)
-		} else {
-			cr.RecordIDs = ids
-		}
-	}
 	cr.Result = result
 	if result != nil {
+		cr.RecordIDs, cr.PublishErr = result.RecordIDs, result.PublishErr
 		cr.Samples = len(result.Samples)
 		cr.Best = result.Best.Score
 		for _, u := range result.Metrics.Modules {
@@ -1096,8 +1069,9 @@ func finish(res *Result, clocks []sim.Clock, dest portal.Ingestor) {
 		if clk == nil {
 			clk = sim.RealClock{}
 		}
-		runner := flow.NewRunner(clk)
-		rec := portal.Record{
+		// The record always names its experiment, so Add cannot reject it.
+		buf := portal.NewBuffer(dest)
+		_ = buf.Add(portal.Record{
 			Experiment: "fleet",
 			Time:       clk.Now(),
 			Fields: map[string]any{
@@ -1114,9 +1088,8 @@ func finish(res *Result, clocks []sim.Clock, dest portal.Ingestor) {
 				"queue_wait_seconds": res.QueueWait.Seconds(),
 				"speedup":            res.Speedup,
 			},
-		}
-		run := runner.Submit(context.Background(), flow.PublishFleetSummary(dest), flow.Input{"record": rec})
-		if _, err := run.Wait(); err != nil {
+		})
+		if _, err := buf.Deliver(context.Background()); err != nil {
 			// Newly reachable with an external Portal destination: an
 			// unreachable portal must not pass silently as a clean run.
 			res.PublishErr = fmt.Errorf("fleet: publish fleet summary: %w", err)

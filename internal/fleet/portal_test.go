@@ -160,8 +160,8 @@ func (p *flakyBatchPortal) IngestBatchKeyed(key string, recs []portal.Record) ([
 }
 
 // TestFleetFlushRetriesTransientPortalFailure: the campaign-end batch flush
-// carries the same retry budget as the publish flow's per-record ingest, so
-// a transient portal fault does not drop the campaign's records — and on
+// retries a failed send (portal.Buffer.Deliver's paced retries), so a
+// transient portal fault does not drop the campaign's records — and on
 // success the destination-assigned IDs land in CampaignResult.RecordIDs.
 func TestFleetFlushRetriesTransientPortalFailure(t *testing.T) {
 	dest := &flakyBatchPortal{Store: portal.NewStore(), failures: 2}
@@ -267,9 +267,9 @@ func lossyPortal(t *testing.T, store *portal.Store, exp string) (url string, los
 }
 
 // TestFleetSummaryLostResponseIngestsOnce: the portal commits the fleet
-// summary but the response is lost on the wire. The publish flow's retry
-// resends it under the key its first attempt carried and gets the original
-// ID back, so the portal holds exactly one summary record.
+// summary but the response is lost on the wire. Delivery's retry resends it
+// under the key its first attempt carried and gets the original ID back, so
+// the portal holds exactly one summary record.
 func TestFleetSummaryLostResponseIngestsOnce(t *testing.T) {
 	store := portal.NewStore()
 	url, lost := lossyPortal(t, store, "fleet")

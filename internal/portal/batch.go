@@ -5,27 +5,18 @@ import (
 	"fmt"
 )
 
-// Buffer is an Ingestor that queues records in memory and forwards them to
-// its destination in one Deliver call — one store lock acquisition, or one
-// HTTP round-trip for a remote portal. A fleet campaign publishes through a
-// Buffer so its whole run lands on the portal in a single batch.
+// Buffer queues records in memory and forwards them to its destination in
+// one Deliver call — one store lock acquisition, or one HTTP round-trip for
+// a remote portal. It is the repo's one record publisher: an application
+// run adds each iteration's record and delivers the whole run at its end,
+// and a fleet delivers its summary the same way.
 //
-// IngestBatchKeyed on a Buffer cannot know the destination-assigned IDs
-// yet, so it returns each record's own ID when set and a "buffered-N"
-// placeholder otherwise; anything that captures those IDs (e.g. a publish
-// flow's ingest step) sees the placeholder, not the real ID. Deliver
-// returns the destination-assigned IDs in buffered order — callers who need
-// actionable record IDs must take them from there (the fleet exposes them
-// as CampaignResult.RecordIDs).
-//
-// Retry safety: the caller's key is not forwarded; the Buffer keys its own
-// batches instead. A batch is pinned to one fresh key when first sent and
-// resent under it after a failure, so a send whose response was lost after
-// the destination committed (the classic partial HTTP failure) is answered
-// from the destination's dedupe memory instead of double-ingesting.
-// Records queued while a retry is pending wait for the next batch rather
-// than mutating the pinned one. Queueing itself fails only on a rejected
-// record, before anything is queued, so a caller's retry cannot queue twice.
+// Retry safety: a batch is pinned to one fresh idempotency key when first
+// sent and resent under it after a failure, so a send whose response was
+// lost after the destination committed (the classic partial HTTP failure)
+// is answered from the destination's dedupe memory instead of
+// double-ingesting. Records added while a retry is pending wait for the
+// next batch rather than mutating the pinned one.
 type Buffer struct {
 	box outbox[Record]
 }
@@ -35,22 +26,16 @@ func NewBuffer(dest Ingestor) *Buffer {
 	return &Buffer{box: outbox[Record]{send: dest.IngestBatchKeyed}}
 }
 
-// IngestBatchKeyed implements Ingestor by queueing recs locally.
-func (b *Buffer) IngestBatchKeyed(_ string, recs []Record) ([]string, error) {
+// Add queues recs for the next Deliver. It rejects the call with ErrInvalid,
+// queueing none of recs, if any record lacks an experiment name.
+func (b *Buffer) Add(recs ...Record) error {
 	for i, rec := range recs {
 		if rec.Experiment == "" {
-			return nil, fmt.Errorf("%w: record %d missing experiment name", ErrInvalid, i)
+			return fmt.Errorf("%w: record %d missing experiment name", ErrInvalid, i)
 		}
 	}
-	inFlight, queued := b.box.push(recs...)
-	ids := make([]string, len(recs))
-	for i, rec := range recs {
-		ids[i] = rec.ID
-		if ids[i] == "" {
-			ids[i] = fmt.Sprintf("buffered-%d", inFlight+queued-len(recs)+i+1)
-		}
-	}
-	return ids, nil
+	b.box.push(recs...)
+	return nil
 }
 
 // Deliver sends every buffered record to the destination and returns the

@@ -1,6 +1,8 @@
 package portal
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -77,7 +79,7 @@ func TestBufferFlushRetriesAfterTransientFailure(t *testing.T) {
 	flaky := &flakyBatcher{dest: s, failures: 1}
 	buf := NewBuffer(flaky)
 	for i := 0; i < 3; i++ {
-		ingestOne(buf, Record{Experiment: "retry", Run: i, Time: time.Now()})
+		buf.Add(Record{Experiment: "retry", Run: i, Time: time.Now()})
 	}
 	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("first flush should fail")
@@ -133,7 +135,7 @@ func TestBufferRetryAfterLostResponseDoesNotDoubleIngest(t *testing.T) {
 	buf := NewBuffer(NewClient(srv.URL))
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 4; i++ {
-		if _, err := ingestOne(buf, Record{Experiment: "lost", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
+		if err := buf.Add(Record{Experiment: "lost", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,13 +294,13 @@ func TestBufferQueuesNewRecordsDuringRetry(t *testing.T) {
 	buf := NewBuffer(dest)
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
-		ingestOne(buf, Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
+		buf.Add(Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 	}
 	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("first flush should fail")
 	}
 	for i := 3; i < 5; i++ {
-		ingestOne(buf, Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
+		buf.Add(Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 	}
 	if f, q := buf.box.push(); f+q != 5 {
 		t.Fatalf("buffer Len = %d, want 5", f+q)
@@ -337,9 +339,8 @@ func TestBufferFlushesOnce(t *testing.T) {
 	buf := NewBuffer(s)
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
-		id, err := ingestOne(buf, Record{Experiment: "buf", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
-		if err != nil || id == "" {
-			t.Fatalf("buffer ingest: %q, %v", id, err)
+		if err := buf.Add(Record{Experiment: "buf", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
+			t.Fatalf("buffer add: %v", err)
 		}
 	}
 	if s.Len() != 0 {
@@ -364,9 +365,9 @@ func TestBufferFlushesOnce(t *testing.T) {
 func TestBufferRetainsRecordsOnFailedFlush(t *testing.T) {
 	s := NewStore()
 	buf := NewBuffer(s)
-	ingestOne(buf, Record{Experiment: "ok", Time: time.Now()})
-	ingestOne(buf, Record{ID: "dup", Experiment: "ok", Time: time.Now()})
-	ingestOne(buf, Record{ID: "dup", Experiment: "ok", Time: time.Now()})
+	buf.Add(Record{Experiment: "ok", Time: time.Now()})
+	buf.Add(Record{ID: "dup", Experiment: "ok", Time: time.Now()})
+	buf.Add(Record{ID: "dup", Experiment: "ok", Time: time.Now()})
 	if _, err := buf.box.flush(); err == nil {
 		t.Fatal("flush of duplicate ids succeeded")
 	}
@@ -377,8 +378,27 @@ func TestBufferRetainsRecordsOnFailedFlush(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("failed flush partially ingested: %d", s.Len())
 	}
-	if _, err := ingestOne(buf, Record{}); err == nil {
-		t.Fatal("buffer accepted record without experiment")
+	if err := buf.Add(Record{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("buffer add of record without experiment: %v, want ErrInvalid", err)
+	}
+}
+
+// TestBufferAddRejectsRecordWithoutExperiment: a record without an
+// experiment name is rejected as ErrInvalid before anything is queued, so
+// its valid companions in the same call are not queued either and nothing
+// reaches the destination.
+func TestBufferAddRejectsRecordWithoutExperiment(t *testing.T) {
+	s := NewStore()
+	buf := NewBuffer(s)
+	err := buf.Add(Record{Experiment: "ok", Time: time.Now()}, Record{Run: 2, Time: time.Now()})
+	if !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Add = %v, want ErrInvalid", err)
+	}
+	if f, q := buf.box.push(); f+q != 0 {
+		t.Fatalf("rejected Add queued %d records", f+q)
+	}
+	if ids, err := buf.Deliver(context.Background()); err != nil || ids != nil || s.Len() != 0 {
+		t.Fatalf("Deliver = %v, %v; store has %d records, want none", ids, err, s.Len())
 	}
 }
 

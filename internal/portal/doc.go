@@ -50,13 +50,12 @@
 // retried under the same key after a lost response is answered with the
 // original commit's IDs instead of being ingested twice — a guarantee that
 // rides the segment log and so survives restarts. [NewBatchKey] mints the
-// keys. The flow layer publishes each record as a one-record batch under a
-// key minted once per flow run. [Buffer] is an Ingestor that queues
-// records in memory and forwards them to the destination in batches it
-// keys itself on [Buffer.Deliver] (paced retries) — the shape a fleet
-// campaign uses to publish its whole run at once, safely retryable end to
-// end. [EventPublisher] is the same keyed outbox for stream events,
-// drained by a background goroutine.
+// keys. [Buffer] is the one record publisher: it queues records in memory
+// and forwards them to an Ingestor in batches it keys itself on
+// [Buffer.Deliver] (paced retries) — the shape an application run and a
+// fleet summary use to publish at once, safely retryable end to end.
+// [EventPublisher] is the same keyed outbox for stream events, drained by a
+// background goroutine.
 //
 // # Compaction and replay
 //

@@ -18,7 +18,6 @@ import (
 
 // The HTTP wire protocol ("records body": the internal/form framing of
 // multipart.go, a "records" JSON part then one raw part per attachment):
-//   POST /ingest                      records body, one record -> {"id": ...}
 //   POST /ingest/batch                records body -> {"ids": [...]}
 //                                     (optional X-Idempotency-Key header:
 //                                     a retried key returns the original
@@ -29,7 +28,10 @@ import (
 //                                     (files as sizes; timestamps RFC 3339)
 //   GET  /experiments                 [names]
 //   GET  /experiments/<name>/summary  Summary
-//   GET  /healthz                     {"ok": true}
+//   GET  /healthz                     {"ok": true, "records": N}
+//   GET  /                            HTML index (html.go)
+// With a hub attached, Serve also mounts POST /events and GET /watch; their
+// protocol is documented in streamhttp.go.
 
 // wireRecord is the JSON form of a Record. Attachments are reported by
 // size only; their bytes travel as multipart parts (multipart.go).

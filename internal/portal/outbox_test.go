@@ -51,7 +51,7 @@ func TestBufferDeliverStopsWhenCanceled(t *testing.T) {
 			}
 			buf := NewBuffer(dest)
 			for i := 0; i < 3; i++ {
-				ingestOne(buf, Record{Experiment: "cancel", Run: i, Time: time.Now()})
+				buf.Add(Record{Experiment: "cancel", Run: i, Time: time.Now()})
 			}
 			start := time.Now()
 			ids, err := buf.Deliver(ctx)
@@ -82,7 +82,7 @@ func TestBufferFlushReturnsIDsAcrossFailures(t *testing.T) {
 	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
 	ingest := func(from, to int) {
 		for i := from; i < to; i++ {
-			ingestOne(buf, Record{Experiment: "ids", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
+			buf.Add(Record{Experiment: "ids", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 		}
 	}
 	ingest(0, 3)

@@ -47,7 +47,8 @@ func (r Record) FileSizes() map[string]int {
 }
 
 // Ingestor accepts published records, always as one keyed batch: the
-// in-process Store, the HTTP Client and the queueing Buffer implement it.
+// in-process Store and the HTTP Client implement it, and a Buffer queues
+// records in front of one.
 // The whole batch is validated before any record is accepted, so a rejected
 // batch leaves the destination unchanged. A batch resubmitted under the
 // same non-empty idempotency key after a lost response is answered with the
