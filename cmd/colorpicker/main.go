@@ -87,7 +87,7 @@ func main() {
 		res.Best.Color.R, res.Best.Color.G, res.Best.Color.B, res.Best.Score,
 		target.R, target.G, target.B)
 	fmt.Printf("experiment time %v, %d plates, %d records published\n\n",
-		res.Elapsed().Round(1e9), res.Plates, res.Published)
+		res.Elapsed().Round(1e9), res.Plates, len(res.RecordIDs))
 	metrics.RenderTable1(os.Stdout, res.Metrics)
 
 	if *eventsOut != "" {
@@ -104,6 +104,11 @@ func main() {
 		if err := core.SaveResult(*resultOut, res, false); err != nil {
 			fatal(err)
 		}
+	}
+	// A failed delivery does not stop the run, so it is reported last,
+	// once every output is written.
+	if res.PublishErr != nil {
+		fatal(res.PublishErr)
 	}
 }
 

@@ -42,8 +42,8 @@ func TestRunWithoutPublishReturnsNilStore(t *testing.T) {
 	if store != nil {
 		t.Fatal("store should be nil when publishing disabled")
 	}
-	if res.Published != 0 {
-		t.Fatalf("published = %d", res.Published)
+	if len(res.RecordIDs) != 0 {
+		t.Fatalf("published = %d", len(res.RecordIDs))
 	}
 }
 

@@ -111,16 +111,15 @@ type TracePoint struct {
 // the solver's grades (GradeMetric); TracePoint scores carry the trace
 // metric (Metric). With the defaults the two coincide.
 type Result struct {
-	Config    Config
-	Start     time.Time
-	End       time.Time
-	Samples   []solver.Sample
-	Trace     []TracePoint
-	Best      solver.Sample
-	Metrics   metrics.Summary
-	Published int
-	Plates    int
-	Events    []wei.Event
+	Config  Config
+	Start   time.Time
+	End     time.Time
+	Samples []solver.Sample
+	Trace   []TracePoint
+	Best    solver.Sample
+	Metrics metrics.Summary
+	Plates  int
+	Events  []wei.Event
 	// RecordIDs are the portal-assigned IDs of the run's published
 	// records, in iteration order; nil when delivery failed.
 	RecordIDs []string
@@ -234,7 +233,7 @@ func (a *App) Run(ctx context.Context) (*Result, error) {
 		if err != nil {
 			res.PublishErr = fmt.Errorf("core: deliver records: %w", err)
 		}
-		res.RecordIDs, res.Published = ids, len(ids)
+		res.RecordIDs = ids
 	}()
 
 	plateOnCamera := false

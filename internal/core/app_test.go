@@ -53,8 +53,8 @@ func TestAppRunsSmallExperiment(t *testing.T) {
 		t.Fatalf("plates = %d", res.Plates)
 	}
 	// 3 iterations published.
-	if res.Published != 3 {
-		t.Fatalf("published = %d", res.Published)
+	if len(res.RecordIDs) != 3 {
+		t.Fatalf("published = %d", len(res.RecordIDs))
 	}
 	if store.Len() != 3 {
 		t.Fatalf("portal records = %d", store.Len())
@@ -289,11 +289,11 @@ func TestAppPublishRetryAfterLostResponseIngestsOnce(t *testing.T) {
 	if res.PublishErr != nil {
 		t.Fatalf("publish error after a retried lost response: %v", res.PublishErr)
 	}
-	if res.Published != 2 {
-		t.Fatalf("published = %d, want 2", res.Published)
+	if len(res.RecordIDs) != 2 {
+		t.Fatalf("published = %d, want 2", len(res.RecordIDs))
 	}
-	if store.Len() != res.Published {
-		t.Fatalf("portal records = %d for %d published iterations", store.Len(), res.Published)
+	if store.Len() != len(res.RecordIDs) {
+		t.Fatalf("portal records = %d for %d published iterations", store.Len(), len(res.RecordIDs))
 	}
 }
 
@@ -330,8 +330,8 @@ func TestFailedRunDeliversItsRecords(t *testing.T) {
 	if res.PublishErr != nil {
 		t.Fatalf("publish error: %v", res.PublishErr)
 	}
-	if got := store.Len(); got != 2 || res.Published != 2 || len(res.RecordIDs) != 2 {
-		t.Fatalf("store=%d published=%d ids=%d, want 2 each", got, res.Published, len(res.RecordIDs))
+	if got := store.Len(); got != 2 || len(res.RecordIDs) != 2 {
+		t.Fatalf("store=%d ids=%d, want 2 each", got, len(res.RecordIDs))
 	}
 	for i, id := range res.RecordIDs {
 		if rec, err := store.Get(id); err != nil || rec.Run != i+1 {
@@ -365,7 +365,7 @@ func TestAppRejectedRecordIsSentOnce(t *testing.T) {
 	if !errors.Is(res.PublishErr, portal.ErrInvalid) {
 		t.Fatalf("PublishErr = %v, want portal.ErrInvalid", res.PublishErr)
 	}
-	if res.Published != 0 || res.RecordIDs != nil {
-		t.Fatalf("published=%d ids=%v after a rejected delivery", res.Published, res.RecordIDs)
+	if res.RecordIDs != nil {
+		t.Fatalf("ids=%v after a rejected delivery", res.RecordIDs)
 	}
 }

@@ -85,7 +85,7 @@ func SaveResult(path string, r *Result, includeEvents bool) error {
 		Trace:     r.Trace,
 		Best:      toSampleJSON(r.Best),
 		Metrics:   r.Metrics,
-		Published: r.Published,
+		Published: len(r.RecordIDs),
 		Plates:    r.Plates,
 	}
 	for _, s := range r.Samples {
@@ -104,7 +104,9 @@ func SaveResult(path string, r *Result, includeEvents bool) error {
 	return nil
 }
 
-// LoadResult reads a result previously written by SaveResult.
+// LoadResult reads a result previously written by SaveResult. The file
+// records how many records were published but not their IDs, so the loaded
+// Result has no RecordIDs.
 func LoadResult(path string) (*Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -137,14 +139,13 @@ func LoadResult(path string) (*Result, error) {
 			WellVolume:   rf.Config.WellVolume,
 			DeckMode:     rf.Config.DeckMode,
 		},
-		Start:     rf.Start,
-		End:       rf.End,
-		Trace:     rf.Trace,
-		Best:      fromSampleJSON(rf.Best),
-		Metrics:   rf.Metrics,
-		Published: rf.Published,
-		Plates:    rf.Plates,
-		Events:    rf.Events,
+		Start:   rf.Start,
+		End:     rf.End,
+		Trace:   rf.Trace,
+		Best:    fromSampleJSON(rf.Best),
+		Metrics: rf.Metrics,
+		Plates:  rf.Plates,
+		Events:  rf.Events,
 	}
 	for _, s := range rf.Samples {
 		r.Samples = append(r.Samples, fromSampleJSON(s))

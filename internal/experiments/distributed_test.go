@@ -45,8 +45,8 @@ func TestFullExperimentOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) != 16 || res.Published != 2 {
-		t.Fatalf("samples=%d published=%d", len(res.Samples), res.Published)
+	if len(res.Samples) != 16 || len(res.RecordIDs) != 2 {
+		t.Fatalf("samples=%d published=%d", len(res.Samples), len(res.RecordIDs))
 	}
 
 	// The records, including the plate image, survived two HTTP hops.

@@ -96,9 +96,6 @@ type ChurnPoolOptions struct {
 	// virtual-clock campaigns down to something a churn schedule's real-time
 	// kills can land inside. Zero for full speed.
 	ActDelay time.Duration
-	// Chaos, when enabled, wraps every cell's handler in probabilistic
-	// misbehavior (wei.ChaosMiddleware); each cell derives its own seed.
-	Chaos wei.ChaosPlan
 }
 
 // NewChurnPool starts the pool's servers. Callers own Close.
@@ -128,10 +125,6 @@ func (p *ChurnPool) startCell(i int) (*churnCell, error) {
 	})
 	c := &churnCell{ws: ws, actDelay: p.opts.ActDelay}
 	inner := ws.Handler()
-	if plan := p.opts.Chaos; plan.Enabled() {
-		plan.Seed = plan.Seed + int64(i)
-		inner = wei.ChaosMiddleware(plan, inner)
-	}
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if c.down.Load() {
 			panic(http.ErrAbortHandler)

@@ -45,8 +45,8 @@
 // When a cell faults (open failure, transport death mid-campaign, sick-cell
 // retirement) the registry starts a health prober: periodic wei-client
 // /healthz checks with a per-probe timeout, exponential backoff capped at
-// MaxProbeInterval, and jitter so a fleet of probers never synchronizes
-// against a recovering server. RegistryOptions.SuspectProbes failures
+// 30s, and jitter so a fleet of probers never synchronizes against a
+// recovering server. RegistryOptions.SuspectProbes failures
 // demote suspect to down; once a probe answers, the member needs
 // ProbationProbes consecutive successes to be re-admitted, so one lucky
 // packet cannot flap the pool. A member down longer than MaxDowntime is

@@ -281,8 +281,8 @@ func TestRunPublishesFleetSummary(t *testing.T) {
 	}
 	for i, cr := range res.Campaigns {
 		// 8 samples at batch 4 = 2 iterations = 2 published records each.
-		if cr.Result.Published != 2 {
-			t.Errorf("campaign %d published = %d, want 2", i, cr.Result.Published)
+		if n := len(cr.Result.RecordIDs); n != 2 {
+			t.Errorf("campaign %d published = %d, want 2", i, n)
 		}
 	}
 	recs := store.Search(portal.Query{Experiment: "fleet"})

@@ -81,14 +81,15 @@ type MemberInfo struct {
 	LastErr    string           `json:"last_error,omitempty"`
 }
 
+// maxProbeInterval caps the prober's exponential backoff.
+const maxProbeInterval = 30 * time.Second
+
 // RegistryOptions tune the health prober and join behavior.
 type RegistryOptions struct {
 	// ProbeInterval is the base interval between probes of a suspect cell
 	// (default 1s). Each probe is jittered around the current interval so a
 	// fleet of probers never synchronizes against a recovering server.
 	ProbeInterval time.Duration
-	// MaxProbeInterval caps the exponential backoff (default 30s).
-	MaxProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round-trip (default
 	// wei.DefaultControlTimeout).
 	ProbeTimeout time.Duration
@@ -117,9 +118,6 @@ type RegistryOptions struct {
 func (o *RegistryOptions) fill() {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
-	}
-	if o.MaxProbeInterval <= 0 {
-		o.MaxProbeInterval = 30 * time.Second
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = wei.DefaultControlTimeout
@@ -571,8 +569,8 @@ func (r *Registry) probeLoop(m *member) {
 				m.state = StateDown
 				r.logf("fleet: cell %s down after %d failed probes: %v", m.name, failures, err)
 			}
-			if interval *= 2; interval > r.opts.MaxProbeInterval {
-				interval = r.opts.MaxProbeInterval
+			if interval *= 2; interval > maxProbeInterval {
+				interval = maxProbeInterval
 			}
 			if time.Since(downSince) > r.opts.MaxDowntime {
 				r.removeLocked(m, fmt.Errorf("fleet: cell %s unreachable for %v (last: %w)",

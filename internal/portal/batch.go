@@ -1,9 +1,6 @@
 package portal
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Buffer queues records in memory and forwards them to its destination in
 // one Deliver call — one store lock acquisition, or one HTTP round-trip for
@@ -27,11 +24,12 @@ func NewBuffer(dest Ingestor) *Buffer {
 }
 
 // Add queues recs for the next Deliver. It rejects the call with ErrInvalid,
-// queueing none of recs, if any record lacks an experiment name.
+// queueing none of recs, if any record lacks an experiment name or carries
+// an ID (the destination assigns IDs).
 func (b *Buffer) Add(recs ...Record) error {
 	for i, rec := range recs {
-		if rec.Experiment == "" {
-			return fmt.Errorf("%w: record %d missing experiment name", ErrInvalid, i)
+		if err := checkNew(i, rec); err != nil {
+			return err
 		}
 	}
 	b.box.push(recs...)

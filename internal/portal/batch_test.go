@@ -12,6 +12,14 @@ import (
 	"time"
 )
 
+// buffered reports how many records buf holds: the frozen in-flight batch
+// plus the queue behind it.
+func buffered(buf *Buffer) int {
+	buf.box.mu.Lock()
+	defer buf.box.mu.Unlock()
+	return len(buf.box.frozen) + len(buf.box.queue)
+}
+
 func TestIngestBatchAssignsIDs(t *testing.T) {
 	s := NewStore()
 	recs := diskRecords(4)
@@ -43,11 +51,12 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 		t.Fatalf("partial batch ingested: Len = %d", s.Len())
 	}
 
-	// Duplicate IDs inside one batch are rejected too.
-	dup := diskRecords(2)
-	dup[0].ID, dup[1].ID = "same", "same"
-	if _, err := s.IngestBatchKeyed("", dup); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("intra-batch duplicate accepted: %v", err)
+	// So is a batch with a record carrying an ID, even the very ID the
+	// store would have assigned it.
+	supplied := diskRecords(2)
+	supplied[1].ID = "rec-000002"
+	if _, err := s.IngestBatchKeyed("", supplied); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("batch with a supplied id: %v, want ErrInvalid", err)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("partial batch ingested: Len = %d", s.Len())
@@ -88,8 +97,8 @@ func TestBufferFlushRetriesAfterTransientFailure(t *testing.T) {
 	if err != nil || len(ids) != 3 {
 		t.Fatalf("retried flush: %v, %v", ids, err)
 	}
-	if f, q := buf.box.push(); s.Len() != 3 || f+q != 0 {
-		t.Fatalf("after retry: store=%d buffer=%d", s.Len(), f+q)
+	if n := buffered(buf); s.Len() != 3 || n != 0 {
+		t.Fatalf("after retry: store=%d buffer=%d", s.Len(), n)
 	}
 }
 
@@ -264,7 +273,7 @@ func TestKeyMemoryEvictsOldestPastCap(t *testing.T) {
 		t.Fatalf("evicted key still answered: store=%d hub=%d, want %d", s.Len(), h.LastSeq(), n+1)
 	}
 	checkOrder(key(2))
-	s.batches.put(key(5), nil)
+	s.batches.put(key(5), slotSpan{})
 	h.keys.put(key(5), "")
 	checkOrder(key(2))
 }
@@ -302,8 +311,8 @@ func TestBufferQueuesNewRecordsDuringRetry(t *testing.T) {
 	for i := 3; i < 5; i++ {
 		buf.Add(Record{Experiment: "q", Run: i, Time: t0.Add(time.Duration(i) * time.Minute)})
 	}
-	if f, q := buf.box.push(); f+q != 5 {
-		t.Fatalf("buffer Len = %d, want 5", f+q)
+	if n := buffered(buf); n != 5 {
+		t.Fatalf("buffer Len = %d, want 5", n)
 	}
 	ids, err := buf.box.flush()
 	if err != nil || len(ids) != 5 {
@@ -346,15 +355,15 @@ func TestBufferFlushesOnce(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("buffer leaked records before flush")
 	}
-	if f, q := buf.box.push(); f+q != 5 {
-		t.Fatalf("buffer Len = %d", f+q)
+	if n := buffered(buf); n != 5 {
+		t.Fatalf("buffer Len = %d", n)
 	}
 	ids, err := buf.box.flush()
 	if err != nil || len(ids) != 5 {
 		t.Fatalf("flush: %v, %v", ids, err)
 	}
-	if f, q := buf.box.push(); s.Len() != 5 || f+q != 0 {
-		t.Fatalf("after flush: store=%d buffer=%d", s.Len(), f+q)
+	if n := buffered(buf); s.Len() != 5 || n != 0 {
+		t.Fatalf("after flush: store=%d buffer=%d", s.Len(), n)
 	}
 	// Empty re-flush is a no-op.
 	if ids, err := buf.box.flush(); err != nil || ids != nil {
@@ -365,15 +374,20 @@ func TestBufferFlushesOnce(t *testing.T) {
 func TestBufferRetainsRecordsOnFailedFlush(t *testing.T) {
 	s := NewStore()
 	buf := NewBuffer(s)
-	buf.Add(Record{Experiment: "ok", Time: time.Now()})
-	buf.Add(Record{ID: "dup", Experiment: "ok", Time: time.Now()})
-	buf.Add(Record{ID: "dup", Experiment: "ok", Time: time.Now()})
+	for i := 0; i < 3; i++ {
+		if err := buf.Add(Record{Experiment: "ok", Time: time.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := buf.box.flush(); err == nil {
-		t.Fatal("flush of duplicate ids succeeded")
+		t.Fatal("flush into a closed store succeeded")
 	}
 	// Nothing was lost: the records are still buffered for a retry.
-	if f, q := buf.box.push(); f+q != 3 {
-		t.Fatalf("buffer Len after failed flush = %d", f+q)
+	if n := buffered(buf); n != 3 {
+		t.Fatalf("buffer Len after failed flush = %d", n)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("failed flush partially ingested: %d", s.Len())
@@ -394,57 +408,81 @@ func TestBufferAddRejectsRecordWithoutExperiment(t *testing.T) {
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Add = %v, want ErrInvalid", err)
 	}
-	if f, q := buf.box.push(); f+q != 0 {
-		t.Fatalf("rejected Add queued %d records", f+q)
+	if n := buffered(buf); n != 0 {
+		t.Fatalf("rejected Add queued %d records", n)
 	}
 	if ids, err := buf.Deliver(context.Background()); err != nil || ids != nil || s.Len() != 0 {
 		t.Fatalf("Deliver = %v, %v; store has %d records, want none", ids, err, s.Len())
 	}
 }
 
-// TestAutoIDSkipsClaimedSequenceNumbers: a caller-supplied ID shaped like
-// the generator's output (any client can POST one) must not wedge auto-ID
-// ingestion — a rejected collision would never commit the sequence, so
-// every retry would regenerate the same colliding ID until restart.
+// TestAutoIDSkipsClaimedSequenceNumbers: a client cannot claim a sequence
+// number by supplying an ID shaped like the generator's output (any client
+// can POST one), because every ID is a record's position and the store
+// rejects supplied ones. So the rejection leaves the sequence untouched and
+// auto-ID ingestion, in single records and batches alike, goes on
+// numbering from where it was.
 func TestAutoIDSkipsClaimedSequenceNumbers(t *testing.T) {
 	s := NewStore()
 	now := time.Now()
-	if _, err := ingestOne(s, Record{ID: "rec-000001", Experiment: "squat", Time: now}); err != nil {
-		t.Fatal(err)
+	if _, err := ingestOne(s, Record{ID: "rec-000001", Experiment: "squat", Time: now}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("claimed sequence id: %v, want ErrInvalid", err)
 	}
 	id, err := ingestOne(s, Record{Experiment: "auto", Time: now})
-	if err != nil {
-		t.Fatalf("auto-ID ingest wedged by claimed sequence ID: %v", err)
+	if err != nil || id != "rec-000001" {
+		t.Fatalf("first auto id = %q, %v; want rec-000001", id, err)
 	}
-	if id == "rec-000001" {
-		t.Fatalf("assigned already-claimed id %s", id)
-	}
-	// The skip also holds within one batch: an explicit ID earlier in the
-	// batch must not collide with a later auto-ID record.
-	ids, err := s.IngestBatchKeyed("", []Record{
+	if _, err := s.IngestBatchKeyed("", []Record{
+		{Experiment: "auto", Time: now},
 		{ID: "rec-000003", Experiment: "squat", Time: now},
-		{Experiment: "auto", Time: now},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("batch claiming a later sequence id: %v, want ErrInvalid", err)
 	}
-	if ids[1] == "rec-000003" {
-		t.Fatalf("batch auto-ID collided: %v", ids)
+	ids, err := s.IngestBatchKeyed("", []Record{{Experiment: "auto", Time: now}, {Experiment: "auto", Time: now}})
+	if err != nil || strings.Join(ids, ",") != "rec-000002,rec-000003" {
+		t.Fatalf("batch ids = %v, %v; want rec-000002,rec-000003", ids, err)
 	}
-	// ...in either order: the explicit IDs are claimed before any auto ID
-	// is assigned, so an auto record ahead of the explicit one in the same
-	// batch must also skip it.
-	ids, err = s.IngestBatchKeyed("", []Record{
-		{Experiment: "auto", Time: now},
-		{ID: "rec-000005", Experiment: "squat", Time: now},
-	})
-	if err != nil {
-		t.Fatalf("auto-before-explicit batch rejected: %v", err)
+	for slot, id := range append([]string{"rec-000001"}, ids...) {
+		if got, err := s.Get(id); err != nil || got.ID != id || got.Experiment != "auto" {
+			t.Fatalf("Get(%s) = %+v, %v; want the auto record in slot %d", id, got, err, slot)
+		}
 	}
-	if ids[0] == "rec-000005" {
-		t.Fatalf("batch auto-ID collided with later explicit ID: %v", ids)
-	}
-	if s.Len() != 6 {
+	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
+	}
+}
+
+// TestSuppliedIDRejected: the store alone assigns IDs, so a record that
+// arrives carrying one is refused as ErrInvalid wherever it enters — the
+// Buffer, the Store and POST /ingest/batch (HTTP 400) — and nothing is
+// stored.
+func TestSuppliedIDRejected(t *testing.T) {
+	s := NewStore()
+	supplied := []Record{{Experiment: "ok", Time: time.Now()}, {ID: "mine", Experiment: "ok", Time: time.Now()}}
+	buf := NewBuffer(s)
+	if err := buf.Add(supplied...); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Buffer.Add = %v, want ErrInvalid", err)
+	}
+	if n := buffered(buf); n != 0 {
+		t.Fatalf("rejected Add queued %d records", n)
+	}
+	if ids, err := s.IngestBatchKeyed("k-1", supplied); !errors.Is(err, ErrInvalid) || ids != nil {
+		t.Fatalf("IngestBatchKeyed = %v, %v; want ErrInvalid", ids, err)
+	}
+	srv := httptest.NewServer(Serve(s))
+	defer srv.Close()
+	body := `[{"experiment":"ok"},{"id":"rec-000002","experiment":"ok"}]`
+	if code := postParts(t, srv.URL+"/ingest/batch", "k-2", rawPart{"records", body}); code != http.StatusBadRequest {
+		t.Fatalf("POST with a supplied id = HTTP %d, want 400", code)
+	}
+	if s.Len() != 0 || len(s.Experiments()) != 0 {
+		t.Fatalf("store holds %d records after rejected submissions", s.Len())
+	}
+	// Neither rejected key was remembered: the store is exactly as new.
+	if _, ok := s.batches.get("k-1"); ok {
+		t.Fatal("rejected batch's key remembered")
+	}
+	if _, ok := s.batches.get("k-2"); ok {
+		t.Fatal("rejected POST's key remembered")
 	}
 }

@@ -100,7 +100,7 @@ func (s *Store) maybeCompact() {
 // unreferenced blobs up to the blobW watermark.
 func compactFiles(dir string, prev, upTo, blobW, activeSeg int, activeLen int64) error {
 	segDir := filepath.Join(dir, segmentDirName)
-	// The header's watermarks must cover exactly the snapshot's contents:
+	// The header's blob watermark must cover exactly the snapshot's contents:
 	// carry the previous header forward and scan only the raw segments.
 	var recs []*segRecord
 	head := snapHeader{Snap: true}
@@ -117,7 +117,7 @@ func compactFiles(dir string, prev, upTo, blobW, activeSeg int, activeLen int64)
 			return fmt.Errorf("portal: compact: corrupt snapshot %s: %v",
 				filepath.Base(snapPath(dir, prev)), err)
 		}
-		head.Seq, head.Blob = prevHead.Seq, prevHead.Blob
+		head.Blob = prevHead.Blob
 		for ri := range prevRecs {
 			sr := &prevRecs[ri]
 			for _, ref := range sr.Blobs {
@@ -148,9 +148,6 @@ func compactFiles(dir string, prev, upTo, blobW, activeSeg int, activeLen int64)
 				if n, ok := numberedFile(ref.File, "b-", ".bin"); ok && n > head.Blob {
 					head.Blob = n
 				}
-			}
-			if n, ok := recSeq(sr.ID); ok && n > head.Seq {
-				head.Seq = n
 			}
 			recs = append(recs, sr)
 		}

@@ -2,7 +2,6 @@ package portal
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -342,15 +341,16 @@ func TestBatchClientScalesTimeout(t *testing.T) {
 	}
 }
 
-// TestHTTPClientEscapesPathSegments: experiment names and record IDs are
-// free text, so the client escapes them into the URL path; unescaped, "#"
-// and "?" would cut the path short and the request would miss.
+// TestHTTPClientEscapesPathSegments: experiment names and the IDs a caller
+// asks for are free text, so the client escapes them into the URL path;
+// unescaped, "#" and "?" would cut the path short and the request would
+// miss — or, for an ID, hit the record the truncated path names.
 func TestHTTPClientEscapesPathSegments(t *testing.T) {
 	c, _ := newPortalFixture(t)
-	for i, name := range []string{"run #1?", "50% done", "a/b", "plain"} {
-		id := fmt.Sprintf("rec %s #%d?", name, i)
-		if _, err := ingestOne(c, Record{ID: id, Experiment: name, Run: 1, Time: time.Now(),
-			Fields: map[string]any{"samples": 2}, Files: map[string][]byte{"plate.png": []byte(name)}}); err != nil {
+	for _, name := range []string{"run #1?", "50% done", "a/b", "plain"} {
+		id, err := ingestOne(c, Record{Experiment: name, Run: 1, Time: time.Now(),
+			Fields: map[string]any{"samples": 2}, Files: map[string][]byte{"plate.png": []byte(name)}})
+		if err != nil {
 			t.Fatal(err)
 		}
 		sum, err := c.Summary(name)
@@ -360,6 +360,11 @@ func TestHTTPClientEscapesPathSegments(t *testing.T) {
 		got, err := c.Get(id)
 		if err != nil || got.ID != id || string(got.Files["plate.png"]) != name {
 			t.Fatalf("Get(%q) = %+v, %v", id, got, err)
+		}
+		for _, suffix := range []string{"#x", "?x", "/x"} {
+			if got, err := c.Get(id + suffix); err == nil {
+				t.Fatalf("Get(%q) = record %s, want a miss", id+suffix, got.ID)
+			}
 		}
 	}
 }

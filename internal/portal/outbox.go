@@ -43,9 +43,8 @@ type outbox[T any] struct {
 }
 
 // push queues items, counting those past maxPending or after close as
-// dropped, and returns the in-flight and queued sizes afterwards (so
-// pushing nothing just reports them).
-func (o *outbox[T]) push(items ...T) (inFlight, queued int) {
+// dropped, and returns the queue's length afterwards.
+func (o *outbox[T]) push(items ...T) (queued int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, it := range items {
@@ -55,7 +54,7 @@ func (o *outbox[T]) push(items ...T) (inFlight, queued int) {
 		}
 		o.queue = append(o.queue, it)
 	}
-	return len(o.frozen), len(o.queue)
+	return len(o.queue)
 }
 
 // close turns every later push into a drop.

@@ -64,8 +64,8 @@ func TestBufferDeliverStopsWhenCanceled(t *testing.T) {
 			if dest.calls != 1 {
 				t.Fatalf("destination called %d times, want 1", dest.calls)
 			}
-			if f, q := buf.box.push(); f+q != 3 || dest.Len() != 0 {
-				t.Fatalf("buffer=%d store=%d, want 3 buffered, 0 stored", f+q, dest.Len())
+			if n := buffered(buf); n != 3 || dest.Len() != 0 {
+				t.Fatalf("buffer=%d store=%d, want 3 buffered, 0 stored", n, dest.Len())
 			}
 		})
 	}

@@ -84,13 +84,12 @@ type segRecord struct {
 }
 
 // snapHeader is a compacted snapshot segment's header: the record count
-// (replay preallocates from it) and the ID/blob sequence watermarks (replay
-// skips the per-record watermark scan for covered records). Serialized in
-// the binary layout described in snapcodec.go.
+// (replay preallocates from it) and the blob-number watermark (replay skips
+// the per-record blob scan for covered records). Serialized in the binary
+// layout described in snapcodec.go.
 type snapHeader struct {
 	Snap  bool
 	Count int
-	Seq   int
 	Blob  int
 }
 
@@ -121,19 +120,6 @@ func numberedFile(base, prefix, suffix string) (int, bool) {
 	}
 	n, err := strconv.Atoi(mid)
 	if err != nil || n <= 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// recSeq parses a generated "rec-NNNNNN" ID for the auto-ID watermark.
-func recSeq(id string) (int, bool) {
-	rest, ok := strings.CutPrefix(id, "rec-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
 		return 0, false
 	}
 	return n, true
@@ -172,12 +158,11 @@ func OpenStoreWith(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, watermarks, err := replayArchive(dir, snapN, paths, replayPool)
+	s, blobW, err := replayArchive(dir, snapN, paths, replayPool)
 	if err != nil {
 		return nil, err
 	}
-	s.dir, s.blob, s.compacted = dir, watermarks.blob, snapN
-	s.seq = watermarks.seq
+	s.dir, s.blob, s.compacted = dir, blobW, snapN
 	s.log = log
 	s.autoCompact = opts.AutoCompactSegments
 	opened = true
@@ -188,8 +173,8 @@ func OpenStoreWith(dir string, opts Options) (*Store, error) {
 // returns the newest snapshot number (0 if none). Removed: stale *.tmp
 // stages, older snapshots superseded by the newest one, and segments the
 // newest snapshot already covers (a crash between rename and cleanup leaves
-// both; replaying both would abort on duplicate IDs). The caller holds the
-// directory's lock.
+// both; replaying both would abort on IDs that are not their position). The
+// caller holds the directory's lock.
 func sweepSegmentDir(segDir string) (snapN int, err error) {
 	names, err := filepath.Glob(filepath.Join(segDir, "*"))
 	if err != nil {
@@ -337,80 +322,70 @@ func decodeOneChunk(c decodeChunk) chunkResult {
 	return res
 }
 
-// replayWatermarks carries the sequence counters recovered during replay.
-type replayWatermarks struct {
-	seq  int
-	blob int
-}
-
 // replayArchive decodes the snapshot (binary, chunk-parallel) and the tail
 // segments (JSONL, chunk-parallel) and builds a store with bulk-constructed
 // indexes: one (time, slot) sort over all records instead of a per-record
 // sorted insert, with per-experiment indexes derived from the global order
-// in one pass. Snapshot records skip the per-record watermark scan — their
-// header carries the covered watermarks.
-func replayArchive(dir string, snapN int, paths []string, workers int) (*Store, replayWatermarks, error) {
+// in one pass. Every record's ID must be its position in the archive. It
+// also returns the blob watermark: snapshot records skip the per-record
+// blob scan, as their header carries it.
+func replayArchive(dir string, snapN int, paths []string, workers int) (*Store, int, error) {
 	s := NewStore()
-	var marks replayWatermarks
+	blobW := 0
 	var snapRecs []segRecord
 	if snapN > 0 {
 		data, err := os.ReadFile(snapPath(dir, snapN))
 		if err != nil {
-			return nil, marks, fmt.Errorf("portal: replay snapshot: %w", err)
+			return nil, 0, fmt.Errorf("portal: replay snapshot: %w", err)
 		}
 		head, recs, err := snapDecode(data, workers)
 		if err != nil {
 			// A snapshot is published whole by an atomic rename; damage here
 			// is corruption, never a torn write.
-			return nil, marks, fmt.Errorf("portal: corrupt snapshot %s: %v",
+			return nil, 0, fmt.Errorf("portal: corrupt snapshot %s: %v",
 				filepath.Base(snapPath(dir, snapN)), err)
 		}
-		marks.seq, marks.blob = head.Seq, head.Blob
+		blobW = head.Blob
 		snapRecs = recs
 	}
 	decs, err := decodeSegmentFiles(paths, workers)
 	if err != nil {
-		return nil, marks, err
+		return nil, 0, err
 	}
 	total := len(snapRecs)
 	for _, fd := range decs {
 		total += len(fd.recs)
 	}
 	entries := make([]entry, 0, total)
-	ids := make(map[string]int, total)
 	var lastBatch string
-	addRec := func(sr *segRecord, file string, scanMarks bool) error {
-		if _, dup := ids[sr.ID]; dup {
-			return fmt.Errorf("portal: duplicate record id %q in %s", sr.ID, file)
-		}
+	addRec := func(sr *segRecord, file string, scanBlobs bool) error {
 		slot := len(entries)
-		ids[sr.ID] = slot
+		if sr.ID != recordID(slot) {
+			return fmt.Errorf("portal: record id %q in %s is not its position %s",
+				sr.ID, file, recordID(slot))
+		}
 		rec := Record{ID: sr.ID, Experiment: sr.Experiment, Run: sr.Run, Time: sr.Time, Fields: sr.Fields}
 		if len(sr.Blobs) > 0 {
 			rec.sizes = make(map[string]int, len(sr.Blobs))
 			for bname, ref := range sr.Blobs {
 				rec.sizes[bname] = ref.Size
-				if scanMarks {
-					if n, ok := numberedFile(ref.File, "b-", ".bin"); ok && n > marks.blob {
-						marks.blob = n
+				if scanBlobs {
+					if n, ok := numberedFile(ref.File, "b-", ".bin"); ok && n > blobW {
+						blobW = n
 					}
 				}
-			}
-		}
-		if scanMarks {
-			if n, ok := recSeq(sr.ID); ok && n > marks.seq {
-				marks.seq = n
 			}
 		}
 		entries = append(entries, entry{rec: rec, blobs: sr.Blobs})
 		// Rebuild the idempotency-key memory from contiguous key runs (the
 		// latest run of a key wins, matching the in-memory FIFO).
 		if sr.Batch != "" {
-			ids, _ := s.batches.get(sr.Batch)
-			if sr.Batch != lastBatch {
-				ids = nil
+			span := slotSpan{first: slot}
+			if sr.Batch == lastBatch {
+				span, _ = s.batches.get(sr.Batch)
 			}
-			s.batches.put(sr.Batch, append(ids, sr.ID))
+			span.n++
+			s.batches.put(sr.Batch, span)
 		}
 		lastBatch = sr.Batch
 		return nil
@@ -421,18 +396,18 @@ func replayArchive(dir string, snapN int, paths []string, workers int) (*Store, 
 	}
 	for ri := range snapRecs {
 		if err := addRec(&snapRecs[ri], snapBase, false); err != nil {
-			return nil, marks, err
+			return nil, 0, err
 		}
 	}
 	for fi := range decs {
 		fd := &decs[fi]
 		if fd.bad {
-			return nil, marks, fmt.Errorf("portal: corrupt record in %s at offset %d",
+			return nil, 0, fmt.Errorf("portal: corrupt record in %s at offset %d",
 				filepath.Base(fd.path), fd.badOff)
 		}
 		for ri := range fd.recs {
 			if err := addRec(&fd.recs[ri], filepath.Base(fd.path), true); err != nil {
-				return nil, marks, err
+				return nil, 0, err
 			}
 		}
 	}
@@ -452,10 +427,7 @@ func replayArchive(dir string, snapN int, paths []string, workers int) (*Store, 
 		sn.byExp[exp] = append(sn.byExp[exp], slot)
 	}
 	s.snap.Store(sn)
-	for id, slot := range ids {
-		s.byID.Store(id, slot)
-	}
-	return s, marks, nil
+	return s, blobW, nil
 }
 
 // writeBlobs persists one record's attachments, returning their references.
@@ -529,20 +501,21 @@ func readBlobs(dir string, refs map[string]blobRef) (map[string][]byte, error) {
 	return files, nil
 }
 
-// encodeRecords renders a batch as segment lines. Every line is encoded
-// before any byte reaches the log, so an unmarshalable record (say a NaN
-// field value) rejects the batch without touching it.
-func encodeRecords(recs []Record, blobs []map[string]blobRef, batchKey string) ([]byte, error) {
+// encodeRecords renders a batch bound for the slots from first on as segment
+// lines. Every line is encoded before any byte reaches the log, so an
+// unmarshalable record (say a NaN field value) rejects the batch without
+// touching it.
+func encodeRecords(recs []Record, first int, blobs []map[string]blobRef, batchKey string) ([]byte, error) {
 	var batch []byte
 	for i, rec := range recs {
-		sr := segRecord{ID: rec.ID, Experiment: rec.Experiment, Run: rec.Run, Time: rec.Time,
+		sr := segRecord{ID: recordID(first + i), Experiment: rec.Experiment, Run: rec.Run, Time: rec.Time,
 			Fields: rec.Fields, Blobs: blobs[i], Batch: batchKey}
 		line, err := json.Marshal(sr)
 		if err != nil {
 			// The record itself is unencodable (a NaN field, say): that is
 			// the submitter's ErrInvalid, not a store fault — retrying or
 			// resending the identical batch can never succeed.
-			return nil, fmt.Errorf("%w: encode record %s: %v", ErrInvalid, rec.ID, err)
+			return nil, fmt.Errorf("%w: encode record %s: %v", ErrInvalid, sr.ID, err)
 		}
 		batch = append(batch, line...)
 		batch = append(batch, '\n')

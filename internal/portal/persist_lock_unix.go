@@ -11,8 +11,8 @@ import (
 
 // lockDataDir takes an exclusive advisory flock on <dir>/LOCK, failing
 // fast if another live process owns the data dir: two writers would
-// interleave appends with independent seq counters and brick the archive
-// with duplicate record IDs on the next replay. The kernel drops the lock
+// interleave appends with independent slot counts and brick the archive
+// with records whose IDs are not their positions on the next replay. The kernel drops the lock
 // when the process dies, so a crash never leaves a stale lock behind.
 func lockDataDir(dir string) (release func(), err error) {
 	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)

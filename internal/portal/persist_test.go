@@ -275,6 +275,39 @@ func TestReplayRejectsMidLogCorruption(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsNonPositionalID: a record's ID is its position in the
+// archive, so a segment line carrying any other ID — a duplicate, a skipped
+// number or a name the store never assigns — is corruption, and
+// OpenStoreWith refuses the archive with an error naming the file.
+func TestReplayRejectsNonPositionalID(t *testing.T) {
+	for _, id := range []string{"rec-000001", "rec-000007", "mine"} {
+		t.Run(id, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.IngestBatchKeyed("", diskRecords(3)); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			seg := lastSegment(t, dir)
+			data, _ := os.ReadFile(seg)
+			edited := strings.Replace(string(data), `"id":"rec-000002"`, `"id":"`+id+`"`, 1)
+			if edited == string(data) {
+				t.Fatal("segment holds no rec-000002 line")
+			}
+			if err := os.WriteFile(seg, []byte(edited), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = OpenStoreWith(dir, Options{})
+			if err == nil || !strings.Contains(err.Error(), filepath.Base(seg)) {
+				t.Fatalf("OpenStoreWith = %v, want an error naming %s", err, filepath.Base(seg))
+			}
+		})
+	}
+}
+
 // TestSegmentRotation shrinks the rotation threshold so a small workload
 // spans several segment files, and checks replay stitches them back.
 func TestSegmentRotation(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,9 +63,9 @@ type Ingestor interface {
 var ErrNotFound = errors.New("portal: record not found")
 
 // ErrInvalid reports a rejected record: the submission itself was bad
-// (missing experiment name, duplicate ID), as opposed to a store-side
-// failure. The HTTP server maps it to 400 so clients can tell a hopeless
-// resubmission from a retryable server fault.
+// (missing experiment name, or an ID of its own), as opposed to a
+// store-side failure. The HTTP server maps it to 400 so clients can tell a
+// hopeless resubmission from a retryable server fault.
 var ErrInvalid = errors.New("portal: invalid record")
 
 // entry is one stored record plus, for disk-backed stores, the blob
@@ -207,11 +208,6 @@ func (m *keyMemory[V]) put(key string, v V) {
 type Store struct {
 	wmu  sync.Mutex // serializes writers; the read path never takes it
 	snap atomic.Pointer[snapshot]
-	// byID maps record ID -> entry slot. Append-only: IDs are never
-	// reassigned, so a lock-free sync.Map serves both reader lookups and
-	// writer duplicate checks.
-	byID sync.Map
-	seq  int     // auto-ID watermark; -1 once the store is closed
 	log  *segLog // nil for the in-memory store
 	// dir is the data dir root of a disk-backed store ("" in memory); blob
 	// reads use it without any lock, refusing once closed is set.
@@ -222,15 +218,48 @@ type Store struct {
 	// it are compaction candidates. Both are guarded by wmu.
 	blob      int
 	compacted int
-	// batches remembers recently used idempotency keys and the IDs their
-	// batches committed with, so a retried batch is answered, not re-run.
-	batches keyMemory[[]string]
+	// batches remembers recently used idempotency keys and the slots their
+	// batches committed to, so a retried batch is answered, not re-run.
+	batches keyMemory[slotSpan]
 	// autoCompact, when positive, triggers background compaction once that
 	// many sealed segments accumulate past the last snapshot.
 	autoCompact   int
 	cmu           sync.Mutex // serializes compactions (and Close against them)
 	compactWG     sync.WaitGroup
 	compactQueued atomic.Bool
+}
+
+// recordID returns the ID of the record in slot. A record's ID is its
+// position: the store numbers records rec-000001, rec-000002, ... in ingest
+// order, so no index from IDs to slots is needed.
+func recordID(slot int) string {
+	return fmt.Sprintf("rec-%06d", slot+1)
+}
+
+// recordSlot returns the slot an ID names, or false if id is not one the
+// store could have assigned.
+func recordSlot(id string) (int, bool) {
+	rest, ok := strings.CutPrefix(id, "rec-")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(rest)
+	if err != nil || n < 1 || recordID(n-1) != id {
+		return 0, false
+	}
+	return n - 1, true
+}
+
+// slotSpan is the run of slots one batch committed to.
+type slotSpan struct{ first, n int }
+
+// ids returns the IDs of the span's records, in ingest order.
+func (sp slotSpan) ids() []string {
+	ids := make([]string, sp.n)
+	for i := range ids {
+		ids[i] = recordID(sp.first + i)
+	}
+	return ids
 }
 
 // NewStore returns an empty in-memory store.
@@ -253,72 +282,47 @@ func (s *Store) Close() error {
 	if s.log != nil {
 		err = s.log.close()
 		s.log = nil
-		s.closed.Store(true)
 	}
 	// Poison ingestion for both modes so the documented contract holds
 	// uniformly; for disk stores in particular, records after Close must
 	// not silently go memory-only. Reads keep working.
-	s.seq = -1
+	s.closed.Store(true)
 	return err
 }
 
 // IngestBatchKeyed implements Ingestor: validate every record, then accept
 // them all under one lock acquisition (and one segment-log flush for
-// disk-backed stores), assigning IDs where absent. On error no record is
-// ingested and the caller's records are untouched — in particular no
-// provisional IDs are assigned, so a Buffer retrying a failed batch
-// presents it again unchanged. A non-empty key already committed on this
-// store is answered with the original batch's IDs and ingests nothing, so
-// a publisher retrying after a lost response cannot double-ingest. Keys
-// ride the segment log, so the guarantee survives a restart.
+// disk-backed stores), assigning each its positional ID. A record that
+// arrives with an ID is rejected with ErrInvalid: the store alone assigns
+// IDs. On error no record is ingested and the caller's records are
+// untouched, so a Buffer retrying a failed batch presents it again
+// unchanged. A non-empty key already committed on this store is answered
+// with the original batch's IDs and ingests nothing, so a publisher
+// retrying after a lost response cannot double-ingest. Keys ride the
+// segment log, so the guarantee survives a restart.
 func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	// Work on a copy: ID assignment must not leak into the caller's slice
-	// until the batch is actually committed.
-	recs = append([]Record(nil), recs...)
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.seq < 0 {
+	if s.closed.Load() {
 		return nil, fmt.Errorf("portal: store is closed")
 	}
 	if key != "" {
-		if ids, ok := s.batches.get(key); ok {
-			return append([]string(nil), ids...), nil
+		if span, ok := s.batches.get(key); ok {
+			return span.ids(), nil
 		}
 	}
-	// Validate and assign IDs before touching any state, so a bad record
-	// anywhere in the batch rejects the whole batch cleanly. Caller-supplied
-	// IDs are all checked first: the generator must skip every claimed ID —
-	// including one later in this same batch — because rejecting a collision
-	// would not commit seq, so every retry would regenerate the same
-	// colliding ID and auto-ID ingest would be stuck until restart.
-	seq := s.seq
-	seen := make(map[string]bool, len(recs))
+	// Validate before touching any state, so a bad record anywhere in the
+	// batch rejects the whole batch cleanly.
 	for i := range recs {
-		if recs[i].Experiment == "" {
-			return nil, fmt.Errorf("%w: record %d missing experiment name", ErrInvalid, i)
-		}
-		if recs[i].ID == "" {
-			continue
-		}
-		if _, dup := s.byID.Load(recs[i].ID); dup || seen[recs[i].ID] {
-			return nil, fmt.Errorf("%w: duplicate record id %q", ErrInvalid, recs[i].ID)
-		}
-		seen[recs[i].ID] = true
-	}
-	for i := range recs {
-		for recs[i].ID == "" {
-			seq++
-			if id := fmt.Sprintf("rec-%06d", seq); !seen[id] {
-				if _, dup := s.byID.Load(id); !dup {
-					recs[i].ID = id
-					seen[id] = true
-				}
-			}
+		if err := checkNew(i, recs[i]); err != nil {
+			return nil, err
 		}
 	}
+	old := s.snap.Load()
+	span := slotSpan{first: len(old.entries), n: len(recs)}
 	blobs := make([]map[string]blobRef, len(recs))
 	if s.log != nil {
 		// A poisoned log refuses the batch before any blob I/O: retrying
@@ -347,7 +351,7 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 		}
 		// The whole chain — blob bytes, blob names, segment line, segment
 		// name — is on disk once append's fsync commits the batch.
-		batch, err := encodeRecords(recs, blobs, key)
+		batch, err := encodeRecords(recs, span.first, blobs, key)
 		if err != nil {
 			return nil, err
 		}
@@ -355,12 +359,10 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 			return nil, err
 		}
 	}
-	s.seq = seq
 	added := make([]entry, len(recs))
-	ids := make([]string, len(recs))
 	for i := range recs {
-		ids[i] = recs[i].ID
 		rec := recs[i]
+		rec.ID = recordID(span.first + i)
 		if blobs[i] != nil {
 			// The log owns the attachment bytes now; keep only the sizes.
 			rec.sizes = make(map[string]int, len(blobs[i]))
@@ -371,37 +373,35 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 		}
 		added[i] = entry{rec: rec, blobs: blobs[i]}
 	}
-	// Publish the batch: the ID index first, then one atomic snapshot swap.
-	// A record a reader has seen in any snapshot is therefore gettable
-	// (its byID entry was stored before that snapshot was), and an ID
-	// whose snapshot is not out yet resolves to a slot beyond the reader's
-	// snapshot, which Get answers with ErrNotFound.
-	old := s.snap.Load()
-	base := len(old.entries)
-	for i := range recs {
-		s.byID.Store(recs[i].ID, base+i)
-	}
+	// Publish the batch with one atomic snapshot swap; until then its IDs
+	// name slots beyond every reader's snapshot, which Get answers with
+	// ErrNotFound.
 	s.snap.Store(old.with(added))
 	if key != "" {
-		s.batches.put(key, append([]string(nil), ids...))
+		s.batches.put(key, span)
 	}
 	s.maybeCompact()
-	return ids, nil
+	return span.ids(), nil
+}
+
+// checkNew rejects record i of a batch unless the store may accept it: it
+// needs an experiment name and must not carry an ID of its own.
+func checkNew(i int, rec Record) error {
+	if rec.Experiment == "" {
+		return fmt.Errorf("%w: record %d missing experiment name", ErrInvalid, i)
+	}
+	if rec.ID != "" {
+		return fmt.Errorf("%w: record %d carries id %q; the store assigns ids", ErrInvalid, i, rec.ID)
+	}
+	return nil
 }
 
 // Get returns the record with the given ID, loading its attachments from
 // blob storage for disk-backed stores.
 func (s *Store) Get(id string) (Record, error) {
-	// byID first, snapshot second: the writer publishes in the same order,
-	// so a record this reader has seen in a snapshot resolves here, and a
-	// slot not yet published is beyond the snapshot loaded below.
-	v, ok := s.byID.Load(id)
-	if !ok {
-		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
 	sn := s.snap.Load()
-	slot := v.(int)
-	if slot >= len(sn.entries) {
+	slot, ok := recordSlot(id)
+	if !ok || slot >= len(sn.entries) {
 		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	e := sn.entries[slot]

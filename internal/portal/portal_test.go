@@ -42,14 +42,17 @@ func TestIngestAssignsIDs(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	s := NewStore()
-	if _, err := ingestOne(s, Record{}); err == nil {
-		t.Fatal("empty record accepted")
+	if _, err := ingestOne(s, Record{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("empty record: %v, want ErrInvalid", err)
 	}
-	if _, err := ingestOne(s, Record{ID: "x", Experiment: "e"}); err != nil {
-		t.Fatal(err)
+	if _, err := ingestOne(s, Record{ID: "x", Experiment: "e"}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("record with a supplied id: %v, want ErrInvalid", err)
 	}
-	if _, err := ingestOne(s, Record{ID: "x", Experiment: "e"}); err == nil {
-		t.Fatal("duplicate id accepted")
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after rejected records", s.Len())
+	}
+	if id, err := ingestOne(s, Record{Experiment: "e"}); err != nil || id != "rec-000001" {
+		t.Fatalf("valid record = %q, %v; want rec-000001", id, err)
 	}
 }
 
@@ -60,8 +63,11 @@ func TestGet(t *testing.T) {
 	if err != nil || got.Run != 3 || got.Fields["k"] != "v" {
 		t.Fatalf("Get = %+v, %v", got, err)
 	}
-	if _, err := s.Get("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing get err = %v", err)
+	// Only the canonical spelling of an assigned position is an ID.
+	for _, bad := range []string{"nope", "rec-000002", "rec-1", "rec-000000", "rec-+00001", "rec--00001"} {
+		if _, err := s.Get(bad); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%q) err = %v, want ErrNotFound", bad, err)
+		}
 	}
 }
 

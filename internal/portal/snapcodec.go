@@ -22,7 +22,8 @@ import (
 //
 //	magic "CMSNAP1\n"
 //	uvarint count        total records
-//	uvarint seq          auto-ID watermark covering these records
+//	uvarint count        total records again: the ID watermark, which
+//	                     equals the count as a record's ID is its position
 //	uvarint blob         blob-number watermark covering these records
 //	uvarint chunks       number of record chunks
 //	per chunk: uvarint recs, uvarint bytes
@@ -161,7 +162,7 @@ func snapEncode(head snapHeader, recs []*segRecord) (header []byte, chunks [][]b
 	}
 	header = []byte(snapMagic)
 	header = binary.AppendUvarint(header, uint64(len(recs)))
-	header = binary.AppendUvarint(header, uint64(head.Seq))
+	header = binary.AppendUvarint(header, uint64(len(recs)))
 	header = binary.AppendUvarint(header, uint64(head.Blob))
 	header = binary.AppendUvarint(header, uint64(len(chunks)))
 	n := 0
@@ -328,7 +329,7 @@ func snapDecode(data []byte, workers int) (snapHeader, []segRecord, error) {
 	}
 	r := &snapReader{b: data, pos: len(snapMagic)}
 	head.Count = int(r.uvarint("record count"))
-	head.Seq = int(r.uvarint("seq watermark"))
+	r.uvarint("record count")
 	head.Blob = int(r.uvarint("blob watermark"))
 	nChunks := int(r.uvarint("chunk count"))
 	if r.err != nil {

@@ -107,7 +107,7 @@ func (p *EventPublisher) PublishEvents(evs []StreamEvent) (string, error) {
 			stamped[i].PubNanos = now
 		}
 	}
-	if _, queued := p.box.push(stamped...); queued >= p.opts.MaxBatch {
+	if p.box.push(stamped...) >= p.opts.MaxBatch {
 		select {
 		case p.wake <- struct{}{}:
 		default:
