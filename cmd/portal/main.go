@@ -25,7 +25,7 @@
 // Endpoints: POST /ingest/batch (the one record write, deduplicated by
 // its X-Idempotency-Key header), POST /events, GET /search (with cursor
 // pagination), GET /records/<id>, GET /experiments,
-// GET /experiments/<name>/summary, GET /watch (SSE or long-poll),
+// GET /experiments/<name>/summary, GET /watch (SSE),
 // GET /healthz. Records with their attachments (the ingest request and
 // the GET /records/<id> response) travel as one multipart/form-data
 // body: a "records" part holding the records' JSON, then one raw part per

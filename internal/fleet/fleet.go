@@ -93,9 +93,9 @@ type Options struct {
 	// EventSink, when set, streams every campaign's engine events as they
 	// happen — command_sent, step_end, gate_wait, … bracketed by
 	// campaign_start/campaign_end lifecycle markers — instead of records
-	// landing once at campaign end. Wire portal.NewEventPublisher(
-	// portal.NewClient(url), …) to feed a remote portal hub (cmd/fleet
-	// -stream), or a portal.Hub directly for in-process fan-out. Publishing
+	// landing once at campaign end. Wire a portal.EventPublisher in front
+	// of the hub's keyed write: portal.NewClient(url) for a remote portal
+	// (cmd/fleet -stream) or the portal.Hub itself in process. Publishing
 	// happens inside the campaign hot loop, so the sink must be
 	// non-blocking; the caller owns its lifecycle (Close after Run for the
 	// final, retried flush).

@@ -234,11 +234,10 @@ func TestStreamE2EPortalRestartMidStream(t *testing.T) {
 
 	// A background flush cadence long past the test keeps every fleet event
 	// queued in the publisher until Close — so the whole stream is still
-	// undelivered when the portal goes down, and Close's retries must carry
-	// it across the outage. Generous retry budget for exactly that.
+	// undelivered when the portal goes down, and Close's paced retries must
+	// carry it across the outage.
 	pub := portal.NewEventPublisher(client, portal.PublisherOptions{
 		MaxBatch: 1 << 20, FlushInterval: time.Hour,
-		CloseRetries: 200, CloseRetryDelay: 50 * time.Millisecond,
 	})
 	res, err := Run(context.Background(), quickCampaigns(3, 8), Options{Workcells: 2, Seed: 7, EventSink: pub})
 	if err != nil {
@@ -251,7 +250,7 @@ func TestStreamE2EPortalRestartMidStream(t *testing.T) {
 	// Give the pre-restart watcher something real to consume: one complete
 	// synthetic attempt published directly (the fleet's own events are all
 	// still held by the publisher).
-	if _, err := client.PublishEvents([]portal.StreamEvent{
+	if _, err := client.PublishEventsKeyed("", []portal.StreamEvent{
 		{Experiment: "probe", Campaign: "pre-restart", Kind: "campaign_start", SrcSeq: -1},
 		{Experiment: "probe", Campaign: "pre-restart", Kind: "campaign_end", SrcSeq: 0},
 	}); err != nil {
@@ -285,11 +284,11 @@ func TestStreamE2EPortalRestartMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain while the portal is DOWN: the first Close flushes hit a dead
+	// Drain while the portal is DOWN: Close's first flush hits a dead
 	// address and must retry until the reopened portal answers.
 	closeErr := make(chan error, 1)
 	go func() { closeErr <- pub.Close() }()
-	time.Sleep(150 * time.Millisecond) // let a few retries fail against the outage
+	time.Sleep(150 * time.Millisecond) // let the first attempt fail against the outage
 
 	// Reopen on the same address with the same data dir.
 	store2, hub2, err := open()

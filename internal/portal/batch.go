@@ -44,5 +44,5 @@ func (b *Buffer) Add(recs ...Record) error {
 // done. On error the records stay buffered, so a later Deliver loses
 // nothing and cannot ingest twice. Delivering an empty buffer is a no-op.
 func (b *Buffer) Deliver(ctx context.Context) ([]string, error) {
-	return b.box.deliver(ctx, deliverRetries, deliverPause)
+	return b.box.deliver(ctx)
 }

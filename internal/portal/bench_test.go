@@ -276,7 +276,7 @@ func TestWatchFanout(t *testing.T) {
 		for i := range evs {
 			evs[i] = StreamEvent{Experiment: "fanout", Kind: "bench", Time: time.Unix(0, stamp), SrcSeq: sent + i, PubNanos: stamp}
 		}
-		if _, err := client.PublishEvents(evs); err != nil {
+		if _, err := client.PublishEventsKeyed("", evs); err != nil {
 			t.Fatal(err)
 		}
 	}

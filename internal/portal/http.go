@@ -299,15 +299,18 @@ func (c *Client) batchClient(n int) *http.Client {
 // ingestError converts a non-200 ingest response into an error, carrying
 // the server's verdict back as ErrInvalid on exactly 400 — the portal's
 // only invalid-submission status — so publishers (errors.Is(err,
-// ErrInvalid)) do not burn retries on a hopeless resend. Other 4xx codes
-// (a proxy's 408/429, say) stay plain errors and remain retryable.
+// ErrInvalid)) do not burn retries on a hopeless resend. The server's own
+// ErrInvalid prefix is stripped from the body first, so the message names
+// it once. Other 4xx codes (a proxy's 408/429, say) stay plain errors and
+// remain retryable.
 func ingestError(op string, resp *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-	err := fmt.Errorf("portal: %s: HTTP %d: %s", op, resp.StatusCode, strings.TrimSpace(string(msg)))
-	if resp.StatusCode == http.StatusBadRequest {
-		err = fmt.Errorf("%w: %v", ErrInvalid, err)
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+	msg := strings.TrimSpace(string(raw))
+	if resp.StatusCode != http.StatusBadRequest {
+		return fmt.Errorf("portal: %s: HTTP %d: %s", op, resp.StatusCode, msg)
 	}
-	return err
+	msg = strings.TrimPrefix(msg, ErrInvalid.Error()+": ")
+	return fmt.Errorf("%w: %s: HTTP %d: %s", ErrInvalid, op, resp.StatusCode, msg)
 }
 
 // Summary fetches an experiment summary.

@@ -255,6 +255,33 @@ func TestIngestErrorClassification(t *testing.T) {
 	}
 }
 
+// TestInvalidSubmissionNamesErrInvalidOnce: a 400 from POST /ingest/batch
+// or POST /events comes back as ErrInvalid, and the message carries the
+// ErrInvalid text once even though the server's body already starts with it.
+func TestInvalidSubmissionNamesErrInvalidOnce(t *testing.T) {
+	hub, err := OpenHub(HubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	srv := httptest.NewServer(Serve(NewStore(), WithHub(hub)))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	_, batchErr := c.IngestBatchKeyed("k-1", []Record{{Experiment: ""}})
+	_, eventsErr := c.PublishEventsKeyed("k-2", []StreamEvent{{Kind: "step_end"}})
+	for op, err := range map[string]error{"ingest batch": batchErr, "publish events": eventsErr} {
+		if !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%s: err = %v, want ErrInvalid", op, err)
+		}
+		if n := strings.Count(err.Error(), ErrInvalid.Error()); n != 1 {
+			t.Fatalf("%s: %q names %q %d times, want once", op, err, ErrInvalid, n)
+		}
+		if !strings.Contains(err.Error(), op+": HTTP 400") {
+			t.Fatalf("%s: %q lacks the operation and status", op, err)
+		}
+	}
+}
+
 // TestHTTPRecordGetStatusCodes: a nonexistent record is a 404, but a
 // blob-load failure on a record the store does have is a 500 — the record
 // exists, the server just cannot serve it right now.

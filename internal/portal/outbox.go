@@ -106,16 +106,17 @@ func (o *outbox[T]) flush() ([]string, error) {
 	}
 }
 
-// deliver flushes, retrying a failure up to retries more times, pause
-// apart. It stops early on a rejected batch (ErrInvalid: resending is
-// hopeless) or once ctx is done, and returns the last flush's result.
-func (o *outbox[T]) deliver(ctx context.Context, retries int, pause time.Duration) ([]string, error) {
+// deliver flushes, retrying a failure up to deliverRetries more times,
+// deliverPause apart. It stops early on a rejected batch (ErrInvalid:
+// resending is hopeless) or once ctx is done, and returns the last flush's
+// result.
+func (o *outbox[T]) deliver(ctx context.Context) ([]string, error) {
 	ids, err := o.flush()
-	for ; retries > 0 && err != nil && !errors.Is(err, ErrInvalid) && ctx.Err() == nil; retries-- {
+	for retries := deliverRetries; retries > 0 && err != nil && !errors.Is(err, ErrInvalid) && ctx.Err() == nil; retries-- {
 		select {
 		case <-ctx.Done():
 			return nil, err
-		case <-time.After(pause):
+		case <-time.After(deliverPause):
 		}
 		ids, err = o.flush()
 	}

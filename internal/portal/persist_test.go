@@ -392,9 +392,9 @@ func TestDiskStoreConcurrentIngestAndSearch(t *testing.T) {
 // TestFailedAppendLeavesLogCommitted exercises the all-or-nothing guarantee
 // under a mid-batch encode failure: a NaN field value makes json.Marshal
 // fail partway through a batch. The rejected batch must leave no phantom
-// bytes in the log — the next auto-ID ingest reuses the failed batch's
-// sequence numbers, so a leaked line would collide on replay and brick the
-// data dir with a duplicate-ID error.
+// bytes in the log — the next ingest reuses the failed batch's slots, so a
+// leaked line would shift every later record on replay and brick the data
+// dir with an ID that is not its position.
 func TestFailedAppendLeavesLogCommitted(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)

@@ -72,21 +72,22 @@ type StreamEvent struct {
 	PubNanos int64 `json:"pub_nanos,omitempty"`
 }
 
-// EventSink receives live step events. Hub implements it directly (local
-// fan-out), Client implements it over HTTP (POST /events), and
-// EventPublisher implements it as a batching, retrying front for either.
-// The returned cursor addresses the position after the last published
-// event; sinks that acknowledge asynchronously (EventPublisher) return "".
+// EventSink is the producer's face of the stream: where the fleet hands
+// each live step event. EventPublisher is the portal's implementation; it
+// queues the events and ships them in keyed batches to a KeyedEventSink, so
+// the cursor it returns is always "" (acknowledgement is asynchronous).
 type EventSink interface {
 	PublishEvents(evs []StreamEvent) (cursor string, err error)
 }
 
-// KeyedEventSink is an EventSink whose publishes can carry an idempotency
-// key: a retried key is answered from dedupe memory instead of appending a
-// second copy, making publish-retry loops exactly-once downstream.
+// KeyedEventSink is the one way events enter a hub: Hub in process, Client
+// over POST /events. A batch retried under the key it already committed
+// with is answered from dedupe memory instead of appending a second copy,
+// making publish-retry loops exactly-once downstream; an empty key
+// disables dedupe for that batch. The returned cursor addresses the
+// position after the batch's last event.
 type KeyedEventSink interface {
-	EventSink
-	PublishEventsKeyed(key string, evs []StreamEvent) (string, error)
+	PublishEventsKeyed(key string, evs []StreamEvent) (cursor string, err error)
 }
 
 // Streaming errors. ErrSlowSubscriber and ErrStreamClosed terminate a
@@ -236,23 +237,12 @@ func (h *Hub) LastSeq() int64 {
 	return h.last
 }
 
-// Cursor returns the opaque cursor addressing the current end of the
-// stream: a subscription from it receives only events published later.
-func (h *Hub) Cursor() string {
-	return encodeStreamCursor(h.LastSeq())
-}
-
-// PublishEvents implements EventSink: it appends the batch to the stream
-// (durably when the hub has a Dir) and fans it out to every live
-// subscriber. The batch is ordered and atomic: its events get consecutive
-// sequence numbers with nothing interleaved.
-func (h *Hub) PublishEvents(evs []StreamEvent) (string, error) {
-	return h.PublishEventsKeyed("", evs)
-}
-
-// PublishEventsKeyed implements KeyedEventSink: a batch retried under the
-// key it already committed with is answered from dedupe memory — the
-// original cursor comes back and no event is appended twice.
+// PublishEventsKeyed implements KeyedEventSink: it appends the batch to
+// the stream (durably when the hub has a Dir) and fans it out to every
+// live subscriber. The batch is ordered and atomic: its events get
+// consecutive sequence numbers with nothing interleaved. A batch retried
+// under the key it already committed with is answered from dedupe memory —
+// the original cursor comes back and no event is appended twice.
 func (h *Hub) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) {
 	for i, ev := range evs {
 		if ev.Experiment == "" {
@@ -482,7 +472,7 @@ func (s *Subscriber) offer(batch []StreamEvent) bool {
 // eviction are still delivered first — the consumer's cursor stays exact,
 // so the reconnect resumes with no gap.
 func (s *Subscriber) Next(ctx context.Context) (StreamEvent, error) {
-	if ev, ok, err := s.TryNext(); ok || err != nil {
+	if ev, ok, err := s.tryNext(); ok || err != nil {
 		return ev, err
 	}
 	select {
@@ -503,10 +493,10 @@ func (s *Subscriber) Next(ctx context.Context) (StreamEvent, error) {
 	}
 }
 
-// TryNext is the non-blocking Next: ok reports whether an event was
+// tryNext is the non-blocking Next: ok reports whether an event was
 // available. err is non-nil only when the subscription has terminated and
 // every buffered event has been drained.
-func (s *Subscriber) TryNext() (StreamEvent, bool, error) {
+func (s *Subscriber) tryNext() (StreamEvent, bool, error) {
 	if len(s.pending) > 0 {
 		ev := s.pending[0]
 		s.pending = s.pending[1:]

@@ -56,7 +56,7 @@ func TestRaceStreamHub(t *testing.T) {
 						t.Error(err)
 						return
 					}
-				} else if _, err := h.PublishEvents(evs); err != nil && !errors.Is(err, ErrStreamClosed) {
+				} else if _, err := h.PublishEventsKeyed("", evs); err != nil && !errors.Is(err, ErrStreamClosed) {
 					t.Error(err)
 					return
 				}
@@ -229,7 +229,7 @@ func TestRaceStreamDurableWithCompaction(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for b := 0; b < 60; b++ {
-				if _, err := h.PublishEvents([]StreamEvent{benchEvent(fmt.Sprintf("exp-%d", p), b)}); err != nil {
+				if _, err := h.PublishEventsKeyed("", []StreamEvent{benchEvent(fmt.Sprintf("exp-%d", p), b)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -250,7 +250,7 @@ func TestRaceStreamDurableWithCompaction(t *testing.T) {
 			}
 			last := int64(0)
 			for i := 0; i < 20; i++ {
-				ev, ok, err := sub.TryNext()
+				ev, ok, err := sub.tryNext()
 				if err != nil || !ok {
 					break
 				}
@@ -312,7 +312,7 @@ func TestRaceStreamCloseDuringTraffic(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for b := 0; ; b++ {
-				if _, err := h.PublishEvents([]StreamEvent{benchEvent(fmt.Sprintf("exp-%d", p), b)}); err != nil {
+				if _, err := h.PublishEventsKeyed("", []StreamEvent{benchEvent(fmt.Sprintf("exp-%d", p), b)}); err != nil {
 					if !errors.Is(err, ErrStreamClosed) {
 						t.Error(err)
 					}

@@ -24,7 +24,7 @@ func benchEvent(exp string, srcSeq int) StreamEvent {
 
 func mustPublish(t *testing.T, h *Hub, evs ...StreamEvent) string {
 	t.Helper()
-	cursor, err := h.PublishEvents(evs)
+	cursor, err := h.PublishEventsKeyed("", evs)
 	if err != nil {
 		t.Fatalf("publish: %v", err)
 	}
@@ -265,10 +265,10 @@ func TestStreamInvalidEventsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if _, err := h.PublishEvents([]StreamEvent{{Kind: "x"}}); !errors.Is(err, ErrInvalid) {
+	if _, err := h.PublishEventsKeyed("", []StreamEvent{{Kind: "x"}}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("empty experiment err = %v, want ErrInvalid", err)
 	}
-	if _, err := h.PublishEvents([]StreamEvent{{Experiment: "a"}}); !errors.Is(err, ErrInvalid) {
+	if _, err := h.PublishEventsKeyed("", []StreamEvent{{Experiment: "a"}}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("empty kind err = %v, want ErrInvalid", err)
 	}
 }
@@ -433,7 +433,7 @@ func TestStreamHubCloseWakesSubscribers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Next still blocked after hub close")
 	}
-	if _, err := h.PublishEvents([]StreamEvent{benchEvent("a", 0)}); !errors.Is(err, ErrStreamClosed) {
+	if _, err := h.PublishEventsKeyed("", []StreamEvent{benchEvent("a", 0)}); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("publish after close = %v, want ErrStreamClosed", err)
 	}
 }
@@ -463,7 +463,7 @@ func TestWatchHTTPLiveSSE(t *testing.T) {
 	}
 	defer w.Close()
 
-	cursor, err := client.PublishEvents([]StreamEvent{benchEvent("a", 0), benchEvent("a", 1)})
+	cursor, err := client.PublishEventsKeyed("", []StreamEvent{benchEvent("a", 0), benchEvent("a", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestWatchHTTPLiveSSE(t *testing.T) {
 func TestWatchHTTPReconnectFromCursor(t *testing.T) {
 	_, client := newStreamServer(t)
 
-	if _, err := client.PublishEvents([]StreamEvent{benchEvent("a", 0), benchEvent("a", 1), benchEvent("a", 2)}); err != nil {
+	if _, err := client.PublishEventsKeyed("", []StreamEvent{benchEvent("a", 0), benchEvent("a", 1), benchEvent("a", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -526,16 +526,32 @@ func TestWatchHTTPBadCursorStatuses(t *testing.T) {
 	if _, err := client.Watch(ctx, WatchOptions{Cursor: encodeStreamCursor(10)}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("ahead-of-stream cursor err = %v, want ErrInvalid (HTTP 400)", err)
 	}
-	// Poll mode must 400 identically.
-	resp, err := http.Get(client.BaseURL + "/watch?mode=poll&cursor=zzz")
+	_ = h
+}
+
+// noFlushWriter is a ResponseWriter that cannot flush, such as a buffering
+// middleware's.
+type noFlushWriter struct{ http.ResponseWriter }
+
+// TestWatchWithoutFlusherIsError: /watch speaks only SSE, so a connection
+// that cannot stream gets an HTTP error instead of a different protocol.
+func TestWatchWithoutFlusherIsError(t *testing.T) {
+	h, err := OpenHub(HubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("poll bad cursor status = %d, want 400", resp.StatusCode)
+	defer h.Close()
+	rec := httptest.NewRecorder()
+	serveWatch(h, noFlushWriter{rec}, httptest.NewRequest(http.MethodGet, "/watch?cursor="+StreamStart, nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
 	}
-	_ = h
+	if ct := rec.Header().Get("Content-Type"); strings.HasPrefix(ct, "text/event-stream") {
+		t.Fatalf("Content-Type = %q, want a plain error", ct)
+	}
+	if h.Subscribers() != 0 {
+		t.Fatalf("%d subscribers left behind, want 0", h.Subscribers())
+	}
 }
 
 func TestWatchHTTPTruncatedCursorIsGone(t *testing.T) {
@@ -548,37 +564,12 @@ func TestWatchHTTPTruncatedCursorIsGone(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL)
 	for i := 0; i < 5; i++ {
-		if _, err := client.PublishEvents([]StreamEvent{benchEvent("a", i)}); err != nil {
+		if _, err := client.PublishEventsKeyed("", []StreamEvent{benchEvent("a", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := client.Watch(context.Background(), WatchOptions{Cursor: StreamStart}); !errors.Is(err, ErrCursorTruncated) {
 		t.Fatalf("trimmed cursor err = %v, want ErrCursorTruncated (HTTP 410)", err)
-	}
-}
-
-func TestWatchHTTPLongPoll(t *testing.T) {
-	_, client := newStreamServer(t)
-	if _, err := client.PublishEvents([]StreamEvent{benchEvent("a", 0), benchEvent("a", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	var page wireWatchPage
-	if err := client.getJSON("/watch?mode=poll&cursor="+StreamStart+"&wait=2s", &page); err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Events) != 2 {
-		t.Fatalf("poll returned %d events, want 2", len(page.Events))
-	}
-	if page.NextCursor != encodeStreamCursor(2) {
-		t.Fatalf("poll next_cursor = %q, want cursor after seq 2", page.NextCursor)
-	}
-	// Continue from the returned cursor: empty page, same cursor back.
-	var page2 wireWatchPage
-	if err := client.getJSON("/watch?mode=poll&cursor="+page.NextCursor+"&wait=10ms", &page2); err != nil {
-		t.Fatal(err)
-	}
-	if len(page2.Events) != 0 || page2.NextCursor != page.NextCursor {
-		t.Fatalf("idle poll = %d events, cursor %q; want 0 events, cursor unchanged", len(page2.Events), page2.NextCursor)
 	}
 }
 
@@ -616,7 +607,7 @@ func TestWatchHTTPEvictionFrame(t *testing.T) {
 			batch[j] = bulky
 			batch[j].SrcSeq = i*len(batch) + j
 		}
-		if _, err := client.PublishEvents(batch); err != nil {
+		if _, err := client.PublishEventsKeyed("", batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,36 +10,29 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 )
 
 // Streaming endpoints (mounted by Serve when a hub is attached):
-//   POST /events                      [StreamEvent] -> {"count": N, "cursor": ...}
-//                                     (optional X-Idempotency-Key header:
-//                                     a retried key returns the original
-//                                     commit's cursor without re-appending)
-//   GET  /watch?experiment=&cursor=&mode=&wait=&limit=
-//                                     mode=sse (default): text/event-stream,
-//                                     one event per frame, frame id = resume
-//                                     cursor, ": ping" comments as heartbeats,
-//                                     "event: evicted"/"event: closed" before
-//                                     a server-initiated end of stream.
-//                                     mode=poll: long-poll JSON
-//                                     {"events": [...], "next_cursor": ...},
-//                                     blocking up to `wait` for the first
-//                                     event.
-//                                     Malformed cursors are 400; cursors
-//                                     behind the hub's trimmed window are 410.
+//   POST /events               [StreamEvent] -> {"count": N, "cursor": ...}
+//                              (optional X-Idempotency-Key header: a
+//                              retried key returns the original commit's
+//                              cursor without re-appending)
+//   GET  /watch?experiment=&cursor=
+//                              text/event-stream, one event per frame,
+//                              frame id = resume cursor (Last-Event-ID is
+//                              honoured when cursor= is absent), ": ping"
+//                              comments as heartbeats, "event: evicted" /
+//                              "event: closed" before a server-initiated
+//                              end of stream. Malformed cursors are 400;
+//                              cursors behind the hub's trimmed window are
+//                              410.
 
 // sseHeartbeat is the idle interval between ": ping" comment frames on an
 // SSE watch — frequent enough that a dead TCP path is noticed, rare enough
 // to be free. A variable so tests can shrink it.
 var sseHeartbeat = 15 * time.Second
-
-// maxPollWait caps GET /watch?mode=poll blocking time.
-const maxPollWait = 60 * time.Second
 
 // registerStreamRoutes mounts the hub's endpoints on mux.
 func registerStreamRoutes(mux *http.ServeMux, hub *Hub) {
@@ -87,14 +80,12 @@ func serveWatch(hub *Hub, w http.ResponseWriter, req *http.Request) {
 		// saw. An explicit cursor param wins.
 		cursor = req.Header.Get("Last-Event-ID")
 	}
-	opts := SubscribeOptions{Experiment: params.Get("experiment"), Cursor: cursor}
-	mode := params.Get("mode")
-	fl, canFlush := w.(http.Flusher)
-	if mode == "poll" || !canFlush {
-		serveWatchPoll(hub, opts, w, params)
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported by this connection", http.StatusInternalServerError)
 		return
 	}
-	sub, err := hub.Subscribe(opts)
+	sub, err := hub.Subscribe(SubscribeOptions{Experiment: params.Get("experiment"), Cursor: cursor})
 	if err != nil {
 		http.Error(w, err.Error(), watchStatus(err))
 		return
@@ -151,78 +142,13 @@ func writeSSEEvent(w io.Writer, ev StreamEvent) error {
 	return err
 }
 
-// wireWatchPage is the JSON body of one long-poll response.
-type wireWatchPage struct {
-	Events []StreamEvent `json:"events"`
-	// NextCursor resumes the watch after the last event of this page; set
-	// even when the page is empty (the poll timed out), so a polling client
-	// always has a position to continue from.
-	NextCursor string `json:"next_cursor"`
-}
-
-func serveWatchPoll(hub *Hub, opts SubscribeOptions, w http.ResponseWriter, params url.Values) {
-	wait := 10 * time.Second
-	if ws := params.Get("wait"); ws != "" {
-		d, err := time.ParseDuration(ws)
-		if err != nil || d < 0 {
-			http.Error(w, "bad wait (want a duration)", http.StatusBadRequest)
-			return
-		}
-		wait = min(d, maxPollWait)
-	}
-	limit := 500
-	if ls := params.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
-	}
-	sub, err := hub.Subscribe(opts)
-	if err != nil {
-		http.Error(w, err.Error(), watchStatus(err))
-		return
-	}
-	defer sub.Cancel()
-	var evs []StreamEvent
-	for len(evs) < limit {
-		ev, ok, terr := sub.TryNext()
-		if terr != nil {
-			break // terminated; return what was drained, cursor resumes
-		}
-		if ok {
-			evs = append(evs, ev)
-			continue
-		}
-		if len(evs) > 0 {
-			break // have data, don't trade latency for batch size
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), wait)
-		ev, err := sub.Next(ctx)
-		cancel()
-		if err != nil {
-			break // timeout or terminated: empty page with resume cursor
-		}
-		evs = append(evs, ev)
-	}
-	if evs == nil {
-		evs = []StreamEvent{}
-	}
-	writeJSON(w, wireWatchPage{Events: evs, NextCursor: sub.Cursor()})
-}
-
 // --- client side -----------------------------------------------------------
 
-// PublishEvents implements EventSink over HTTP: the batch travels in one
-// POST /events and is appended (and fanned out) atomically.
-func (c *Client) PublishEvents(evs []StreamEvent) (string, error) {
-	return c.PublishEventsKeyed("", evs)
-}
-
-// PublishEventsKeyed implements KeyedEventSink over HTTP: the key rides
-// X-Idempotency-Key, so a retry of a batch whose ack was lost in transit is
-// answered from the hub's dedupe memory instead of double-appending.
+// PublishEventsKeyed implements KeyedEventSink over HTTP: the batch travels
+// in one POST /events and is appended (and fanned out) atomically. The key
+// rides X-Idempotency-Key, so a retry of a batch whose ack was lost in
+// transit is answered from the hub's dedupe memory instead of
+// double-appending.
 func (c *Client) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) {
 	if len(evs) == 0 {
 		return "", nil

@@ -46,11 +46,6 @@ type PublisherOptions struct {
 	// FlushInterval is the background flush cadence (default 200ms); a full
 	// MaxBatch flushes immediately regardless.
 	FlushInterval time.Duration
-	// CloseRetries is how many times Close retries the final drain beyond
-	// its first attempt (default 2), pausing CloseRetryDelay between tries.
-	CloseRetries int
-	// CloseRetryDelay paces Close's retries (default 500ms).
-	CloseRetryDelay time.Duration
 }
 
 func (o *PublisherOptions) setDefaults() {
@@ -59,12 +54,6 @@ func (o *PublisherOptions) setDefaults() {
 	}
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 200 * time.Millisecond
-	}
-	if o.CloseRetries == 0 {
-		o.CloseRetries = deliverRetries // a negative count retries nothing
-	}
-	if o.CloseRetryDelay <= 0 {
-		o.CloseRetryDelay = deliverPause
 	}
 }
 
@@ -121,14 +110,14 @@ func (p *EventPublisher) PublishEvents(evs []StreamEvent) (string, error) {
 func (p *EventPublisher) Dropped() int64 { return p.box.dropped.Load() }
 
 // Close stops the background loop and drains the queue, retrying the final
-// flush a bounded number of times — a portal restart mid-shutdown should
+// flush with Buffer.Deliver's pacing — a portal restart mid-shutdown should
 // not cost the run its event tail. The returned error is the last flush
 // failure when undelivered events remain. Closing twice is harmless.
 func (p *EventPublisher) Close() error {
 	p.box.close()
 	p.stop()
 	<-p.done
-	if _, err := p.box.deliver(context.Background(), p.opts.CloseRetries, p.opts.CloseRetryDelay); err != nil {
+	if _, err := p.box.deliver(context.Background()); err != nil {
 		return fmt.Errorf("portal: event publisher close: %w", err)
 	}
 	return nil

@@ -3,7 +3,10 @@ package portal
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,10 +23,6 @@ type scriptedSink struct {
 	script   []error
 	keys     []string
 	accepted []StreamEvent
-}
-
-func (s *scriptedSink) PublishEvents(evs []StreamEvent) (string, error) {
-	return s.PublishEventsKeyed("", evs)
 }
 
 func (s *scriptedSink) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) {
@@ -52,11 +51,26 @@ func (s *scriptedSink) snapshot() (keys []string, accepted []StreamEvent) {
 	return append([]string(nil), s.keys...), append([]StreamEvent(nil), s.accepted...)
 }
 
-// fastPublisher is a publisher whose loop and Close retries run at 1ms.
+// fastPublisher is a publisher whose loop flushes every millisecond.
 func fastPublisher(sink KeyedEventSink, opts PublisherOptions) *EventPublisher {
 	opts.FlushInterval = time.Millisecond
-	opts.CloseRetryDelay = time.Millisecond
 	return NewEventPublisher(sink, opts)
+}
+
+// awaitCalls waits until the sink has answered n calls, so the publisher's
+// loop, not Close's paced retries, has absorbed the scripted failures.
+func (s *scriptedSink) awaitCalls(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if keys, _ := s.snapshot(); len(keys) >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sink never saw %d calls", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestEventPublisherMixedErrorTypes: the sink's failures need not share a
@@ -71,6 +85,7 @@ func TestEventPublisherMixedErrorTypes(t *testing.T) {
 	}}
 	pub := fastPublisher(sink, PublisherOptions{})
 	pub.PublishEvents([]StreamEvent{{Kind: "step_end", SrcSeq: 0}})
+	sink.awaitCalls(t, 3)
 	if err := pub.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -98,6 +113,7 @@ func TestEventPublisherLostAckDeduped(t *testing.T) {
 	sink := &scriptedSink{dest: hub, script: []error{errors.New("ack lost")}}
 	pub := fastPublisher(sink, PublisherOptions{})
 	pub.PublishEvents([]StreamEvent{{Experiment: "e", Kind: "a"}, {Experiment: "e", Kind: "b"}})
+	sink.awaitCalls(t, 2)
 	if err := pub.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -188,5 +204,49 @@ func TestEventPublisherStampsCopy(t *testing.T) {
 	_, got := sink.snapshot()
 	if len(got) != 2 || got[0].PubNanos == 0 || got[1].PubNanos != 42 {
 		t.Fatalf("delivered %+v, want the first stamped and the second kept at 42", got)
+	}
+}
+
+// TestEventPublisherLostResponseDeduped: over the wire, the portal commits
+// the publisher's first POST /events and the connection is then aborted
+// before any answer reaches the client. The batch is resent under the key
+// its first attempt carried, so the hub holds every event exactly once.
+func TestEventPublisherLostResponseDeduped(t *testing.T) {
+	hub, err := OpenHub(HubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	h := Serve(NewStore(), WithHub(hub))
+	var lost atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/events" && lost.CompareAndSwap(false, true) {
+			h.ServeHTTP(httptest.NewRecorder(), req)
+			panic(http.ErrAbortHandler)
+		}
+		h.ServeHTTP(w, req)
+	}))
+	defer srv.Close()
+
+	const n = 3
+	pub := fastPublisher(NewClient(srv.URL), PublisherOptions{})
+	for i := range n {
+		pub.PublishEvents([]StreamEvent{benchEvent("e", i)})
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !lost.Load() || hub.LastSeq() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("lost = %v, hub LastSeq = %d; want a lost response and %d events", lost.Load(), hub.LastSeq(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := hub.LastSeq(); got != n {
+		t.Fatalf("hub LastSeq = %d, want %d (a retry appended a second copy)", got, n)
+	}
+	if pub.Dropped() != 0 {
+		t.Fatalf("Dropped = %d, want 0", pub.Dropped())
 	}
 }
