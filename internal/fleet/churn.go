@@ -161,16 +161,6 @@ func (p *ChurnPool) startCell(i int) (*churnCell, error) {
 	return c, nil
 }
 
-// URLs returns the pool's base URLs in cell order. Addresses are stable
-// across Kill/Restart.
-func (p *ChurnPool) URLs() []string {
-	urls := make([]string, len(p.cells))
-	for i, c := range p.cells {
-		urls[i] = c.url
-	}
-	return urls
-}
-
 // Register adds every cell to the registry as a probed remote member named
 // churnN, so kills demote to suspect and restarts re-admit.
 func (p *ChurnPool) Register(reg *Registry, ropts RemoteOptions) error {

@@ -6,7 +6,7 @@
 // # Model
 //
 // A Campaign is one closed-loop color-matching experiment (a core.Config
-// plus a solver choice, seed, and optional capability requirements). Run
+// plus a solver choice and seed). Run
 // executes the campaign queue against a pool of cells owned by a Registry —
 // the fleet's control plane — and every pool reaches Run as registry
 // members. By default Run registers Options.Workcells probe-less members on
@@ -18,9 +18,8 @@
 // run is in flight.
 //
 // Workers pull campaigns from a shared FIFO queue — work-stealing in the
-// sense that the next free workcell takes the next queued campaign it is
-// capable of running, so a slow campaign on one cell never blocks the rest
-// of the fleet. Per campaign, the worker forks the workcell engine with a
+// sense that the next free workcell takes the next queued campaign, so a
+// slow campaign on one cell never blocks the rest of the fleet. Per campaign, the worker forks the workcell engine with a
 // fresh event log (wei.Engine.WithLog), builds a fresh solver from the
 // campaign's seed, and runs core.RunCampaign. Solver proposals route
 // through the solver.BatchProposer seam: batch-aware solvers are asked for
@@ -37,30 +36,36 @@
 //
 // Every member walks the admission lifecycle
 //
-//	join ──▶ up ──fault──▶ suspect ──▶ down ──▶ gone (give-up / deregister)
-//	          ▲                │         │
-//	          │                └──ok──▶ probation ──ok×N──▶ re-admit (up)
-//	          └────────────────────────────┘
+//	Add, AddRemote (answering) ──▶ up ◀───────── 2nd probe ok in a row ─────────┐
+//	                               │                                            │
+//	                             fault                                          │
+//	                               ▼                                            │
+//	AddRemote (not answering) ──▶ suspect ─────── probe ok ───────▶ probation ──┘
+//	                               │                                  ▲   │
+//	                  3rd failed probe in a row             probe ok  │   │  probe fails
+//	                               ▼                                  │   │
+//	                              down ◀──────────────────────────────┼───┘
+//	                               └──────────────────────────────────┘
 //
 // When a cell faults (open failure, transport death mid-campaign, sick-cell
-// retirement) the registry starts a health prober: periodic wei-client
-// /healthz checks with a per-probe timeout, exponential backoff capped at
-// 30s, and jitter so a fleet of probers never synchronizes against a
-// recovering server. RegistryOptions.SuspectProbes failures
-// demote suspect to down; once a probe answers, the member needs
-// ProbationProbes consecutive successes to be re-admitted, so one lucky
-// packet cannot flap the pool. A member down longer than MaxDowntime is
-// given up as gone. Only "gone" is terminal — a retired remote cell whose
-// server answers /healthz again is re-admitted and its worker resumes
-// pulling queued campaigns. Members registered without a probe (the static
-// local pool) keep the old policy: a fault is final.
+// retirement) the registry starts a health prober: /healthz checks, each
+// bounded by wei.DefaultControlTimeout, first about
+// RegistryOptions.ProbeInterval after the fault, then at an interval that
+// doubles with every failed probe up to 30s, with jitter so a fleet of
+// probers never synchronizes against a recovering server. Three failed
+// probes in a row demote suspect to down; once a probe answers, the member
+// needs two successes in a row to be re-admitted, so one lucky packet
+// cannot flap the pool. A probe that fails more than MaxDowntime after the
+// fault gives the member up as gone, as do Deregister and Close. Only
+// "gone" is terminal — a retired remote cell whose server answers /healthz
+// again is re-admitted and its worker resumes pulling queued campaigns.
+// Members registered without a probe (the static local pool) keep the old
+// policy: a fault is final.
 //
 // Cells advertise Capabilities (lanes, liquid-handler count, realtime vs
 // simulated, camera) in their /healthz payload; probes refresh them on
-// every success. A Campaign with Requires set is only dispatched to members
-// whose advertised capabilities satisfy it (unknown-capability members
-// accept everything), and a campaign no live-or-recovering member could
-// ever satisfy fails fast instead of queueing forever.
+// every success, and GET /members reports them. They do not steer
+// placement: every cell pulls from the same queue.
 //
 // # Churn harness
 //
@@ -105,20 +110,19 @@
 //
 // A campaign's final step error is classified with wei.Classify. A
 // workcell-down error (unreachable or hung module server) retires the cell
-// and requeues the campaign without spending one of its MaxAttempts — the
-// dead cell says nothing about the campaign. A permanent error (unknown
-// module or action: a poisoned configuration that would fail anywhere)
-// fails the campaign in a single scheduling attempt and the cell stays in
-// the pool. Exhausted retries on transient faults are evidence of a sick
-// workcell: the cell retires and the campaign requeues onto a healthy one,
-// up to Options.MaxAttempts attempts (default 2); when the budget is
-// exhausted on a second cell the blame shifts to the campaign itself, so
-// it is recorded as failed without retiring that cell. Retirement is a
-// state, not a death sentence: a probed cell that recovers re-admits and
-// keeps working. When every member is gone — or none is up and
-// RegistryOptions.JoinGrace expires without a (re)join — the remaining
-// queue drains as failures rather than deadlocking. Canceling the context
-// stops new dispatch and aborts running campaigns at their next
-// workflow-step boundary; Run then returns the partial Result alongside
-// the context error.
+// and requeues the campaign without spending one of its two scheduling
+// attempts — the dead cell says nothing about the campaign. A permanent
+// error (unknown module or action: a poisoned configuration that would fail
+// anywhere) fails the campaign in a single scheduling attempt and the cell
+// stays in the pool. Exhausted retries on transient faults are evidence of
+// a sick workcell: the cell retires and the campaign requeues onto a
+// healthy one; when its second attempt fails the same way on another cell
+// the blame shifts to the campaign itself, so it is recorded as failed
+// without retiring that cell. Retirement is a state, not a death
+// sentence: a probed cell that recovers re-admits and keeps working. When
+// every member is gone — or none is up and RegistryOptions.JoinGrace
+// expires without a (re)join — the remaining queue drains as failures
+// rather than deadlocking. Canceling the context stops new dispatch and
+// aborts running campaigns at their next workflow-step boundary; Run then
+// returns the partial Result alongside the context error.
 package fleet

@@ -7,10 +7,7 @@ import (
 )
 
 // churnRemoteOpts keeps remote engines snappy under test.
-var churnRemoteOpts = RemoteOptions{
-	RetryDelay:     time.Millisecond,
-	ControlTimeout: 5 * time.Second,
-}
+var churnRemoteOpts = RemoteOptions{RetryDelay: time.Millisecond}
 
 // TestChurnReadmission is the canonical churn integration test: a remote
 // cell is killed mid-campaign, its campaign is requeued (uncharged) onto the
@@ -25,12 +22,9 @@ func TestChurnReadmission(t *testing.T) {
 	defer pool.Close()
 
 	reg := NewRegistry(RegistryOptions{
-		ProbeInterval:   5 * time.Millisecond,
-		ProbeTimeout:    5 * time.Second,
-		SuspectProbes:   2,
-		ProbationProbes: 2,
-		MaxDowntime:     time.Minute,
-		Seed:            1,
+		ProbeInterval: 5 * time.Millisecond,
+		MaxDowntime:   time.Minute,
+		Seed:          1,
 	})
 	defer reg.Close()
 	if err := pool.Register(reg, churnRemoteOpts); err != nil {
@@ -111,8 +105,6 @@ func TestTotalPoolLossFailsFast(t *testing.T) {
 
 	reg := NewRegistry(RegistryOptions{
 		ProbeInterval: 5 * time.Millisecond,
-		ProbeTimeout:  5 * time.Second,
-		SuspectProbes: 1,
 		MaxDowntime:   50 * time.Millisecond,
 		Seed:          2,
 	})

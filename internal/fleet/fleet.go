@@ -34,13 +34,6 @@ type Campaign struct {
 	// Solver names the decision procedure: genetic|genetic-grid|bayesian|
 	// random|grid (default genetic). Options.NewSolver overrides the lookup.
 	Solver string
-	// Requires constrains placement: the campaign only runs on cells whose
-	// advertised capabilities satisfy it (e.g. Camera: true never lands on a
-	// camera-less cell, Realtime: true never lands on a virtual-clock one).
-	// Cells that advertise nothing accept every campaign. The zero value is
-	// unconstrained. A campaign no cell in the fleet could ever satisfy fails
-	// fast instead of queueing forever.
-	Requires wei.Capabilities
 	// Config is the experiment configuration (batch size, sample budget,
 	// target). Options.Batch overrides Config.BatchSize when set.
 	Config core.Config
@@ -100,29 +93,16 @@ type Options struct {
 	// non-blocking; the caller owns its lifecycle (Close after Run for the
 	// final, retried flush).
 	EventSink portal.EventSink
-	// MaxAttempts bounds the scheduling attempts a campaign is charged for
-	// across workcells (default 2: one reschedule onto a different cell; 1
-	// disables rescheduling). Each charged hard failure before the budget
-	// retires the cell it happened on; when the budget is exhausted on a
-	// second cell the blame shifts to the campaign itself — a poisoned
-	// configuration fails everywhere — and that cell stays in the pool.
-	// Attempts cut short by a dying workcell (wei.ClassWorkcellDown) are
-	// rescheduled without being charged.
-	MaxAttempts int
 	// NewSolver overrides the built-in solver lookup (e.g. for custom or
 	// analytic solvers).
 	NewSolver SolverFactory
-	// Tune, when set, is called once per workcell after wiring, before any
-	// campaign runs — the hook tests use to break a specific workcell or
-	// adjust retry policy. It only applies to the Workcells pool.
-	Tune func(workcell int, wc *core.SimWorkcell, eng *wei.Engine)
 	// Registry, when set, replaces the Workcells pool with the elastic
 	// control plane: Run draws its workers from the registry's membership
 	// events — cells admitted mid-run (programmatic Add/AddRemote or the
 	// POST /join listener) start pulling queued campaigns, faulted cells are
 	// probed and re-admitted when they answer again, deregistered cells
 	// finish their current campaign and stop. The local-pool knobs
-	// (Workcells, LanesPerCell, PlateStock, Faults, Tune) are ignored; Seed
+	// (Workcells, LanesPerCell, PlateStock, Faults) are ignored; Seed
 	// still derives the campaigns' solver seeds. The caller owns the
 	// registry: Run subscribes for its duration and does not close it.
 	Registry *Registry
@@ -255,7 +235,7 @@ type task struct {
 	// charged counts the attempts that ended in a failure attributable to
 	// the campaign-or-cell pair (retryable faults exhausted). Attempts cut
 	// short by a dying workcell are not charged, so a campaign keeps its
-	// full MaxAttempts budget of genuine tries.
+	// full maxAttempts budget of genuine tries.
 	charged int
 	// bounces counts uncharged requeues (cell deaths, prepare failures,
 	// handbacks). With re-admission a flapping cell could otherwise bounce
@@ -268,15 +248,22 @@ func (t *task) unrun(status Status, err error) CampaignResult {
 	return CampaignResult{Campaign: t.c, Status: status, Workcell: -1, Attempts: t.attempts, Err: err}
 }
 
+// maxAttempts bounds the scheduling attempts a campaign is charged for
+// across workcells: one reschedule onto a different cell. The first charged
+// hard failure retires the cell it happened on; the second shifts the blame
+// to the campaign itself — a poisoned configuration fails everywhere — and
+// that cell stays in the pool. Attempts cut short by a dying workcell
+// (wei.ClassWorkcellDown) are rescheduled without being charged.
+const maxAttempts = 2
+
 // maxBounces is the safety valve on uncharged requeues per campaign: far
 // above what any real churn produces, low enough that a cell dying every
 // campaign cannot loop the scheduler forever.
 const maxBounces = 64
 
 // dispatcher is the work queue: the next free worker pulls the first queued
-// campaign its cell's capabilities can serve. It tracks outstanding
-// (un-finalized) tasks so idle workers keep waiting while a running campaign
-// might still be requeued. The worker set itself is elastic — membership is
+// campaign. It tracks outstanding (un-finalized) tasks so idle workers keep
+// waiting while a running campaign might still be requeued. The worker set itself is elastic — membership is
 // the registry's truth, and the run's monitor drains the queue when no cell
 // is left to ever serve it (drain mode is sticky: requeues after the drain
 // fail immediately instead of waiting for a pool that will not return).
@@ -304,21 +291,20 @@ func newDispatcher(tasks []*task) *dispatcher {
 	return d
 }
 
-// next blocks until a campaign this worker can serve is available and
-// returns it, or returns nil once the worker should exit: stopped (its cell
-// retired or was decommissioned) or no task can ever arrive (all finalized).
-func (d *dispatcher) next(stopped func() bool, eligible func(*task) bool) *task {
+// next blocks until a campaign is queued and returns it, or returns nil
+// once the worker should exit: stopped (its cell retired or was
+// decommissioned) or no task can ever arrive (all finalized).
+func (d *dispatcher) next(stopped func() bool) *task {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
 		if stopped() || d.outstanding == 0 {
 			return nil
 		}
-		for i, t := range d.queue {
-			if eligible(t) {
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
-				return t
-			}
+		if len(d.queue) > 0 {
+			t := d.queue[0]
+			d.queue = d.queue[1:]
+			return t
 		}
 		d.cond.Wait()
 	}
@@ -359,24 +345,6 @@ func (d *dispatcher) drainQueued() []*task {
 	out := d.queue
 	d.queue = nil
 	d.cond.Broadcast()
-	return out
-}
-
-// reap pops the queued tasks matching pred — the monitor's tool for failing
-// campaigns no remaining cell could ever serve, without draining the rest.
-func (d *dispatcher) reap(pred func(*task) bool) []*task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []*task
-	kept := d.queue[:0]
-	for _, t := range d.queue {
-		if pred(t) {
-			out = append(out, t)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	d.queue = kept
 	return out
 }
 
@@ -455,15 +423,12 @@ type slotInfo struct {
 // would fail anywhere) fail the campaign in one scheduling attempt and the
 // cell stays in the pool; workcell-down errors (unreachable or hung module
 // server) fault the cell and requeue the campaign without burning one of
-// its MaxAttempts; exhausted retries on transient faults fault the cell
+// its maxAttempts; exhausted retries on transient faults fault the cell
 // under the sick-cell heuristic, shifting blame to the campaign once its
 // attempt budget is spent across different cells.
 func Run(ctx context.Context, campaigns []Campaign, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.MaxAttempts < 1 {
-		opts.MaxAttempts = 2
 	}
 	if opts.LanesPerCell < 1 {
 		opts.LanesPerCell = 1
@@ -577,9 +542,8 @@ func (f *fleetRun) drain(cause error) {
 }
 
 // monitor turns membership events into workers and keeps the queue honest:
-// spawn a worker per admission, fail campaigns no remaining cell could
-// serve, and drain the queue when the pool is empty for good (or the run is
-// canceled with no worker left to drain it). It returns once sub is
+// spawn a worker per admission, and drain the queue when the pool is empty
+// for good (or the run is canceled with no worker left to drain it). It returns once sub is
 // unsubscribed and its pending events are consumed.
 func (f *fleetRun) monitor(sub *eventSub) {
 	defer f.wg.Done()
@@ -597,17 +561,12 @@ func (f *fleetRun) monitor(sub *eventSub) {
 	lastCause := fmt.Errorf("fleet: pool is empty")
 	var graceCh <-chan time.Time
 	ctxDone := f.ctx.Done()
-	// checkPool reacts to a membership loss: reap now-unservable campaigns
-	// while cells remain, drain everything once none might come back —
-	// after RegistryOptions.JoinGrace when the run tolerates an initially
-	// (or transiently) empty registry.
+	// checkPool reacts to a membership loss: drain the queue once no cell
+	// might come back — after RegistryOptions.JoinGrace when the run
+	// tolerates an initially (or transiently) empty registry.
 	checkPool := func() {
 		if f.reg.Alive() > 0 {
 			graceCh = nil
-			for _, t := range f.d.reap(func(t *task) bool { return !f.reg.AnyoneCould(t.c.Requires) }) {
-				f.done(t, t.unrun(StatusFailed,
-					fmt.Errorf("fleet: no workcell can satisfy campaign %s requirements", t.c.Name)))
-			}
 			return
 		}
 		if grace := f.reg.opts.JoinGrace; grace > 0 && f.ctx.Err() == nil {
@@ -707,7 +666,7 @@ func (f *fleetRun) serve(ev memberEvent, slot *slotInfo) {
 
 	cr := &cellRun{
 		fleetRun: f, cell: cell, name: name, w: slot.stats.Index, lanes: lanes,
-		slot: slot, caps: ev.caps, capsKnown: ev.capsKnown, halted: &halted,
+		slot: slot, halted: &halted,
 	}
 	var lwg sync.WaitGroup
 	for l := 0; l < lanes; l++ {
@@ -747,11 +706,6 @@ type cellRun struct {
 	lanes int
 	slot  *slotInfo
 
-	// caps is the member's advertised capability set at admission; with
-	// capsKnown the cell only pulls campaigns it satisfies.
-	caps      wei.Capabilities
-	capsKnown bool
-
 	// halted is the decommission flag: the registry's Deregister/Close stops
 	// this worker after its current campaign.
 	halted *atomic.Bool
@@ -767,11 +721,6 @@ type cellRun struct {
 // decommissioned.
 func (c *cellRun) stopped() bool {
 	return c.retired.Load() || c.halted.Load()
-}
-
-// eligible reports whether this cell can serve t's capability requirements.
-func (c *cellRun) eligible(t *task) bool {
-	return !c.capsKnown || c.caps.Satisfies(t.c.Requires)
 }
 
 // retire marks the cell retired and reports its hard failure to the
@@ -808,8 +757,7 @@ func (c *cellRun) note(start, end time.Time, cres CampaignResult) {
 	c.mu.Unlock()
 }
 
-// lane drains the queue as lane l of the cell: pull the next campaign this
-// cell can serve, run it under the lane's setup, apply the failure policy,
+// lane drains the queue as lane l of the cell: pull the next campaign, run it under the lane's setup, apply the failure policy,
 // repeat until the queue is exhausted, the cell retires, or the worker is
 // decommissioned. With several lanes the loop registers itself as a
 // virtual-clock worker only while a campaign runs, so an idle lane blocked
@@ -831,7 +779,7 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 		}
 	}
 	for {
-		t := c.d.next(c.stopped, c.eligible)
+		t := c.d.next(c.stopped)
 		if t == nil {
 			return
 		}
@@ -885,7 +833,7 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 		case class == wei.ClassWorkcellDown:
 			// The cell died under the campaign: fault it and reschedule
 			// unconditionally — the failure is no evidence against the
-			// campaign, so it is not charged against the MaxAttempts budget
+			// campaign, so it is not charged against the maxAttempts budget
 			// (t.charged). A probed cell may recover and re-admit; requeues
 			// are bounded by maxBounces and the registry's MaxDowntime.
 			requeueOrRecord(t, cres)
@@ -903,15 +851,11 @@ func (c *cellRun) lane(l int, setup LaneSetup) {
 			// across different cells the blame shifts to the campaign and
 			// the cell stays.
 			t.charged++
-			if t.charged >= c.opts.MaxAttempts && t.charged > 1 {
+			if t.charged >= maxAttempts {
 				c.done(t, cres)
 				continue
 			}
-			if t.charged < c.opts.MaxAttempts {
-				requeueOrRecord(t, cres)
-			} else {
-				c.done(t, cres)
-			}
+			requeueOrRecord(t, cres)
 			c.retire(cres.Err)
 		default:
 			// Application-level failure (solver error, vision pipeline): the

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"colormatch/internal/core"
@@ -11,7 +10,6 @@ import (
 	"colormatch/internal/sim"
 	"colormatch/internal/solver"
 	"colormatch/internal/solver/baseline"
-	"colormatch/internal/wei"
 )
 
 // quickCampaigns builds n small campaigns using the cheap random solver.
@@ -158,22 +156,43 @@ func TestRunCancellationMidRun(t *testing.T) {
 	}
 }
 
+// sickCellPool registers the n local cells Run would build for opts and
+// campaigns as its Workcells pool, on a registry closed with the test, with
+// cell 0's engine dropping every command at reception (fault RNG seeded by
+// faultSeed).
+func sickCellPool(t *testing.T, opts Options, campaigns []Campaign, n int, faultSeed int64) *Registry {
+	t.Helper()
+	reg := NewRegistry(RegistryOptions{Seed: opts.Seed})
+	t.Cleanup(reg.Close)
+	stock := plateDemand(campaigns, opts.LanesPerCell)
+	for w := 0; w < n; w++ {
+		spec := localSpec(opts, w, stock)
+		if w == 0 {
+			open := spec.Open
+			spec.Open = func(ctx context.Context) (Cell, error) {
+				cell, err := open(ctx)
+				if err == nil {
+					cell.Engine().Faults = sim.NewInjector(sim.FaultPlan{PReceive: 1}, sim.NewRNG(faultSeed))
+				}
+				return cell, err
+			}
+		}
+		if _, err := reg.Add(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
 // TestRunReschedulesOffFaultyWorkcell breaks one workcell permanently (every
 // command drops at reception) and checks its campaign is rescheduled onto a
 // healthy workcell, the sick cell retires, and the fleet still completes.
 func TestRunReschedulesOffFaultyWorkcell(t *testing.T) {
 	campaigns := quickCampaigns(4, 8)
 	store := portal.NewStore()
-	res, err := Run(context.Background(), campaigns, Options{
-		Workcells: 2,
-		Seed:      3,
-		Portal:    store,
-		Tune: func(w int, wc *core.SimWorkcell, eng *wei.Engine) {
-			if w == 0 {
-				eng.Faults = sim.NewInjector(sim.FaultPlan{PReceive: 1}, sim.NewRNG(99))
-			}
-		},
-	})
+	opts := Options{LanesPerCell: 1, Seed: 3, Portal: store}
+	opts.Registry = sickCellPool(t, opts, campaigns, 2, 99)
+	res, err := Run(context.Background(), campaigns, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,33 +335,5 @@ func TestRunUnknownSolverFails(t *testing.T) {
 	}
 	if res.Failed != 1 || res.Campaigns[0].Err == nil {
 		t.Fatalf("result = %+v", res.Campaigns[0])
-	}
-}
-
-// TestRunPlacesByLocalCapabilities: the Workcells pool advertises its cells'
-// capabilities (one liquid handler per lane, a camera, a virtual clock), so
-// a campaign no local cell could serve fails fast without running, while one
-// within them completes.
-func TestRunPlacesByLocalCapabilities(t *testing.T) {
-	campaigns := quickCampaigns(3, 8)
-	campaigns[0].Requires = wei.Capabilities{Realtime: true}
-	campaigns[1].Requires = wei.Capabilities{Lanes: 3}
-	campaigns[2].Requires = wei.Capabilities{Camera: true, Lanes: 2, OT2s: 2}
-	res, err := Run(context.Background(), campaigns, Options{Workcells: 1, LanesPerCell: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cr := range res.Campaigns[:2] {
-		if cr.Status != StatusFailed || cr.Workcell != -1 || cr.Attempts != 0 {
-			t.Errorf("campaign %s = %s on workcell %d after %d attempts, want failed unplaced",
-				cr.Campaign.Name, cr.Status, cr.Workcell, cr.Attempts)
-		}
-		if cr.Err == nil || !strings.Contains(cr.Err.Error(),
-			"no workcell can satisfy campaign "+cr.Campaign.Name+" requirements") {
-			t.Errorf("campaign %s err = %v", cr.Campaign.Name, cr.Err)
-		}
-	}
-	if cr := res.Campaigns[2]; cr.Status != StatusCompleted {
-		t.Fatalf("satisfiable campaign = %s (%v)", cr.Status, cr.Err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"colormatch/internal/core"
-	"colormatch/internal/sim"
 	"colormatch/internal/wei"
 )
 
@@ -137,16 +135,10 @@ func TestLanesAcrossMultipleCells(t *testing.T) {
 // retirement logic holds with sibling lanes: the cell retires exactly once,
 // its campaigns reschedule onto the healthy cell, and the fleet completes.
 func TestLanesSickCellRetiresOnce(t *testing.T) {
-	res, err := Run(context.Background(), quickCampaigns(4, 8), Options{
-		Workcells:    2,
-		LanesPerCell: 2,
-		Seed:         5,
-		Tune: func(w int, wc *core.SimWorkcell, eng *wei.Engine) {
-			if w == 0 {
-				eng.Faults = sim.NewInjector(sim.FaultPlan{PReceive: 1}, sim.NewRNG(17))
-			}
-		},
-	})
+	campaigns := quickCampaigns(4, 8)
+	opts := Options{LanesPerCell: 2, Seed: 5}
+	opts.Registry = sickCellPool(t, opts, campaigns, 2, 17)
+	res, err := Run(context.Background(), campaigns, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,6 @@ func localSpec(opts Options, w, stock int) MemberSpec {
 				frng := sim.NewRNG(opts.Seed).Derive(fmt.Sprintf("faults_wc%d", w))
 				eng.Faults = sim.NewInjector(opts.Faults, frng)
 			}
-			if opts.Tune != nil {
-				opts.Tune(w, wc, eng)
-			}
 			cell := &localCell{wc: wc, eng: eng, lanes: lanes}
 			if lanes > 1 {
 				cell.gate = core.NewCameraGate(wc.SimClock)
@@ -125,17 +122,10 @@ func (c *localCell) Lane(l int) LaneSetup {
 	return LaneSetup{OT2: core.OT2Name(l), DeckMode: true, Gate: c.gate}
 }
 
-// RemoteOptions configure a remote workcell pool.
+// RemoteOptions configure a remote workcell pool. A module command
+// round-trip is bounded by wei.DefaultActTimeout and a health or reset
+// round-trip by wei.DefaultControlTimeout.
 type RemoteOptions struct {
-	// ActTimeout bounds one module command round-trip (default
-	// wei.DefaultActTimeout — above the longest modeled realtime action).
-	ActTimeout time.Duration
-	// ControlTimeout bounds health/reset round-trips, including the
-	// registry's re-admission probes (default wei.DefaultControlTimeout).
-	ControlTimeout time.Duration
-	// MaxAttempts overrides the engines' per-step command attempts
-	// (default: engine default).
-	MaxAttempts int
 	// RetryDelay overrides the engines' pause between command attempts
 	// (default: engine default; remote cells sleep on the wall clock).
 	RetryDelay time.Duration
@@ -149,9 +139,6 @@ type RemoteOptions struct {
 func remoteSpec(url string, opts RemoteOptions) MemberSpec {
 	return MemberSpec{URL: url, Open: func(ctx context.Context) (Cell, error) {
 		wcc := wei.NewWorkcellClient(url)
-		if opts.ControlTimeout > 0 {
-			wcc.HTTP.Timeout = opts.ControlTimeout
-		}
 		health, err := wcc.Health(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: workcell %s: %w", url, err)
@@ -159,12 +146,9 @@ func remoteSpec(url string, opts RemoteOptions) MemberSpec {
 		if len(health.Modules) == 0 {
 			return nil, fmt.Errorf("fleet: workcell %s serves no modules", url)
 		}
-		client := wcc.ModuleClient(opts.ActTimeout, health.Modules...)
+		client := wcc.ModuleClient(health.Modules...)
 		clock := sim.RealClock{}
 		eng := wei.NewEngine(client, clock, wei.NewEventLog(clock))
-		if opts.MaxAttempts > 0 {
-			eng.MaxAttempts = opts.MaxAttempts
-		}
 		if opts.RetryDelay > 0 {
 			eng.RetryDelay = opts.RetryDelay
 		}

@@ -76,19 +76,15 @@ func (c *simBrokenCell) Prepare(context.Context, Campaign) error { return nil }
 func (c *simBrokenCell) Close() error                            { return nil }
 
 // TestWorkcellDownRetiresAndReschedules: a cell whose commands fail with a
-// transport error retires and its campaign reschedules — even with
-// MaxAttempts=1, because a dead cell's failure is no evidence against the
-// campaign (unlike exhausted retries, which MaxAttempts=1 would fail).
+// transport error retires and its campaign reschedules onto the healthy
+// cell, because a dead cell's failure is no evidence against the campaign.
 func TestWorkcellDownRetiresAndReschedules(t *testing.T) {
 	down := &wei.TransportError{Op: "act", Err: errors.New("connection refused")}
 	pool := fixedPool(t,
 		func(context.Context) (Cell, error) { return brokenCell(down), nil },
 		func(context.Context) (Cell, error) { return newSimCell(7, 0), nil },
 	)
-	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{
-		Registry:    pool,
-		MaxAttempts: 1, // would disable rescheduling for sick-cell failures
-	})
+	res, err := Run(context.Background(), quickCampaigns(2, 8), Options{Registry: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +223,10 @@ func (c *seqCell) Prepare(context.Context, Campaign) error {
 }
 
 // TestWorkcellDownNotChargedAgainstBudget: an attempt cut short by a dying
-// cell must not consume the campaign's MaxAttempts budget. The campaign
+// cell must not consume the campaign's attempt budget. The campaign
 // survives a workcell death AND a genuine sick-cell failure with the
-// default-equivalent budget of 2 — if the death were charged, the second
-// failure would exhaust the budget and fail the campaign.
+// budget of 2 — if the death were charged, the second failure would
+// exhaust the budget and fail the campaign.
 func TestWorkcellDownNotChargedAgainstBudget(t *testing.T) {
 	var seq atomic.Int32
 	fail := map[int32]error{
@@ -244,10 +240,7 @@ func TestWorkcellDownNotChargedAgainstBudget(t *testing.T) {
 			return &seqCell{simCell: newSimCell(int64(10+i), 0), seq: &seq, fail: fail}, nil
 		}
 	}
-	res, err := Run(context.Background(), quickCampaigns(1, 8), Options{
-		Registry:    fixedPool(t, cells...),
-		MaxAttempts: 2,
-	})
+	res, err := Run(context.Background(), quickCampaigns(1, 8), Options{Registry: fixedPool(t, cells...)})
 	if err != nil {
 		t.Fatal(err)
 	}

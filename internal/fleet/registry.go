@@ -12,29 +12,39 @@ import (
 
 // CellState is a registry member's position in the admission lifecycle:
 //
-//	join ──▶ up ──fault──▶ suspect ──▶ down ──▶ gone (give-up / deregister)
-//	          ▲                │         │
-//	          │                └──ok──▶ probation ──ok×N──▶ re-admit (up)
-//	          └────────────────────────────┘
+//	Add, AddRemote (answering) ──▶ up ◀───────── 2nd probe ok in a row ─────────┐
+//	                               │                                            │
+//	                             fault                                          │
+//	                               ▼                                            │
+//	AddRemote (not answering) ──▶ suspect ─────── probe ok ───────▶ probation ──┘
+//	                               │                                  ▲   │
+//	                  3rd failed probe in a row             probe ok  │   │  probe fails
+//	                               ▼                                  │   │
+//	                              down ◀──────────────────────────────┼───┘
+//	                               └──────────────────────────────────┘
 //
-// Only "gone" is terminal. A member whose probe starts answering again is
-// re-admitted and its cell starts pulling queued campaigns — retirement is a
-// state, not a death sentence.
+// A member without a probe goes from up straight to gone on a fault. From
+// any state, Deregister, Close, or a probe that fails more than MaxDowntime
+// after the fault leads to gone. Only "gone" is terminal: a member whose
+// probe starts answering again is re-admitted and its cell starts pulling
+// queued campaigns — retirement is a state, not a death sentence.
 type CellState string
 
 // Member lifecycle states.
 const (
 	// StateUp: admitted; the scheduler runs a worker on the cell.
 	StateUp CellState = "up"
-	// StateSuspect: the cell just faulted (unreachable, failed open, sick);
-	// the prober is re-checking it at the base interval.
+	// StateSuspect: the cell just faulted (unreachable, failed open, sick)
+	// or joined before it answered; the prober re-checks it, first about
+	// ProbeInterval later and then at an interval that doubles with every
+	// failed probe, up to 30s.
 	StateSuspect CellState = "suspect"
-	// StateDown: repeated probe failures; probing continues with exponential
-	// backoff and jitter.
+	// StateDown: three consecutive probe failures, or a relapse on
+	// probation; probing continues with the same backoff and jitter.
 	StateDown CellState = "down"
-	// StateProbation: the probe answered again; the member needs
-	// RegistryOptions.ProbationProbes consecutive successes to be
-	// re-admitted, so one lucky packet does not flap the pool.
+	// StateProbation: the probe answered again; the member needs two
+	// consecutive successes to be re-admitted, so one lucky packet does not
+	// flap the pool.
 	StateProbation CellState = "probation"
 	// StateGone: permanently out — deregistered, registry closed, probing
 	// gave up (MaxDowntime), or the member has no probe (static pools).
@@ -61,12 +71,10 @@ type MemberSpec struct {
 	// Probe re-checks a faulted member for re-admission. Nil means faults
 	// are fatal: the member goes straight to gone, the static-pool policy.
 	Probe ProbeFunc
-	// Caps advertises the cell's capabilities for placement. Ignored unless
-	// CapsKnown; probed members refresh it from every successful probe.
+	// Caps is the cell's advertised capability set, reported by Members and
+	// GET /members; probed members refresh it from every successful probe.
 	Caps wei.Capabilities
-	// CapsKnown gates placement on Caps. Unknown-capability members accept
-	// any campaign (mismatches surface as runtime failures, the
-	// pre-capability behavior).
+	// CapsKnown reports that Caps was advertised rather than left zero.
 	CapsKnown bool
 }
 
@@ -81,24 +89,24 @@ type MemberInfo struct {
 	LastErr    string           `json:"last_error,omitempty"`
 }
 
-// maxProbeInterval caps the prober's exponential backoff.
-const maxProbeInterval = 30 * time.Second
+// The prober's fixed policy. maxProbeInterval caps its exponential backoff;
+// suspectProbes consecutive probe failures demote suspect to down, and
+// probationProbes consecutive successes re-admit. Each probe round-trip is
+// bounded by wei.DefaultControlTimeout, the workcell client's own timeout.
+const (
+	maxProbeInterval = 30 * time.Second
+	suspectProbes    = 3
+	probationProbes  = 2
+)
 
 // RegistryOptions tune the health prober and join behavior.
 type RegistryOptions struct {
-	// ProbeInterval is the base interval between probes of a suspect cell
-	// (default 1s). Each probe is jittered around the current interval so a
-	// fleet of probers never synchronizes against a recovering server.
+	// ProbeInterval is the base interval between probes of a faulted cell
+	// (default 1s). It doubles after every failed probe, up to 30s, and
+	// drops back to the base after a success. Each probe is jittered around
+	// the current interval so a fleet of probers never synchronizes against
+	// a recovering server.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round-trip (default
-	// wei.DefaultControlTimeout).
-	ProbeTimeout time.Duration
-	// SuspectProbes is the number of consecutive probe failures that demote
-	// suspect to down (default 3).
-	SuspectProbes int
-	// ProbationProbes is the number of consecutive probe successes required
-	// to re-admit (default 2).
-	ProbationProbes int
 	// MaxDowntime is how long probing keeps faith in a member that never
 	// answers before declaring it gone (default 10m; it bounds how long a
 	// run with queued campaigns waits on a pool that might never return).
@@ -118,15 +126,6 @@ type RegistryOptions struct {
 func (o *RegistryOptions) fill() {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = wei.DefaultControlTimeout
-	}
-	if o.SuspectProbes <= 0 {
-		o.SuspectProbes = 3
-	}
-	if o.ProbationProbes <= 0 {
-		o.ProbationProbes = 2
 	}
 	if o.MaxDowntime <= 0 {
 		o.MaxDowntime = 10 * time.Minute
@@ -174,11 +173,7 @@ const (
 type memberEvent struct {
 	kind eventKind
 	m    *member
-	// caps is the member's advertised capability set at admission time
-	// (snapshotted so the scheduler never reads mutable member state).
-	caps      wei.Capabilities
-	capsKnown bool
-	err       error // the terminal error for evLeave, when known
+	err  error // the terminal error for evLeave, when known
 }
 
 // eventSub is an unbounded membership-event queue: the registry pushes
@@ -273,6 +268,13 @@ func (r *Registry) logf(format string, args ...any) {
 // Add registers a member and admits it immediately. It returns the member's
 // (possibly generated) name.
 func (r *Registry) Add(spec MemberSpec) (string, error) {
+	return r.add(spec, nil)
+}
+
+// add registers spec as a new member. With a nil joinErr the member is
+// admitted at once; otherwise it joins suspect, its prober working toward
+// the first admission, and joinErr says why it is not answering yet.
+func (r *Registry) add(spec MemberSpec, joinErr error) (string, error) {
 	if spec.Open == nil {
 		return "", fmt.Errorf("fleet: member %q has no opener", spec.Name)
 	}
@@ -292,11 +294,17 @@ func (r *Registry) Add(spec MemberSpec) (string, error) {
 	m := &member{
 		name: name, url: spec.URL, open: spec.Open, probe: spec.Probe,
 		caps: spec.Caps, capsKnown: spec.CapsKnown,
-		state: StateUp, poke: make(chan struct{}, 1),
+		poke: make(chan struct{}, 1),
 	}
 	r.members[name] = m
 	r.order = append(r.order, m)
-	r.admitLocked(m)
+	if joinErr == nil {
+		r.admitLocked(m)
+		return name, nil
+	}
+	m.state, m.lastErr, m.downSince = StateSuspect, joinErr, time.Now()
+	r.logf("fleet: cell %s joined suspect (%s): %v", name, spec.URL, joinErr)
+	r.startProberLocked(m)
 	return name, nil
 }
 
@@ -306,7 +314,7 @@ func (r *Registry) admitLocked(m *member) {
 	m.admissions++
 	m.lastErr = nil
 	r.logf("fleet: cell %s admitted (admission %d)", m.name, m.admissions)
-	r.emitLocked(memberEvent{kind: evAdmit, m: m, caps: m.caps, capsKnown: m.capsKnown})
+	r.emitLocked(memberEvent{kind: evAdmit, m: m})
 }
 
 // removeLocked moves m to gone and notifies subscribers. Caller holds r.mu.
@@ -378,23 +386,6 @@ func (r *Registry) Alive() int {
 	return n
 }
 
-// AnyoneCould reports whether any non-gone member could satisfy req —
-// placement hope for a queued campaign. Unknown-capability members satisfy
-// everything.
-func (r *Registry) AnyoneCould(req wei.Capabilities) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, m := range r.order {
-		if m.state == StateGone {
-			continue
-		}
-		if !m.capsKnown || m.caps.Satisfies(req) {
-			return true
-		}
-	}
-	return false
-}
-
 // Members snapshots every member (including gone ones), in registration
 // order.
 func (r *Registry) Members() []MemberInfo {
@@ -450,7 +441,7 @@ func (r *Registry) subscribe() *eventSub {
 	}
 	for _, m := range r.order {
 		if m.state == StateUp {
-			s.push(memberEvent{kind: evAdmit, m: m, caps: m.caps, capsKnown: m.capsKnown})
+			s.push(memberEvent{kind: evAdmit, m: m})
 		}
 	}
 	r.subs = append(r.subs, s)
@@ -509,9 +500,9 @@ func (r *Registry) startProberLocked(m *member) {
 }
 
 // probeLoop drives one faulted member through suspect → down → probation →
-// re-admission (or give-up): periodic wei-client health checks with timeout,
-// exponential backoff and jitter. It exits when the member is re-admitted,
-// gone, or the registry closes.
+// re-admission (or give-up): periodic health checks, each bounded by
+// wei.DefaultControlTimeout, with exponential backoff and jitter. It exits
+// when the member is re-admitted, gone, or the registry closes.
 func (r *Registry) probeLoop(m *member) {
 	defer func() {
 		r.mu.Lock()
@@ -535,7 +526,7 @@ func (r *Registry) probeLoop(m *member) {
 		probe, downSince := m.probe, m.downSince
 		r.mu.Unlock()
 
-		ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), wei.DefaultControlTimeout)
 		caps, err := probe(ctx)
 		cancel()
 
@@ -549,7 +540,7 @@ func (r *Registry) probeLoop(m *member) {
 			failures = 0
 			m.caps, m.capsKnown = caps, true
 			interval = r.opts.ProbeInterval // recovered: probe briskly again
-			if successes >= r.opts.ProbationProbes {
+			if successes >= probationProbes {
 				r.admitLocked(m)
 				r.mu.Unlock()
 				return
@@ -557,7 +548,7 @@ func (r *Registry) probeLoop(m *member) {
 			if m.state != StateProbation {
 				m.state = StateProbation
 				r.logf("fleet: cell %s on probation (%d/%d probes ok)",
-					m.name, successes, r.opts.ProbationProbes)
+					m.name, successes, probationProbes)
 			}
 		} else {
 			successes = 0
@@ -565,7 +556,7 @@ func (r *Registry) probeLoop(m *member) {
 			m.lastErr = err
 			if m.state == StateProbation {
 				m.state = StateDown // relapse mid-probation
-			} else if m.state == StateSuspect && failures >= r.opts.SuspectProbes {
+			} else if m.state == StateSuspect && failures >= suspectProbes {
 				m.state = StateDown
 				r.logf("fleet: cell %s down after %d failed probes: %v", m.name, failures, err)
 			}
@@ -597,9 +588,6 @@ func (r *Registry) jitter(d time.Duration) time.Duration {
 // URL is an announce: an out-of-pool member is poked to probe immediately.
 func (r *Registry) AddRemote(name, url string, opts RemoteOptions) (string, error) {
 	wcc := wei.NewWorkcellClient(url)
-	if opts.ControlTimeout > 0 {
-		wcc.HTTP.Timeout = opts.ControlTimeout
-	}
 	spec := remoteSpec(url, opts)
 	spec.Name = name
 	spec.Probe = func(ctx context.Context) (wei.Capabilities, error) {
@@ -628,50 +616,12 @@ func (r *Registry) AddRemote(name, url string, opts RemoteOptions) (string, erro
 	}
 	r.mu.Unlock()
 
-	// One synchronous probe decides the initial state.
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
-	caps, perr := spec.Probe(ctx)
-	cancel()
-
+	// One synchronous probe decides the initial state: a cell not
+	// answering yet joins suspect, and the prober admits it when it comes
+	// up.
+	caps, perr := spec.Probe(context.Background())
 	if perr == nil {
 		spec.Caps, spec.CapsKnown = caps, true
-		return r.Add(spec)
 	}
-
-	// Not answering yet: register suspect so the prober admits it when it
-	// comes up.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return "", fmt.Errorf("fleet: registry closed")
-	}
-	if name == "" {
-		name = fmt.Sprintf("cell%d", r.autoName)
-		r.autoName++
-	}
-	if _, dup := r.members[name]; dup {
-		return "", fmt.Errorf("fleet: member %q already registered", name)
-	}
-	m := &member{
-		name: name, url: url, open: spec.Open, probe: spec.Probe,
-		state: StateSuspect, lastErr: perr, downSince: time.Now(),
-		poke: make(chan struct{}, 1),
-	}
-	r.members[name] = m
-	r.order = append(r.order, m)
-	r.logf("fleet: cell %s joined suspect (%s): %v", name, url, perr)
-	r.startProberLocked(m)
-	return name, nil
-}
-
-// StatesByName returns a name→state map, a convenience for tests and
-// monitoring loops.
-func (r *Registry) StatesByName() map[string]CellState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]CellState, len(r.order))
-	for _, m := range r.order {
-		out[m.name] = m.state
-	}
-	return out
+	return r.add(spec, perr)
 }

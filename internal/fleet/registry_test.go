@@ -67,15 +67,14 @@ func waitForState(t *testing.T, reg *Registry, name string, want CellState) {
 }
 
 // TestRegistryReadmissionLifecycle drives the full state machine with a fake
-// probe: up → fault → suspect → down (SuspectProbes failures) → probation
-// (probe answers) → re-admitted up (ProbationProbes successes), with an
-// admit event and refreshed capabilities at the end.
+// probe: up → fault → suspect → down (three failed probes) → probation
+// (probe answers) → re-admitted up (two successes), with an admit event and
+// refreshed capabilities at the end.
 func TestRegistryReadmissionLifecycle(t *testing.T) {
 	p := &flakyProbe{}
 	reg := NewRegistry(RegistryOptions{
 		ProbeInterval: 2 * time.Millisecond,
-		SuspectProbes: 2, ProbationProbes: 2,
-		MaxDowntime: time.Minute, Seed: 7,
+		MaxDowntime:   time.Minute, Seed: 7,
 	})
 	defer reg.Close()
 	name, err := reg.Add(MemberSpec{Name: "c", Open: unusedOpener, Probe: p.probe})
@@ -102,12 +101,12 @@ func TestRegistryReadmissionLifecycle(t *testing.T) {
 	if ev.kind != evAdmit || ev.m.name != name {
 		t.Fatalf("event = %+v, want re-admit of %s", ev, name)
 	}
-	if !ev.capsKnown || ev.caps.Lanes != 1 {
-		t.Fatalf("re-admit caps = %+v (known=%v), want refreshed from probe", ev.caps, ev.capsKnown)
-	}
 	mi, _ := reg.Member(name)
 	if mi.State != StateUp || mi.Admissions != 2 {
 		t.Fatalf("after re-admission: state=%s admissions=%d, want up/2", mi.State, mi.Admissions)
+	}
+	if !mi.CapsKnown || mi.Caps.Lanes != 1 {
+		t.Fatalf("re-admit caps = %+v (known=%v), want refreshed from probe", mi.Caps, mi.CapsKnown)
 	}
 }
 
@@ -178,7 +177,7 @@ func TestRegistryAddRemoteConflicts(t *testing.T) {
 	srv := httptest.NewServer(ws.Handler())
 	defer srv.Close()
 
-	reg := NewRegistry(RegistryOptions{ProbeTimeout: 2 * time.Second, Seed: 1})
+	reg := NewRegistry(RegistryOptions{Seed: 1})
 	defer reg.Close()
 	if _, err := reg.AddRemote("alpha", srv.URL, RemoteOptions{}); err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestJoinHandlerLifecycle(t *testing.T) {
 	cell := httptest.NewServer(ws.Handler())
 	defer cell.Close()
 
-	reg := NewRegistry(RegistryOptions{ProbeTimeout: 2 * time.Second, Seed: 1})
+	reg := NewRegistry(RegistryOptions{Seed: 1})
 	defer reg.Close()
 	ctrl := httptest.NewServer(reg.JoinHandler(RemoteOptions{}))
 	defer ctrl.Close()
@@ -261,11 +260,9 @@ func TestJoinBeforeBoot(t *testing.T) {
 	defer srv.Close()
 
 	reg := NewRegistry(RegistryOptions{
-		ProbeInterval:   2 * time.Millisecond,
-		ProbeTimeout:    2 * time.Second,
-		ProbationProbes: 1,
-		MaxDowntime:     time.Minute,
-		Seed:            5,
+		ProbeInterval: 2 * time.Millisecond,
+		MaxDowntime:   time.Minute,
+		Seed:          5,
 	})
 	defer reg.Close()
 	name, err := reg.AddRemote("late", srv.URL, RemoteOptions{})

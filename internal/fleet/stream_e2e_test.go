@@ -350,12 +350,9 @@ func TestStreamE2EChurn(t *testing.T) {
 	}
 	defer pool.Close()
 	reg := NewRegistry(RegistryOptions{
-		ProbeInterval:   5 * time.Millisecond,
-		ProbeTimeout:    5 * time.Second,
-		SuspectProbes:   2,
-		ProbationProbes: 2,
-		MaxDowntime:     time.Minute,
-		Seed:            1,
+		ProbeInterval: 5 * time.Millisecond,
+		MaxDowntime:   time.Minute,
+		Seed:          1,
 	})
 	defer reg.Close()
 	if err := pool.Register(reg, churnRemoteOpts); err != nil {

@@ -22,7 +22,8 @@ import (
 //     global sequence, no matter when it joined or how it left.
 
 // TestRaceStreamHub hammers one hub with publishers, churning subscribers,
-// and keyed retries, then closes it mid-flight.
+// and keyed retries, then closes it mid-flight: once the publishers finish,
+// while the subscribers are still reading.
 func TestRaceStreamHub(t *testing.T) {
 	h, err := OpenHub(HubOptions{SubscriberBuffer: 64})
 	if err != nil {
@@ -33,12 +34,12 @@ func TestRaceStreamHub(t *testing.T) {
 		batches     = 50
 		subscribers = 6
 	)
-	var wg sync.WaitGroup
+	var pubs, subs sync.WaitGroup
 
 	for p := 0; p < publishers; p++ {
-		wg.Add(1)
+		pubs.Add(1)
 		go func(p int) {
-			defer wg.Done()
+			defer pubs.Done()
 			for b := 0; b < batches; b++ {
 				evs := []StreamEvent{
 					benchEvent(fmt.Sprintf("exp-%d", p), b*2),
@@ -67,9 +68,9 @@ func TestRaceStreamHub(t *testing.T) {
 	// Subscribers churn: subscribe, consume a while asserting monotone
 	// gap-free seqs, cancel, resubscribe from the cursor.
 	for s := 0; s < subscribers; s++ {
-		wg.Add(1)
+		subs.Add(1)
 		go func(s int) {
-			defer wg.Done()
+			defer subs.Done()
 			cursor := ""
 			for round := 0; round < 4; round++ {
 				sub, err := h.Subscribe(SubscribeOptions{Cursor: cursor})
@@ -107,10 +108,11 @@ func TestRaceStreamHub(t *testing.T) {
 			}
 		}(s)
 	}
-	wg.Wait()
+	pubs.Wait()
 	if err := h.Close(); err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
+	subs.Wait()
 }
 
 // TestRaceStreamStalledSubscriber pins one subscriber that never reads while

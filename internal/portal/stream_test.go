@@ -482,6 +482,36 @@ func TestWatchHTTPLiveSSE(t *testing.T) {
 	_ = h
 }
 
+// TestEmptyEventBatchAnswersLiveCursor: the hub and the HTTP client answer
+// an empty batch alike. With no key it is the hub's live cursor; under a
+// committed key it is the cursor that key got. Neither appends an event.
+func TestEmptyEventBatchAnswersLiveCursor(t *testing.T) {
+	h, client := newStreamServer(t)
+	committed, err := h.PublishEventsKeyed("k1", []StreamEvent{benchEvent("a", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := mustPublish(t, h, benchEvent("a", 1))
+	sinks := []struct {
+		name string
+		sink KeyedEventSink
+	}{{"hub", h}, {"client", client}}
+	for _, tc := range []struct{ key, want string }{{"", live}, {"k1", committed}} {
+		for _, s := range sinks {
+			got, err := s.sink.PublishEventsKeyed(tc.key, nil)
+			if err != nil {
+				t.Fatalf("%s, key %q: %v", s.name, tc.key, err)
+			}
+			if got != tc.want {
+				t.Errorf("%s, key %q: cursor %q, want %q", s.name, tc.key, got, tc.want)
+			}
+		}
+	}
+	if h.LastSeq() != 2 {
+		t.Fatalf("empty batches appended: LastSeq = %d, want 2", h.LastSeq())
+	}
+}
+
 func TestWatchHTTPReconnectFromCursor(t *testing.T) {
 	_, client := newStreamServer(t)
 

@@ -150,9 +150,6 @@ func writeSSEEvent(w io.Writer, ev StreamEvent) error {
 // transit is answered from the hub's dedupe memory instead of
 // double-appending.
 func (c *Client) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) {
-	if len(evs) == 0 {
-		return "", nil
-	}
 	body, err := json.Marshal(evs)
 	if err != nil {
 		return "", fmt.Errorf("portal: encode events: %w", err)

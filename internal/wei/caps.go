@@ -1,12 +1,9 @@
 package wei
 
-// Capabilities describes what a workcell can do, advertised on /healthz so a
-// fleet control plane can place campaigns capability-aware: a campaign that
-// needs a camera never lands on a camera-less cell, a realtime-hardware
-// campaign never lands on a simulated one. The zero value means "nothing
-// advertised"; schedulers treat such cells as unconstrained (benefit of the
-// doubt — a mismatch then surfaces as an ordinary runtime failure, which is
-// what older servers without the field already did).
+// Capabilities describes what a workcell can do. A workcell server
+// advertises it on /healthz, and the fleet control plane records it per
+// member and reports it on GET /members; it does not steer placement. The
+// zero value means nothing was advertised.
 type Capabilities struct {
 	// Lanes is the number of campaigns the cell can run concurrently.
 	Lanes int `json:"lanes,omitempty"`
@@ -17,26 +14,4 @@ type Capabilities struct {
 	Realtime bool `json:"realtime,omitempty"`
 	// Camera reports an imaging module is present.
 	Camera bool `json:"camera,omitempty"`
-}
-
-// IsZero reports whether nothing is advertised.
-func (c Capabilities) IsZero() bool { return c == Capabilities{} }
-
-// Satisfies reports whether a cell advertising c can serve a requirement
-// req. Zero-valued requirement fields do not constrain: the zero requirement
-// is satisfied by every cell.
-func (c Capabilities) Satisfies(req Capabilities) bool {
-	if req.Lanes > 0 && c.Lanes < req.Lanes {
-		return false
-	}
-	if req.OT2s > 0 && c.OT2s < req.OT2s {
-		return false
-	}
-	if req.Realtime && !c.Realtime {
-		return false
-	}
-	if req.Camera && !c.Camera {
-		return false
-	}
-	return true
 }

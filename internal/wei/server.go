@@ -27,9 +27,9 @@ type HealthInfo struct {
 	// Commands counts module commands received this session.
 	Commands int `json:"commands"`
 	// Caps advertises what the cell can do (lane count, liquid handlers,
-	// realtime vs simulated, camera present) so a fleet control plane can
-	// place campaigns capability-aware. Zero when the server predates the
-	// field or chose not to advertise.
+	// realtime vs simulated, camera present); a fleet control plane records
+	// it for its member listing. Zero when the server predates the field or
+	// chose not to advertise.
 	Caps Capabilities `json:"caps"`
 }
 
@@ -68,7 +68,7 @@ type ServerOptions struct {
 	// Clock stamps the per-session command log (default: wall clock, the
 	// time base an operator reading server logs expects).
 	Clock sim.Clock
-	// Caps is advertised on /healthz for capability-aware placement.
+	// Caps is advertised on /healthz, where the fleet's probes read it.
 	Caps Capabilities
 }
 

@@ -169,7 +169,7 @@ func TestWorkcellServerResetSwapsModules(t *testing.T) {
 	}
 
 	// Commands count within the session.
-	c := wcc.ModuleClient(0, "dev1")
+	c := wcc.ModuleClient("dev1")
 	if _, err := c.Act(ctx, "dev1", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestWorkcellServerSessionLogBoundary(t *testing.T) {
 	srv := httptest.NewServer(ws.Handler())
 	defer srv.Close()
 	wcc := NewWorkcellClient(srv.URL)
-	c := wcc.ModuleClient(0, "dev1")
+	c := wcc.ModuleClient("dev1")
 	ctx := context.Background()
 
 	c.Act(ctx, "dev1", "ping", nil)

@@ -156,20 +156,13 @@ type HTTPClient struct {
 }
 
 // NewHTTPClient returns a client for modules all served by one base URL,
-// with the command timeout DefaultActTimeout. Use WithTimeout (or set HTTP
-// directly) to change it.
+// with the command timeout DefaultActTimeout. Set HTTP to change it.
 func NewHTTPClient(baseURL string, modules ...string) *HTTPClient {
 	m := make(map[string]string, len(modules))
 	for _, name := range modules {
 		m[name] = baseURL
 	}
 	return &HTTPClient{BaseURL: m, HTTP: &http.Client{Timeout: DefaultActTimeout}}
-}
-
-// WithTimeout sets the per-command wall-clock timeout and returns c.
-func (c *HTTPClient) WithTimeout(d time.Duration) *HTTPClient {
-	c.HTTP = &http.Client{Timeout: d}
-	return c
 }
 
 func (c *HTTPClient) httpc() *http.Client {
@@ -380,14 +373,9 @@ func (w *WorkcellClient) Reset(ctx context.Context, campaign string) (ResetInfo,
 }
 
 // ModuleClient returns an HTTPClient addressing the named modules at this
-// workcell's base URL, with the command timeout actTimeout (0 uses
-// DefaultActTimeout).
-func (w *WorkcellClient) ModuleClient(actTimeout time.Duration, modules ...string) *HTTPClient {
-	c := NewHTTPClient(w.Base, modules...)
-	if actTimeout > 0 {
-		c.WithTimeout(actTimeout)
-	}
-	return c
+// workcell's base URL, with the command timeout DefaultActTimeout.
+func (w *WorkcellClient) ModuleClient(modules ...string) *HTTPClient {
+	return NewHTTPClient(w.Base, modules...)
 }
 
 func (w *WorkcellClient) controlGet(ctx context.Context, op, url string, v any) error {
