@@ -83,12 +83,31 @@ func (st *streamTally) check(t *testing.T) {
 	}
 }
 
-// watchAll follows the stream from cursor until lastSeq has been delivered,
-// reconnecting from the cursor every time the connection drops — and, when
-// killEvery > 0, deliberately killing its own connection every killEvery
-// events to exercise resume continuously.
-func watchAll(t *testing.T, client *portal.Client, tally *streamTally, cursor string, lastSeq func() (int64, bool), killEvery int) {
+// watchAll follows the stream from cursor until the run is over (done is
+// closed) and every event up to lastSeq() has been delivered, reconnecting
+// from the cursor every time the connection drops — and, when killEvery > 0,
+// deliberately killing its own connection every killEvery events to exercise
+// resume continuously. Closing done cancels the live connection, so a
+// watcher parked in Next when the run ends returns at once.
+func watchAll(t *testing.T, client *portal.Client, tally *streamTally, cursor string, lastSeq func() int64, done <-chan struct{}, killEvery int) {
 	t.Helper()
+	runCtx, endRun := context.WithCancel(context.Background())
+	defer endRun()
+	go func() {
+		select {
+		case <-done:
+			endRun()
+		case <-runCtx.Done():
+		}
+	}()
+	over := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
 	deadline := time.Now().Add(5 * time.Minute)
 	sinceKill := 0
 	var lastDelivered int64
@@ -97,14 +116,17 @@ func watchAll(t *testing.T, client *portal.Client, tally *streamTally, cursor st
 			t.Errorf("watcher timed out at seq %d", lastDelivered)
 			return
 		}
-		want, final := lastSeq()
-		if final && lastDelivered >= want {
+		if over() && lastDelivered >= lastSeq() {
 			return
 		}
-		// Bound each connection's lifetime: an idle watcher parked in Next
-		// after the run ends must cycle back here promptly to notice it is
-		// done. Reconnect-from-cursor makes the churn free.
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		// A connection opened during the run ends with it; one opened
+		// after drains the tail. The cap keeps a connection that a fault
+		// leaves silent from outliving the deadline above.
+		parent := runCtx
+		if over() {
+			parent = context.Background()
+		}
+		ctx, cancel := context.WithTimeout(parent, 5*time.Second)
 		w, err := client.Watch(ctx, portal.WatchOptions{Cursor: cursor})
 		if err != nil {
 			cancel()
@@ -115,10 +137,10 @@ func watchAll(t *testing.T, client *portal.Client, tally *streamTally, cursor st
 		for {
 			ev, err := w.Next()
 			if err != nil {
-				// Dropped — evicted, portal closed, EOF, or this
-				// connection's lifetime cap. All resumable.
+				// Dropped — evicted, portal closed, EOF, the run's end or
+				// this connection's lifetime cap. All resumable.
 				if !errors.Is(err, portal.ErrSlowSubscriber) && !errors.Is(err, portal.ErrStreamClosed) &&
-					!errors.Is(err, io.EOF) && !errors.Is(err, context.DeadlineExceeded) {
+					!errors.Is(err, io.EOF) && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 					t.Logf("watcher drop: %v", err)
 				}
 				break
@@ -130,7 +152,7 @@ func watchAll(t *testing.T, client *portal.Client, tally *streamTally, cursor st
 				sinceKill = 0
 				break // deliberate mid-stream disconnect
 			}
-			if want, final := lastSeq(); final && lastDelivered >= want {
+			if over() && lastDelivered >= lastSeq() {
 				cursor = w.Cursor()
 				w.Close()
 				cancel()
@@ -157,20 +179,14 @@ func TestStreamE2EReconnect(t *testing.T) {
 	client := portal.NewClient(srv.URL)
 
 	pub := portal.NewEventPublisher(client, portal.PublisherOptions{FlushInterval: 10 * time.Millisecond})
-	var done bool
-	var doneMu sync.Mutex
-	lastSeq := func() (int64, bool) {
-		doneMu.Lock()
-		defer doneMu.Unlock()
-		return hub.LastSeq(), done
-	}
+	runOver := make(chan struct{})
 
 	tally := newStreamTally()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		watchAll(t, client, tally, portal.StreamStart, lastSeq, 7)
+		watchAll(t, client, tally, portal.StreamStart, hub.LastSeq, runOver, 7)
 	}()
 
 	res, err := Run(context.Background(), quickCampaigns(4, 8), Options{Workcells: 2, Seed: 5, EventSink: pub})
@@ -186,9 +202,7 @@ func TestStreamE2EReconnect(t *testing.T) {
 	if n := pub.Dropped(); n > 0 {
 		t.Fatalf("publisher dropped %d events", n)
 	}
-	doneMu.Lock()
-	done = true
-	doneMu.Unlock()
+	close(runOver)
 	wg.Wait()
 
 	tally.check(t)
@@ -323,7 +337,9 @@ func TestStreamE2EPortalRestartMidStream(t *testing.T) {
 	// Resume the watcher from its pre-restart cursor against the replayed
 	// hub: the spliced stream must hold every attempt with no gap or dup.
 	final := hub2.LastSeq()
-	watchAll(t, client, tally, cursor, func() (int64, bool) { return final, true }, 0)
+	runOver := make(chan struct{})
+	close(runOver)
+	watchAll(t, client, tally, cursor, func() int64 { return final }, runOver, 0)
 	tally.check(t)
 	if int64(tally.events) != final {
 		t.Fatalf("watcher saw %d events, hub holds %d (gap or dup across restart)", tally.events, final)
@@ -381,19 +397,13 @@ func TestStreamE2EChurn(t *testing.T) {
 	client := portal.NewClient(srv.URL)
 	pub := portal.NewEventPublisher(client, portal.PublisherOptions{FlushInterval: 10 * time.Millisecond})
 
-	var done bool
-	var doneMu sync.Mutex
-	lastSeq := func() (int64, bool) {
-		doneMu.Lock()
-		defer doneMu.Unlock()
-		return hub.LastSeq(), done
-	}
+	runOver := make(chan struct{})
 	tally := newStreamTally()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		watchAll(t, client, tally, portal.StreamStart, lastSeq, 97)
+		watchAll(t, client, tally, portal.StreamStart, hub.LastSeq, runOver, 97)
 	}()
 
 	campaigns := quickCampaigns(n, 8)
@@ -416,9 +426,7 @@ func TestStreamE2EChurn(t *testing.T) {
 	if dropped := pub.Dropped(); dropped > 0 {
 		t.Fatalf("publisher dropped %d events", dropped)
 	}
-	doneMu.Lock()
-	done = true
-	doneMu.Unlock()
+	close(runOver)
 	wg.Wait()
 
 	tally.check(t)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -74,5 +75,34 @@ func BenchmarkSimClockAdvance(b *testing.B) {
 		c.DoneWorker()
 		wg.Wait()
 		b.StartTimer()
+	}
+}
+
+// normChunk is one render noise chunk: 16 rows of a 640×480 RGB frame.
+const normChunk = 16 * 640 * 3
+
+// BenchmarkNormFloat64Fill draws one render noise chunk through the inlined
+// ziggurat over the buffered source.
+func BenchmarkNormFloat64Fill(b *testing.B) {
+	g := NewRNG(1)
+	dst := make([]float64, normChunk)
+	b.SetBytes(normChunk * 8)
+	for i := 0; i < b.N; i++ {
+		g.NormFloat64Fill(dst)
+	}
+}
+
+// BenchmarkNormFloat64Loop draws the same chunk with one
+// (*rand.Rand).NormFloat64 call per deviate over the stdlib source: the
+// identical values through the stdlib's per-call path, the baseline
+// BenchmarkNormFloat64Fill is read against.
+func BenchmarkNormFloat64Loop(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	dst := make([]float64, normChunk)
+	b.SetBytes(normChunk * 8)
+	for i := 0; i < b.N; i++ {
+		for k := range dst {
+			dst[k] = r.NormFloat64()
+		}
 	}
 }

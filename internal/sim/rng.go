@@ -9,15 +9,72 @@ import (
 // component in the repository (solvers, sensor noise, fault injection,
 // device jitter) draws from an RNG derived from the experiment seed, so that
 // a whole experiment is reproducible bit-for-bit from a single integer.
+//
+// The stream is math/rand's: for a given seed every method returns exactly
+// what the same call on rand.New(rand.NewSource(seed)) would.
 type RNG struct {
-	mu sync.Mutex
-	r  *rand.Rand
+	mu  sync.Mutex
+	src *lfSource
+	r   *rand.Rand // over src
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := new(lfSource)
+	src.Seed(seed)
+	return &RNG{src: src, r: rand.New(src)}
 }
+
+// The lags of math/rand's additive lagged-Fibonacci source, whose n-th
+// output is out[n] = out[n-rngLen] + out[n-rngTap] (mod 2⁶⁴).
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// lfSource runs math/rand's default source stream a block at a time, so
+// NormFloat64Fill can read its words straight out of buf. It takes the first
+// rngLen outputs from rand.NewSource, which saves copying the stdlib's
+// seeding tables, and runs the recurrence itself from there.
+type lfSource struct {
+	buf [rngLen]uint64 // the latest rngLen outputs, oldest first
+	pos int            // index of the next unread output in buf
+}
+
+// Seed restarts the stream at seed's first output.
+func (s *lfSource) Seed(seed int64) {
+	boot := rand.NewSource(seed).(rand.Source64)
+	for i := range s.buf {
+		s.buf[i] = boot.Uint64()
+	}
+	s.pos = 0
+}
+
+// refill replaces buf with the next rngLen outputs, in place: the first
+// rngTap new words read old words above them, the rest read new ones.
+func (s *lfSource) refill() {
+	b := &s.buf
+	for i := 0; i < rngTap; i++ {
+		b[i] += b[i+rngLen-rngTap]
+	}
+	for i := rngTap; i < rngLen; i++ {
+		b[i] += b[i-rngTap]
+	}
+	s.pos = 0
+}
+
+// Uint64 and Int63 make lfSource a rand.Source64; Int63 drops the top bit,
+// as the stdlib source does.
+func (s *lfSource) Uint64() uint64 {
+	if s.pos == rngLen {
+		s.refill()
+	}
+	u := s.buf[s.pos]
+	s.pos++
+	return u
+}
+
+func (s *lfSource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
 // Derive returns a new independent stream deterministically derived from this
 // one and a label. Component i of a system should derive its stream once at
@@ -66,15 +123,34 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.NormFloat64()
 }
 
-// NormFloat64Fill fills dst with standard normal deviates, taking the stream
-// lock once for the whole batch instead of once per draw. The values are
-// exactly the ones len(dst) consecutive NormFloat64 calls would return, so
-// batching a hot loop's draws does not perturb the stream.
+// NormFloat64Fill fills dst with standard normal deviates: exactly the ones
+// len(dst) consecutive NormFloat64 calls would return, so batching a hot
+// loop's draws does not perturb the stream. It takes the stream lock once
+// for the whole batch and runs the ziggurat's fast path inline on the
+// source's buffered words, keeping the read position in a register; the
+// rare draws that miss the fast path go to normSlow.
 func (g *RNG) NormFloat64Fill(dst []float64) {
 	g.mu.Lock()
-	for i := range dst {
-		dst[i] = g.r.NormFloat64()
+	s := g.src
+	p := uint(s.pos)
+	for k := range dst {
+		if p >= rngLen {
+			s.refill()
+			p = 0
+		}
+		j := int32(uint32(s.buf[p] >> 31)) // (*rand.Rand).Uint32's bits
+		p++
+		i := j & 0x7F
+		if absInt32(j) < kn[i] {
+			dst[k] = float64(j) * float64(wn[i])
+			continue
+		}
+		// normSlow reads on from the source, so it needs the position.
+		s.pos = int(p)
+		dst[k] = normSlow(g.r, j)
+		p = uint(s.pos)
 	}
+	s.pos = int(p)
 	g.mu.Unlock()
 }
 

@@ -130,30 +130,27 @@ func EncodePNG(img *image.RGBA) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodePNG parses a PNG frame back into an RGBA image.
+// DecodePNG parses a PNG frame back into an RGBA image whose bounds start at
+// the origin.
 func DecodePNG(data []byte) (*image.RGBA, error) {
 	src, err := png.Decode(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
+	// png.Decode hands back a packed, origin-anchored *image.RGBA for opaque
+	// truecolor frames, which is already the result, and *image.NRGBA
+	// otherwise. Opaque NRGBA is byte-identical to RGBA, so its rows are
+	// copied directly instead of going through the At/Set color conversion
+	// machinery (two interface calls and a color model round trip per
+	// pixel); the generic path remains for any other source.
+	if rgba, ok := src.(*image.RGBA); ok && rgba.Rect.Min == (image.Point{}) && rgba.Stride == 4*rgba.Rect.Dx() {
+		return rgba, nil
+	}
 	b := src.Bounds()
 	out := image.NewRGBA(image.Rect(0, 0, b.Dx(), b.Dy()))
-	// png.Decode hands back *image.RGBA for opaque truecolor frames and
-	// *image.NRGBA otherwise; both store 8-bit RGBA samples row-major, so the
-	// rows can be copied directly instead of going through the At/Set color
-	// conversion machinery (which costs two interface calls and a color model
-	// round trip per pixel). Opaque NRGBA is byte-identical to RGBA; the
-	// generic path remains for any other source type.
-	switch src := src.(type) {
-	case *image.RGBA:
-		copyRows(out, src.Pix[src.PixOffset(b.Min.X, b.Min.Y):], src.Stride, b)
-	case *image.NRGBA:
-		if src.Opaque() {
-			copyRows(out, src.Pix[src.PixOffset(b.Min.X, b.Min.Y):], src.Stride, b)
-		} else {
-			slowConvert(out, src, b)
-		}
-	default:
+	if nrgba, ok := src.(*image.NRGBA); ok && nrgba.Opaque() {
+		copyRows(out, nrgba.Pix[nrgba.PixOffset(b.Min.X, b.Min.Y):], nrgba.Stride, b)
+	} else {
 		slowConvert(out, src, b)
 	}
 	return out, nil

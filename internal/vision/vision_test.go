@@ -215,10 +215,17 @@ func TestAnalyzerDeterministicOnSameImage(t *testing.T) {
 	}
 }
 
+// claimsAlpha hides an opaque NRGBA image's opacity from png.Encode, which
+// then writes an alpha channel that decodes to an opaque *image.NRGBA.
+type claimsAlpha struct{ *image.NRGBA }
+
+func (claimsAlpha) Opaque() bool { return false }
+
 // TestDecodeFastPathMatchesSlowPath decodes representative PNG payloads —
-// opaque truecolor (decodes to *image.RGBA), NRGBA with partial alpha, and a
-// paletted image (neither fast path applies) — and checks the direct Pix-copy
-// fast paths produce byte-identical output to the generic At/Set conversion.
+// opaque truecolor (decodes to *image.RGBA, returned as is), opaque NRGBA
+// (rows copied), NRGBA with partial alpha, and a paletted image (neither
+// fast path applies) — and checks the fast paths produce byte-identical
+// output to the generic At/Set conversion.
 func TestDecodeFastPathMatchesSlowPath(t *testing.T) {
 	rng := sim.NewRNG(8)
 	scene, _ := buildScene(t, strongFractions(32), 0, 0, rng)
@@ -237,6 +244,18 @@ func TestDecodeFastPathMatchesSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	opaqueN := image.NewNRGBA(image.Rect(0, 0, 29, 13))
+	for i := range opaqueN.Pix {
+		opaqueN.Pix[i] = uint8(rng.Intn(256))
+	}
+	for i := 3; i < len(opaqueN.Pix); i += 4 {
+		opaqueN.Pix[i] = 255
+	}
+	var obuf bytes.Buffer
+	if err := png.Encode(&obuf, claimsAlpha{opaqueN}); err != nil {
+		t.Fatal(err)
+	}
+
 	pal := image.NewPaletted(image.Rect(0, 0, 40, 25), palette.Plan9)
 	for i := range pal.Pix {
 		pal.Pix[i] = uint8(rng.Intn(len(palette.Plan9)))
@@ -247,9 +266,10 @@ func TestDecodeFastPathMatchesSlowPath(t *testing.T) {
 	}
 
 	for name, data := range map[string][]byte{
-		"opaque-rgba": opaque,
-		"nrgba-alpha": nbuf.Bytes(),
-		"paletted":    pbuf.Bytes(),
+		"opaque-rgba":  opaque,
+		"opaque-nrgba": obuf.Bytes(),
+		"nrgba-alpha":  nbuf.Bytes(),
+		"paletted":     pbuf.Bytes(),
 	} {
 		got, err := DecodePNG(data)
 		if err != nil {
