@@ -126,31 +126,37 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 // NormFloat64Fill fills dst with standard normal deviates: exactly the ones
 // len(dst) consecutive NormFloat64 calls would return, so batching a hot
 // loop's draws does not perturb the stream. It takes the stream lock once
-// for the whole batch and runs the ziggurat's fast path inline on the
-// source's buffered words, keeping the read position in a register; the
-// rare draws that miss the fast path go to normSlow.
+// for the whole batch and runs the ziggurat's fast path inline over runs of
+// the source's buffered words, one run per refill or slow draw; the rare
+// draws that miss the fast path go to normSlow, which reads on from the
+// source.
 func (g *RNG) NormFloat64Fill(dst []float64) {
 	g.mu.Lock()
 	s := g.src
-	p := uint(s.pos)
-	for k := range dst {
-		if p >= rngLen {
+	for len(dst) > 0 {
+		if s.pos == rngLen {
 			s.refill()
-			p = 0
 		}
-		j := int32(uint32(s.buf[p] >> 31)) // (*rand.Rand).Uint32's bits
-		p++
-		i := j & 0x7F
-		if absInt32(j) < kn[i] {
-			dst[k] = float64(j) * float64(wn[i])
-			continue
+		words := s.buf[s.pos:]
+		n := min(len(words), len(dst))
+		words, run := words[:n], dst[:n]
+		k := 0
+		for ; k < n; k++ {
+			j := int32(uint32(words[k] >> 31)) // (*rand.Rand).Uint32's bits
+			i := j & 0x7F
+			if absInt32(j) >= kn[i] {
+				break
+			}
+			run[k] = float64(j) * wn64[i]
 		}
-		// normSlow reads on from the source, so it needs the position.
-		s.pos = int(p)
-		dst[k] = normSlow(g.r, j)
-		p = uint(s.pos)
+		s.pos += k
+		dst = dst[k:]
+		if k < n {
+			s.pos++
+			dst[0] = normSlow(s, int32(uint32(words[k]>>31)))
+			dst = dst[1:]
+		}
 	}
-	s.pos = int(p)
 	g.mu.Unlock()
 }
 

@@ -258,6 +258,82 @@ func TestNormFloat64FillMatchesStdlib(t *testing.T) {
 			}
 		}
 	})
+
+	// The wedge test decides most draws by lines above and below the curve
+	// and calls math.Exp only between them, so a draw whose float32 left
+	// side lands within an ulp of float32(exp(−x²/2)) is where a wrong
+	// margin would show. Plant such draws: for every strip and sign, the
+	// words j where the lines touch the curve (each end of the strip for the
+	// chord, its middle in x² for the tangent), each followed by the uniform
+	// word that puts the left side one ulp below, on, or one ulp above the
+	// rounded curve.
+	t.Run("wedge edges", func(t *testing.T) {
+		var out [4]float64
+		var on, below, above int
+		for i := int32(1); i < 128; i++ {
+			xa := float64(kn[i]) * float64(wn[i])
+			xb := (1 << 31) * float64(wn[i])
+			mid := math.Sqrt((xa*xa+xb*xb)/2) / float64(wn[i])
+			for _, m := range []int64{int64(kn[i]), int64(mid), 1 << 31} {
+				for _, sign := range []int64{1, -1} {
+					// The word of strip i at or just below sign·m, moved up
+					// a strip period when that leaves the wedge or int32.
+					j := sign*m - (sign*m-int64(i))&0x7F
+					if 0 <= j && j < int64(kn[i]) || j < math.MinInt32 {
+						j += 128
+					}
+					x := float64(j) * float64(wn[i])
+					curve := float32(math.Exp(-.5 * x * x))
+					for _, target := range []float32{
+						math.Nextafter32(curve, 0), curve, math.Nextafter32(curve, 2),
+					} {
+						// The smallest float32 u whose left side reaches
+						// target; the left side is monotone in u.
+						lo, hi := uint32(0), math.Float32bits(1)
+						for lo < hi {
+							mu := lo + (hi-lo)/2
+							if fn[i]+math.Float32frombits(mu)*(fn[i-1]-fn[i]) >= target {
+								hi = mu
+							} else {
+								lo = mu + 1
+							}
+						}
+						word := uint64(float64(math.Float32frombits(lo)) * (1 << 63))
+						u := float32(float64(word&(1<<63-1)) / (1 << 63))
+						if fn[i]+u*(fn[i-1]-fn[i]) != target {
+							continue // target is outside the wedge or unreachable
+						}
+						switch {
+						case target < curve:
+							below++
+						case target == curve:
+							on++
+						default:
+							above++
+						}
+						g := NewRNG(j)
+						g.src.buf[0] = uint64(uint32(j)) << 31
+						g.src.buf[1] = word
+						cp := *g.src
+						ref := rand.New(&cp)
+						g.NormFloat64Fill(out[:])
+						for k, v := range out {
+							if want := ref.NormFloat64(); math.Float64bits(v) != math.Float64bits(want) {
+								t.Fatalf("strip %d, j = %d, left side %v, curve %v: fill[%d] = %v, stdlib %v",
+									i, j, target, curve, k, v, want)
+							}
+						}
+					}
+				}
+			}
+		}
+		// Every strip and sign can plant all three at the tangent; the
+		// chord's ends can fall outside the wedge's left-side range.
+		if min(below, on, above) < 254 {
+			t.Fatalf("planted %d draws one ulp below the curve, %d on it, %d one ulp above; want ≥ 254 each",
+				below, on, above)
+		}
+	})
 }
 
 // TestSourceSeedRestarts re-seeds a used stream through (*rand.Rand).Seed:

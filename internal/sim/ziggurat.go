@@ -4,10 +4,7 @@
 
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // The Marsaglia & Tsang (2000) ziggurat behind math/rand's NormFloat64:
 // rn and the kn/wn/fn tables are math/rand's (src/math/rand/normal.go),
@@ -25,8 +22,14 @@ func absInt32(i int32) uint32 {
 
 // normSlow finishes (*rand.Rand).NormFloat64's loop for a draw j that missed
 // the ziggurat fast path: the base-strip tail when j's strip is 0, else the
-// wedge test, drawing any further values from r. Under 2% of draws get here.
-func normSlow(r *rand.Rand, j int32) float64 {
+// wedge test, reading any further values from s as (*rand.Rand).Float64 and
+// Uint32 would. Under 2% of draws get here.
+//
+// The wedge test accepts x when fn[i] + u·(fn[i-1] − fn[i]), in float32, is
+// below float32(exp(−x²/2)). wedge[i] brackets exp(−x²/2) between two lines
+// in x², so most draws are decided by a comparison and only those that land
+// between the lines call math.Exp, which alone decides them.
+func normSlow(s *lfSource, j int32) float64 {
 	for {
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
@@ -37,8 +40,8 @@ func normSlow(r *rand.Rand, j int32) float64 {
 		if i == 0 {
 			// This extra work is only required for the base strip.
 			for {
-				x = -math.Log(r.Float64()) * (1.0 / rn)
-				y := -math.Log(r.Float64())
+				x = -math.Log(s.uniform()) * (1.0 / rn)
+				y := -math.Log(s.uniform())
 				if y+y >= x*x {
 					break
 				}
@@ -48,12 +51,62 @@ func normSlow(r *rand.Rand, j int32) float64 {
 			}
 			return -rn - x
 		}
-		if fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+		l := fn[i] + float32(s.uniform())*(fn[i-1]-fn[i])
+		w, xx, lf := &wedge[i], x*x, float64(l)
+		if lf < w.lo0-w.lo1*xx {
 			return x
 		}
-		j = int32(r.Uint32())
+		if lf < w.hi0-w.hi1*xx && l < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+		j = int32(uint32(s.Uint64() >> 31)) // (*rand.Rand).Uint32's bits
 	}
 }
+
+// uniform is (*rand.Rand).Float64 over s: a 63-bit word scaled to [0, 1),
+// drawn again in the rare case that the division rounds up to 1.
+func (s *lfSource) uniform() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// wedgeBounds brackets exp(−x²/2) over one strip's wedge, as lines in
+// s = x²: lo0 − lo1·s below the curve and hi0 − hi1·s above it.
+type wedgeBounds struct{ lo0, lo1, hi0, hi1 float64 }
+
+// wedge holds each strip's bounds. A wedge draw of strip i ≥ 1 has
+// kn[i] ≤ |j| ≤ 2³¹, so s runs from sa at |j| = kn[i] to sb at |j| = 2³¹.
+// exp(−s/2) is convex in s, so the chord through its values at sa and sb
+// lies above it and the tangent at the middle of [sa, sb] below it.
+//
+// The lines carry a relative margin of 2⁻²³, at least one float32 ulp of
+// the float32 left side l. So l below the lower line is more than an ulp
+// below exp(−s/2), where the curve's float32 rounding cannot come down to
+// it; and l at or above the upper line is above the curve, where that
+// rounding cannot rise past it. The float64 errors, math.Exp's and those of
+// evaluating the lines (whose terms cancel by at most a factor of 19 within
+// a strip), stay below 2⁻⁴⁵ relative, far inside the margin, so every
+// decision is the one the exact test takes.
+var wedge = func() (w [128]wedgeBounds) {
+	const below, above = 1 - 0x1p-23, 1 + 0x1p-23
+	for i := 1; i < len(w); i++ {
+		xa := float64(kn[i]) * float64(wn[i])
+		xb := (1 << 31) * float64(wn[i])
+		sa, sb := xa*xa, xb*xb
+		fa, fb := math.Exp(-.5*sa), math.Exp(-.5*sb)
+		chord := (fa - fb) / (sb - sa) // minus the chord's slope
+		s0 := (sa + sb) / 2
+		f0 := math.Exp(-.5 * s0) // the tangent's slope is −f0/2
+		w[i] = wedgeBounds{
+			lo0: f0 * (1 + s0/2) * below, lo1: f0 / 2 * below,
+			hi0: (fa + chord*sa) * above, hi1: chord * above,
+		}
+	}
+	return w
+}()
 
 var kn = [128]uint32{
 	0x76ad2212, 0x0, 0x600f1b53, 0x6ce447a6, 0x725b46a2,
@@ -117,6 +170,16 @@ var wn = [128]float32{
 	1.2601323e-09, 1.2857697e-09, 1.3146202e-09, 1.347784e-09,
 	1.3870636e-09, 1.4357403e-09, 1.5008659e-09, 1.6030948e-09,
 }
+
+// wn64 is wn widened to float64, which is exact, so float64(j)*wn64[i] is
+// the stdlib's float64(j)*float64(wn[i]) without the per-draw conversion.
+var wn64 = func() (t [128]float64) {
+	for i, w := range wn {
+		t[i] = float64(w)
+	}
+	return t
+}()
+
 var fn = [128]float32{
 	1, 0.9635997, 0.9362827, 0.9130436, 0.89228165, 0.87324303,
 	0.8555006, 0.8387836, 0.8229072, 0.8077383, 0.793177,

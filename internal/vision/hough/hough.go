@@ -54,9 +54,12 @@ func DefaultParams() Params {
 
 // Scratch holds the transform's buffers so a long campaign of same-sized
 // photos allocates them once: the list of strong edge pixels, one vote plane
-// and two three-row rings per worker, and each radius plane's candidates. The
-// slice returned by CirclesScratch is backed by it and only valid until the
-// next call. One Scratch must not be used by concurrent calls.
+// with its row maxima and the two three-row rings per worker, and each radius
+// plane's candidates. A worker's vote plane and row maxima are all zero
+// between calls, over their whole capacity, so a call of any size starts on
+// clean planes without clearing them. The slice returned by CirclesScratch is
+// backed by it and only valid until the next call. One Scratch must not be
+// used by concurrent calls.
 type Scratch struct {
 	edges   []edge
 	workers []planeScratch
@@ -77,23 +80,40 @@ type edge struct {
 // planeScratch is one worker's buffers for the radius plane it is sweeping.
 // Rows of votes and smooth carry a zero cell at each end, and zero stands for
 // the rows beyond the plane's top and bottom, so the clamped box sum and the
-// peak test need no border cases.
+// peak test need no border cases. rowMax is kept by vote, so peaks can bound
+// every row's box sums before it sums a cell; need holds that plan.
 type planeScratch struct {
-	votes  []int32 // h rows of w+2
+	votes  []int32 // h rows of w+2; zero between planes
+	rowMax []int32 // each vote row's largest count; zero between planes
+	need   []uint8 // per row, the work peaks does on it (see peaks)
 	rowSum []int32 // ring of three rows of w: horizontal 3-sums
 	smooth []int32 // ring of three rows of w+2: 3×3 box sums
 	zero   []int32 // w+2 zeros
 }
 
+// grow returns buf resized to n and zeroed.
 func grow(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+	buf = resize(buf, n)
+	clear(buf)
 	return buf
+}
+
+// resize returns buf resized to n, allocating (zeroed) only when its capacity
+// is short; reused elements keep their values.
+func resize[T int32 | uint8](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// vote adds one vote to cell i of vote row y and keeps the row's maximum.
+func (ps *planeScratch) vote(i, y int) {
+	v := ps.votes[i] + 1
+	ps.votes[i] = v
+	if v > ps.rowMax[y] {
+		ps.rowMax[y] = v
+	}
 }
 
 // Circles runs a gradient-voting circle Hough transform over the region of g.
@@ -147,7 +167,9 @@ func circles(g *raster.Gray, region Rect, p Params, s *Scratch, workers int) []C
 	s.workers = s.workers[:workers]
 	for i := range s.workers {
 		ps := &s.workers[i]
-		ps.votes = grow(ps.votes, (w+2)*h)
+		ps.votes = resize(ps.votes, (w+2)*h)
+		ps.rowMax = resize(ps.rowMax, h)
+		ps.need = resize(ps.need, h)
 		ps.rowSum = grow(ps.rowSum, 3*w)
 		ps.smooth = grow(ps.smooth, 3*(w+2))
 		ps.zero = grow(ps.zero, w+2)
@@ -257,28 +279,63 @@ func (s *Scratch) sweep(ps *planeScratch, region Rect, p Params, w, h int) {
 			cx := int(fx + r*e.cs + 0.5)
 			cy := int(fy + r*e.sn + 0.5)
 			if region.Contains(cx, cy) {
-				ps.votes[(cy-region.Y0)*stride+(cx-region.X0)+1]++
+				y := cy - region.Y0
+				ps.vote(y*stride+(cx-region.X0)+1, y)
 			}
 			cx = int(fx - r*e.cs + 0.5)
 			cy = int(fy - r*e.sn + 0.5)
 			if region.Contains(cx, cy) {
-				ps.votes[(cy-region.Y0)*stride+(cx-region.X0)+1]++
+				y := cy - region.Y0
+				ps.vote(y*stride+(cx-region.X0)+1, y)
 			}
 		}
 		s.planes[ri] = ps.peaks(s.planes[ri][:0], region, r, minVotes, w, h)
 	}
 }
 
+// The work peaks does on a row, in need.
+const (
+	needSum    = 1 // horizontal 3-sums, for the box sums of a searched neighbor
+	needSearch = 2 // horizontal 3-sums, box sums and the peak search
+)
+
 // peaks appends the voted plane's peaks in row-major order, in one rolling
-// pass that leaves the plane zeroed for the worker's next radius.
+// pass that leaves the plane and its row maxima zeroed for the worker's next
+// radius.
 //
 // Quantization spreads a circle's votes over a small neighborhood of the true
 // center, so peaks are found on a 3×3 box sum of the plane, clamped at its
 // border. Step y takes the horizontal 3-sums of vote row y into the rowSum
 // ring and clears that row, adds rows y-2..y of the ring into smooth row y-1,
 // and searches row y-2, whose neighbors above and below are then final.
+//
+// Each of a box sum's nine cells is at most its row's maximum, so a row whose
+// three rows' maxima sum to less than minVotes/3 has every box sum below
+// minVotes: it holds no candidate, and as the neighbor of a candidate it
+// suppresses nothing. Such a row is neither box-summed nor searched, and
+// reads as the zero row; a row more than one row away from every searched
+// row is not 3-summed; and a row without votes is not cleared. The
+// candidates are exactly those of the full pass.
 func (ps *planeScratch) peaks(cands []Circle, region Rect, r float64, minVotes int32, w, h int) []Circle {
 	stride := w + 2
+	need, rowMax := ps.need[:h], ps.rowMax[:h]
+	clear(need)
+	for y := range need {
+		bound := 3 * int64(rowMax[y])
+		if y > 0 {
+			bound += 3 * int64(rowMax[y-1])
+		}
+		if y+1 < h {
+			bound += 3 * int64(rowMax[y+1])
+		}
+		if bound < int64(minVotes) {
+			continue
+		}
+		for t := max(y-1, 0); t <= min(y+1, h-1); t++ {
+			need[t] = max(need[t], needSum)
+		}
+		need[y] = needSearch
+	}
 	rowSum := func(y int) []int32 {
 		if y < 0 || y >= h {
 			return ps.zero[:w]
@@ -287,7 +344,7 @@ func (ps *planeScratch) peaks(cands []Circle, region Rect, r float64, minVotes i
 		return ps.rowSum[i*w : (i+1)*w]
 	}
 	smooth := func(y int) []int32 {
-		if y < 0 || y >= h {
+		if y < 0 || y >= h || need[y] != needSearch {
 			return ps.zero
 		}
 		i := y % 3
@@ -296,14 +353,19 @@ func (ps *planeScratch) peaks(cands []Circle, region Rect, r float64, minVotes i
 	for y := 0; y < h+2; y++ {
 		if y < h {
 			row := ps.votes[y*stride : (y+1)*stride]
-			dst := rowSum(y)
-			row = row[:len(dst)+2]
-			for x := range dst {
-				dst[x] = row[x] + row[x+1] + row[x+2]
+			if need[y] >= needSum {
+				dst := rowSum(y)
+				src := row[:len(dst)+2]
+				for x := range dst {
+					dst[x] = src[x] + src[x+1] + src[x+2]
+				}
 			}
-			clear(row)
+			if rowMax[y] != 0 {
+				clear(row)
+				rowMax[y] = 0
+			}
 		}
-		if sy := y - 1; sy >= 0 && sy < h {
+		if sy := y - 1; sy >= 0 && sy < h && need[sy] == needSearch {
 			a, b, c := rowSum(sy-1), rowSum(sy), rowSum(sy+1)
 			dst := smooth(sy)[1 : w+1]
 			a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
@@ -311,7 +373,7 @@ func (ps *planeScratch) peaks(cands []Circle, region Rect, r float64, minVotes i
 				dst[x] = a[x] + b[x] + c[x]
 			}
 		}
-		if py := y - 2; py >= 0 {
+		if py := y - 2; py >= 0 && need[py] == needSearch {
 			cands = appendPeaks(cands, smooth(py-1), smooth(py), smooth(py+1),
 				minVotes, region.X0-1, float64(py+region.Y0), r)
 		}

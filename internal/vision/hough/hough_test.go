@@ -179,3 +179,44 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestPeaksKeepsRowsAtBound plants 3×3 blocks of single votes. A block's
+// center has a box sum of 9, exactly three times the sum of its three rows'
+// maxima, which is the bound peaks prunes rows by: at minVotes 9 the row
+// must be searched and the center found, at 10 nothing may be. The blocks
+// sit inside the plane and against its corners, where rows beyond the plane
+// count as zero.
+func TestPeaksKeepsRowsAtBound(t *testing.T) {
+	const w, h = 12, 9
+	region := Rect{X0: 100, Y0: 50, X1: 100 + w, Y1: 50 + h}
+	for _, at := range [][2]int{{4, 3}, {0, 0}, {w - 3, h - 3}} {
+		for _, minVotes := range []int32{9, 10} {
+			ps := planeScratch{
+				votes:  make([]int32, (w+2)*h),
+				rowMax: make([]int32, h),
+				need:   make([]uint8, h),
+				rowSum: make([]int32, 3*w),
+				smooth: make([]int32, 3*(w+2)),
+				zero:   make([]int32, w+2),
+			}
+			for y := at[1]; y < at[1]+3; y++ {
+				for x := at[0]; x < at[0]+3; x++ {
+					ps.vote(y*(w+2)+x+1, y)
+				}
+			}
+			got := ps.peaks(nil, region, 11, minVotes, w, h)
+			var want []Circle
+			if minVotes == 9 {
+				want = []Circle{{X: float64(region.X0 + at[0] + 1), Y: float64(region.Y0 + at[1] + 1), R: 11, Votes: 9}}
+			}
+			if len(got) != len(want) || len(got) == 1 && got[0] != want[0] {
+				t.Fatalf("block at %v, minVotes %d: peaks %+v, want %+v", at, minVotes, got, want)
+			}
+			for i, v := range append(ps.votes, ps.rowMax...) {
+				if v != 0 {
+					t.Fatalf("block at %v, minVotes %d: cell %d left at %d", at, minVotes, i, v)
+				}
+			}
+		}
+	}
+}

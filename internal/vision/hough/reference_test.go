@@ -178,7 +178,10 @@ func sameCircles(t *testing.T, what string, got, want []hough.Circle) {
 
 // TestCirclesMatchReferenceOnFrames checks the kernel against the reference
 // on seeded plate photographs, at several worker counts, with one reused
-// Scratch per count.
+// Scratch per count. MinSupport sweeps the vote threshold the kernel's row
+// bound prunes against: on these frames the bound has half to two thirds of
+// the rows searched at 0.3, a tenth to a fifth at 0.5, and under a tenth at
+// 0.7.
 func TestCirclesMatchReferenceOnFrames(t *testing.T) {
 	frames := 4
 	if testing.Short() {
@@ -188,13 +191,44 @@ func TestCirclesMatchReferenceOnFrames(t *testing.T) {
 	for seed := int64(1); seed <= int64(frames); seed++ {
 		g, region := plateFrame(seed)
 		for _, p := range []hough.Params{wellParams(), hough.DefaultParams()} {
-			want := referenceCircles(g, region, p)
-			if len(want) == 0 {
-				t.Fatalf("seed %d: reference found no circles", seed)
+			for _, support := range []float64{0.3, 0.5, 0.7} {
+				p.MinSupport = support
+				want := referenceCircles(g, region, p)
+				if len(want) == 0 {
+					t.Fatalf("seed %d, %+v: reference found no circles", seed, p)
+				}
+				for i, n := range workerCounts {
+					got := hough.CirclesWorkers(g, region, p, &scratch[i], n)
+					sameCircles(t, fmt.Sprintf("seed %d, %+v, %d workers", seed, p, n), got, want)
+				}
 			}
-			for i, n := range workerCounts {
-				got := hough.CirclesWorkers(g, region, p, &scratch[i], n)
-				sameCircles(t, fmt.Sprintf("seed %d, %+v, %d workers", seed, p, n), got, want)
+		}
+	}
+}
+
+// TestScratchLeavesVotePlanesZero reuses one Scratch across regions that
+// grow, shrink and change shape, and worker counts that rise and fall: after
+// every call each vote plane and row maximum must be zero to the end of its
+// buffer, since the next call votes into them without clearing, and every
+// result must still match the reference.
+func TestScratchLeavesVotePlanesZero(t *testing.T) {
+	g, plate := plateFrame(5)
+	p := wellParams()
+	p.MinSupport = 0.3
+	var scratch hough.Scratch
+	for i, region := range []hough.Rect{
+		plate,
+		{X0: plate.X0, Y0: plate.Y0, X1: plate.X0 + 90, Y1: plate.Y1},
+		{X0: 0, Y0: 0, X1: g.W, Y1: g.H},
+		{X0: plate.X0 + 40, Y0: plate.Y0, X1: plate.X1, Y1: plate.Y0 + 70},
+		plate,
+	} {
+		want := referenceCircles(g, region, p)
+		for _, n := range []int{8, 1, 3, 2} {
+			got := hough.CirclesWorkers(g, region, p, &scratch, n)
+			sameCircles(t, fmt.Sprintf("region %d %+v, %d workers", i, region, n), got, want)
+			if left := hough.VotesLeft(&scratch); left != 0 {
+				t.Fatalf("region %d %+v, %d workers: %d vote cells left nonzero", i, region, n, left)
 			}
 		}
 	}

@@ -233,11 +233,12 @@ func drawNoise(rng *sim.RNG, w, h int) <-chan *[]float64 {
 	return out
 }
 
-// applyIlluminationAndNoise multiplies in the vignette and adds pixel noise,
-// taking the deviates row by row from the chunks drawNoise sends (nil noise
-// means none). The clamp is an inline comparison chain rather than
-// math.Max/math.Min calls. Output is bit-identical to a scalar loop that
-// draws one NormFloat64 per subpixel in row-major order.
+// applyIlluminationAndNoise multiplies in the vignette and adds pixel noise
+// (nil noise means none), row by row. Each row's vignette factors go into a
+// row buffer first, with one 1 − falloff·(dx²+dy²)/rmax² per pixel, and
+// shadeRow then shades the row against its row of the current noise chunk.
+// Output is bit-identical to a scalar loop that draws one NormFloat64 per
+// subpixel in row-major order.
 func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, noise <-chan *[]float64) {
 	if s.IllumFalloff == 0 && noise == nil {
 		return
@@ -246,8 +247,19 @@ func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, noise <-chan *[]float
 	falloff, std := s.IllumFalloff, s.NoiseStd
 	cx, cy := float64(w)/2, float64(h)/2
 	rmax2 := cx*cx + cy*cy
+	fac := make([]float64, w)
+	if !(falloff > 0) {
+		for x := range fac {
+			fac[x] = 1
+		}
+	}
 	var chunk *[]float64
 	var noiseRow []float64
+	if noise == nil {
+		// A zero row at σ = 0 adds exactly 0, which leaves (p·f + 0) + 0.5
+		// equal to p·f + 0.5.
+		std, noiseRow = 0, make([]float64, 3*w)
+	}
 	for y := 0; y < h; y++ {
 		if noise != nil {
 			k := y % noiseChunkRows
@@ -259,30 +271,44 @@ func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, noise <-chan *[]float
 			}
 			noiseRow = (*chunk)[k*w*3 : (k+1)*w*3]
 		}
-		i := img.PixOffset(0, y)
-		for x := 0; x < w; x++ {
-			factor := 1.0
-			if falloff > 0 {
-				dx, dy := float64(x)-cx, float64(y)-cy
-				factor = 1 - falloff*(dx*dx+dy*dy)/rmax2
+		if falloff > 0 {
+			dy := float64(y) - cy
+			for x := range fac {
+				dx := float64(x) - cx
+				fac[x] = 1 - falloff*(dx*dx+dy*dy)/rmax2
 			}
-			for c := 0; c < 3; c++ {
-				v := float64(img.Pix[i+c]) * factor
-				if noise != nil {
-					v += std * noiseRow[x*3+c]
-				}
-				v += 0.5
-				if v > 255 {
-					v = 255
-				} else if !(v > 0) { // also catches NaN, as math.Max did
-					v = 0
-				}
-				img.Pix[i+c] = uint8(v)
-			}
-			i += 4
 		}
+		i := img.PixOffset(0, y)
+		shadeRow(img.Pix[i:i+4*w], fac, noiseRow, std)
 	}
 	if chunk != nil {
 		noisePool.Put(chunk)
 	}
+}
+
+// shadeRow sets each pixel's color channels of one row to (p·f + σ·n) + 0.5,
+// clamped to [0, 255]: f is the pixel's vignette factor from fac and n its
+// three deviates from noise, in channel order. The loop advances the three
+// slices together and tests their lengths once per pixel, so its unrolled
+// channel updates carry no bounds checks.
+func shadeRow(pix []uint8, fac, noise []float64, std float64) {
+	for len(fac) > 0 && len(pix) >= 4 && len(noise) >= 3 {
+		f := fac[0]
+		pix[0] = clamp8(float64(pix[0])*f + std*noise[0])
+		pix[1] = clamp8(float64(pix[1])*f + std*noise[1])
+		pix[2] = clamp8(float64(pix[2])*f + std*noise[2])
+		fac, pix, noise = fac[1:], pix[4:], noise[3:]
+	}
+}
+
+// clamp8 rounds a shaded channel value to uint8 by adding 0.5 and clamping,
+// with an inline comparison chain rather than math.Max/math.Min calls.
+func clamp8(v float64) uint8 {
+	v += 0.5
+	if v > 255 {
+		v = 255
+	} else if !(v > 0) { // also catches NaN, as math.Max did
+		v = 0
+	}
+	return uint8(v)
 }

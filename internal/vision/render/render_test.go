@@ -146,7 +146,7 @@ func TestRenderNoiseIsSeedDeterministic(t *testing.T) {
 
 // referenceRender renders s by the definition: the noise-free raster, then,
 // for every subpixel in row-major order, the vignette factor and one
-// rng.NormFloat64 deviate.
+// rng.NormFloat64 deviate, or no deviate when rng is nil.
 func referenceRender(s *Scene, dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA {
 	flat := *s
 	flat.IllumFalloff = 0
@@ -160,8 +160,11 @@ func referenceRender(s *Scene, dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA
 			factor := 1 - s.IllumFalloff*(dx*dx+dy*dy)/rmax2
 			px := img.Pix[img.PixOffset(x, y):]
 			for c := 0; c < 3; c++ {
-				v := float64(px[c])*factor + s.NoiseStd*rng.NormFloat64() + 0.5
-				px[c] = uint8(max(0, min(255, v)))
+				v := float64(px[c]) * factor
+				if rng != nil {
+					v += s.NoiseStd * rng.NormFloat64()
+				}
+				px[c] = uint8(max(0, min(255, v+0.5)))
 			}
 		}
 	}
@@ -171,8 +174,8 @@ func referenceRender(s *Scene, dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA
 // TestRenderMatchesScalarReference pins the noise stream's order: Render must
 // equal, byte for byte, the scalar loop drawing one deviate per subpixel, and
 // leave the stream where that loop leaves it. The scenes cover a frame height
-// that is not a whole number of noise chunks, no vignette, and noise strong
-// enough to clamp at both ends.
+// that is not a whole number of noise chunks, no vignette, noise strong
+// enough to clamp at both ends, and a vignette with no noise (a nil rng).
 func TestRenderMatchesScalarReference(t *testing.T) {
 	dict := aruco.Default()
 	for i, tweak := range []func(*Scene){
@@ -180,6 +183,7 @@ func TestRenderMatchesScalarReference(t *testing.T) {
 		func(s *Scene) { s.Geom.ImgH = 470 },
 		func(s *Scene) { s.IllumFalloff = 0; s.JitterX, s.JitterY = -6, 5 },
 		func(s *Scene) { s.NoiseStd = 60 },
+		func(s *Scene) { s.NoiseStd, s.IllumFalloff = 0, 0.3 },
 	} {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
 			s := NewScene()
@@ -190,6 +194,9 @@ func TestRenderMatchesScalarReference(t *testing.T) {
 			tweak(s)
 			seed := int64(40 + i)
 			rng, ref := sim.NewRNG(seed), sim.NewRNG(seed)
+			if s.NoiseStd == 0 {
+				rng, ref = nil, nil
+			}
 			got := s.Render(dict, rng)
 			want := referenceRender(s, dict, ref)
 			for j := range want.Pix {
@@ -197,6 +204,9 @@ func TestRenderMatchesScalarReference(t *testing.T) {
 					t.Fatalf("byte %d (pixel %d, row %d): Render %d, reference %d",
 						j, j/4, j/want.Stride, got.Pix[j], want.Pix[j])
 				}
+			}
+			if rng == nil {
+				return
 			}
 			if a, b := rng.NormFloat64(), ref.NormFloat64(); a != b {
 				t.Fatalf("stream after Render yields %v, after the reference %v", a, b)

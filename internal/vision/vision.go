@@ -121,13 +121,30 @@ func (p *pngPool) Get() *png.EncoderBuffer {
 func (p *pngPool) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
 
 // EncodePNG serializes an image for transport from the camera module to the
-// application, as the physical camera would deliver a compressed frame.
+// application, as the physical camera would deliver a compressed frame. The
+// output buffer is sized up front by storedPNGSize, so an opaque frame is
+// written into one allocation that it fills.
 func EncodePNG(img *image.RGBA) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := pngEncoder.Encode(&buf, img); err != nil {
+	b := img.Bounds()
+	buf := bytes.NewBuffer(make([]byte, 0, storedPNGSize(b.Dx(), b.Dy())))
+	if err := pngEncoder.Encode(buf, img); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// storedPNGSize bounds the length of pngEncoder's output for an opaque w×h
+// image, which it writes as 8-bit truecolor in stored deflate blocks: each
+// row is a filter byte and 3 bytes per pixel; zlib adds a 2-byte header and a
+// 4-byte Adler-32, deflate a 5-byte header per block of at most 65535 bytes
+// plus an empty final block; the stream is cut into IDAT chunks of at most
+// 32 KiB with 12 bytes of length, type and CRC each; and the 8-byte
+// signature, the 25-byte IHDR chunk and the 12-byte IEND chunk frame it. An
+// image with translucent pixels takes 4 bytes per pixel and outgrows it.
+func storedPNGSize(w, h int) int {
+	raw := h * (1 + 3*w)
+	z := 2 + raw + 5*(raw/65535+2) + 4
+	return 8 + 25 + z + 12*(z/(1<<15)+1) + 12
 }
 
 // DecodePNG parses a PNG frame back into an RGBA image whose bounds start at

@@ -197,6 +197,37 @@ func TestPNGRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodePNGSizesBuffer checks storedPNGSize against the encoder: for
+// opaque frames of several shapes, one with rows longer than a deflate
+// stored block, EncodePNG's bytes equal an encode into an unsized buffer and
+// fit the size it reserved, which for a camera frame is within 1% of them.
+func TestEncodePNGSizesBuffer(t *testing.T) {
+	for _, sz := range [][2]int{{640, 480}, {1, 1}, {33, 7}, {22000, 3}} {
+		w, h := sz[0], sz[1]
+		img := image.NewRGBA(image.Rect(0, 0, w, h))
+		for i := range img.Pix {
+			img.Pix[i] = uint8(i * 37)
+			if i%4 == 3 {
+				img.Pix[i] = 255
+			}
+		}
+		data, err := EncodePNG(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plain bytes.Buffer
+		if err := pngEncoder.Encode(&plain, img); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, plain.Bytes()) {
+			t.Fatalf("%d×%d: EncodePNG's bytes differ from the encoder's", w, h)
+		}
+		if n := storedPNGSize(w, h); len(data) > n || w*h > 1000 && n > len(data)*101/100 {
+			t.Fatalf("%d×%d: %d PNG bytes, %d reserved", w, h, len(data), n)
+		}
+	}
+}
+
 func TestAnalyzerDeterministicOnSameImage(t *testing.T) {
 	rng := sim.NewRNG(7)
 	scene, _ := buildScene(t, strongFractions(48), 0, 0, rng)
