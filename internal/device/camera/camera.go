@@ -6,14 +6,15 @@
 // take_picture renders a synthetic photograph of the plate currently on the
 // camera mount — fiducial marker, plate body, and each well's liquid color
 // computed from its actual dye contents via the world's optical model — and
-// returns it PNG-encoded, exactly as the application would receive a frame
-// from the physical webcam. All color information the solvers ever see
-// passes through these pixels.
+// returns it as a lossless frame, as the application would receive one from
+// the physical webcam: the image_png result is base64 text (the standard
+// alphabet, padded) of a stored-block PNG written by vision.EncodePNG, and
+// DecodeFrame turns it back into the PNG's bytes. All color information the
+// solvers ever see passes through these pixels.
 package camera
 
 import (
 	"context"
-	"encoding/base64"
 	"fmt"
 	"time"
 
@@ -112,7 +113,7 @@ func (m *Module) takePicture(ctx context.Context, args wei.Args) (wei.Result, er
 		return nil, fmt.Errorf("camera: encode frame: %w", err)
 	}
 	return wei.Result{
-		"image_png":  base64.StdEncoding.EncodeToString(data),
+		"image_png":  encodeBase64(data),
 		"plate_id":   plate.ID,
 		"wells_used": float64(plate.Used()),
 		"frame":      float64(m.frames),
@@ -131,7 +132,7 @@ func DecodeFrame(res wei.Result) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("camera: image_png is %T, want base64 string", v)
 	}
-	data, err := base64.StdEncoding.DecodeString(s)
+	data, err := decodeBase64(s)
 	if err != nil {
 		return nil, fmt.Errorf("camera: decode frame: %w", err)
 	}

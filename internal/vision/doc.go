@@ -9,9 +9,10 @@
 // detection), hough (circle transform), plategrid (grid alignment), raster
 // (pixel primitives), and render (the synthetic plate renderer the
 // simulated camera photographs) — and [Analyzer.Analyze] chains them over
-// one frame. [EncodePNG] and [DecodePNG] are the camera-to-application
-// transport used where a physical camera would deliver a compressed frame;
-// the resulting per-well colors are what the application scores and
-// ultimately publishes to the data portal as each record's quality-control
-// image.
+// one frame. [EncodePNG] and [DecodePNG] carry the frame from the camera
+// to the application, where a physical camera would deliver a picture: an
+// uncompressed (stored-block) PNG, which publishing campaigns also store
+// as each portal record's plate.png quality-control image. The per-well
+// colors [Analyzer.Analyze] reads from it are what the application scores
+// and publishes.
 package vision

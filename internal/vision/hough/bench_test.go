@@ -17,16 +17,23 @@ func benchPlate() (*raster.Gray, Rect) {
 				color.RGB8{R: 90, G: 70, B: 110})
 		}
 	}
-	return raster.FromRGBA(img), Rect{X0: 130, Y0: 120, X1: 600, Y1: 440}
+	var g raster.Gray
+	raster.FromRGBAInto(&g, img)
+	return &g, Rect{X0: 130, Y0: 120, X1: 600, Y1: 440}
 }
 
-// BenchmarkCircles measures the circle Hough transform over a plate-sized
-// region with a realistic well count.
-func BenchmarkCircles(b *testing.B) {
+// BenchmarkCirclesScratch measures the circle Hough transform over a
+// plate-sized region with a realistic well count, on one warm Scratch as
+// the analyzer runs it frame after frame, so the vote planes and rings
+// are allocated once, outside the timed loop.
+func BenchmarkCirclesScratch(b *testing.B) {
 	g, region := benchPlate()
 	p := DefaultParams()
+	var s Scratch
+	CirclesScratch(g, region, p, &s)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Circles(g, region, p)
+		_ = CirclesScratch(g, region, p, &s)
 	}
 }

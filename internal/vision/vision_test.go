@@ -1,11 +1,7 @@
 package vision
 
 import (
-	"bytes"
 	"errors"
-	"image"
-	"image/color/palette"
-	"image/png"
 	"math"
 	"testing"
 
@@ -171,63 +167,6 @@ func TestAnalyzeNoMarker(t *testing.T) {
 	}
 }
 
-func TestPNGRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(6)
-	scene, _ := buildScene(t, strongFractions(16), 0, 0, rng)
-	a := NewAnalyzer()
-	img := scene.Render(a.Dict, nil)
-	data, err := EncodePNG(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodePNG(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Bounds() != img.Bounds() {
-		t.Fatalf("bounds changed: %v vs %v", back.Bounds(), img.Bounds())
-	}
-	for i := range img.Pix {
-		if img.Pix[i] != back.Pix[i] {
-			t.Fatal("PNG round trip not lossless")
-		}
-	}
-	if _, err := DecodePNG([]byte("not a png")); err == nil {
-		t.Fatal("garbage decoded")
-	}
-}
-
-// TestEncodePNGSizesBuffer checks storedPNGSize against the encoder: for
-// opaque frames of several shapes, one with rows longer than a deflate
-// stored block, EncodePNG's bytes equal an encode into an unsized buffer and
-// fit the size it reserved, which for a camera frame is within 1% of them.
-func TestEncodePNGSizesBuffer(t *testing.T) {
-	for _, sz := range [][2]int{{640, 480}, {1, 1}, {33, 7}, {22000, 3}} {
-		w, h := sz[0], sz[1]
-		img := image.NewRGBA(image.Rect(0, 0, w, h))
-		for i := range img.Pix {
-			img.Pix[i] = uint8(i * 37)
-			if i%4 == 3 {
-				img.Pix[i] = 255
-			}
-		}
-		data, err := EncodePNG(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var plain bytes.Buffer
-		if err := pngEncoder.Encode(&plain, img); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, plain.Bytes()) {
-			t.Fatalf("%d×%d: EncodePNG's bytes differ from the encoder's", w, h)
-		}
-		if n := storedPNGSize(w, h); len(data) > n || w*h > 1000 && n > len(data)*101/100 {
-			t.Fatalf("%d×%d: %d PNG bytes, %d reserved", w, h, len(data), n)
-		}
-	}
-}
-
 func TestAnalyzerDeterministicOnSameImage(t *testing.T) {
 	rng := sim.NewRNG(7)
 	scene, _ := buildScene(t, strongFractions(48), 0, 0, rng)
@@ -243,83 +182,5 @@ func TestAnalyzerDeterministicOnSameImage(t *testing.T) {
 	}
 	if r1.WellColors != r2.WellColors {
 		t.Fatal("analysis nondeterministic")
-	}
-}
-
-// claimsAlpha hides an opaque NRGBA image's opacity from png.Encode, which
-// then writes an alpha channel that decodes to an opaque *image.NRGBA.
-type claimsAlpha struct{ *image.NRGBA }
-
-func (claimsAlpha) Opaque() bool { return false }
-
-// TestDecodeFastPathMatchesSlowPath decodes representative PNG payloads —
-// opaque truecolor (decodes to *image.RGBA, returned as is), opaque NRGBA
-// (rows copied), NRGBA with partial alpha, and a paletted image (neither
-// fast path applies) — and checks the fast paths produce byte-identical
-// output to the generic At/Set conversion.
-func TestDecodeFastPathMatchesSlowPath(t *testing.T) {
-	rng := sim.NewRNG(8)
-	scene, _ := buildScene(t, strongFractions(32), 0, 0, rng)
-	a := NewAnalyzer()
-	opaque, err := EncodePNG(scene.Render(a.Dict, rng.Derive("px")))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	nrgba := image.NewNRGBA(image.Rect(0, 0, 61, 37))
-	for i := range nrgba.Pix {
-		nrgba.Pix[i] = uint8(rng.Intn(256))
-	}
-	var nbuf bytes.Buffer
-	if err := png.Encode(&nbuf, nrgba); err != nil {
-		t.Fatal(err)
-	}
-
-	opaqueN := image.NewNRGBA(image.Rect(0, 0, 29, 13))
-	for i := range opaqueN.Pix {
-		opaqueN.Pix[i] = uint8(rng.Intn(256))
-	}
-	for i := 3; i < len(opaqueN.Pix); i += 4 {
-		opaqueN.Pix[i] = 255
-	}
-	var obuf bytes.Buffer
-	if err := png.Encode(&obuf, claimsAlpha{opaqueN}); err != nil {
-		t.Fatal(err)
-	}
-
-	pal := image.NewPaletted(image.Rect(0, 0, 40, 25), palette.Plan9)
-	for i := range pal.Pix {
-		pal.Pix[i] = uint8(rng.Intn(len(palette.Plan9)))
-	}
-	var pbuf bytes.Buffer
-	if err := png.Encode(&pbuf, pal); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, data := range map[string][]byte{
-		"opaque-rgba":  opaque,
-		"opaque-nrgba": obuf.Bytes(),
-		"nrgba-alpha":  nbuf.Bytes(),
-		"paletted":     pbuf.Bytes(),
-	} {
-		got, err := DecodePNG(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		src, err := png.Decode(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b := src.Bounds()
-		want := image.NewRGBA(image.Rect(0, 0, b.Dx(), b.Dy()))
-		slowConvert(want, src, b)
-		if got.Bounds() != want.Bounds() {
-			t.Fatalf("%s: bounds %v vs %v", name, got.Bounds(), want.Bounds())
-		}
-		for i := range want.Pix {
-			if got.Pix[i] != want.Pix[i] {
-				t.Fatalf("%s: fast path diverges from At/Set conversion at byte %d", name, i)
-			}
-		}
 	}
 }
