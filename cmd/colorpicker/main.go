@@ -101,7 +101,7 @@ func main() {
 		}
 	}
 	if *resultOut != "" {
-		if err := core.SaveResult(*resultOut, res, false); err != nil {
+		if err := core.SaveResult(*resultOut, res); err != nil {
 			fatal(err)
 		}
 	}

@@ -85,11 +85,6 @@ func (l Linear) Clamp() Linear {
 	return Linear{cl(l.R), cl(l.G), cl(l.B)}
 }
 
-// Scale returns l with each channel multiplied by k.
-func (l Linear) Scale(k float64) Linear {
-	return Linear{l.R * k, l.G * k, l.B * k}
-}
-
 // XYZ converts linear RGB (sRGB primaries) to CIE XYZ (D65).
 func (l Linear) XYZ() XYZ {
 	return XYZ{

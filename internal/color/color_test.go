@@ -116,13 +116,6 @@ func TestLinearClamp(t *testing.T) {
 	}
 }
 
-func TestLinearScale(t *testing.T) {
-	l := Linear{0.2, 0.4, 0.8}.Scale(0.5)
-	if math.Abs(l.R-0.1) > 1e-12 || math.Abs(l.G-0.2) > 1e-12 || math.Abs(l.B-0.4) > 1e-12 {
-		t.Fatalf("Scale = %+v", l)
-	}
-}
-
 func TestOutOfGamutEncodesClamped(t *testing.T) {
 	c := Linear{2.0, -1.0, 0.5}.SRGB8()
 	if c.R != 255 || c.G != 0 {

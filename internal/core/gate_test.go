@@ -16,7 +16,7 @@ import (
 func TestCameraGateHandoffKeepsWaiterOnClock(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 200; i++ {
-		clock := sim.NewSimClock()
+		clock := sim.NewSimClockAt(sim.Epoch)
 		clock.AddWorker(2)
 		gate := NewCameraGate(clock)
 		gate.Lock()

@@ -6,16 +6,14 @@ import (
 	"os"
 	"time"
 
-	"colormatch/internal/color"
 	"colormatch/internal/metrics"
 	"colormatch/internal/solver"
-	"colormatch/internal/wei"
 )
 
 // resultFile is the JSON schema for persisted results. The paper stresses
 // "automated publication of results for experiment tracking and post-hoc
-// analysis"; alongside the portal, results can be saved to disk and loaded
-// back for later comparison.
+// analysis"; alongside the portal, results can be saved to disk for later
+// comparison. The event log is left out: it would dominate the file.
 type resultFile struct {
 	SchemaVersion int             `json:"schema_version"`
 	Config        configJSON      `json:"config"`
@@ -27,7 +25,6 @@ type resultFile struct {
 	Metrics       metrics.Summary `json:"metrics"`
 	Published     int             `json:"published"`
 	Plates        int             `json:"plates"`
-	Events        []wei.Event     `json:"events,omitempty"`
 }
 
 type configJSON struct {
@@ -56,17 +53,8 @@ func toSampleJSON(s solver.Sample) sampleJSON {
 	}
 }
 
-func fromSampleJSON(s sampleJSON) solver.Sample {
-	return solver.Sample{
-		Ratios: s.Ratios,
-		Color:  color.RGB8{R: uint8(s.Color[0]), G: uint8(s.Color[1]), B: uint8(s.Color[2])},
-		Score:  s.Score,
-	}
-}
-
-// SaveResult writes a result to path as JSON. includeEvents controls
-// whether the full event log is embedded (it dominates file size).
-func SaveResult(path string, r *Result, includeEvents bool) error {
+// SaveResult writes a result to path as JSON, without its event log.
+func SaveResult(path string, r *Result) error {
 	rf := resultFile{
 		SchemaVersion: 1,
 		Config: configJSON{
@@ -91,9 +79,6 @@ func SaveResult(path string, r *Result, includeEvents bool) error {
 	for _, s := range r.Samples {
 		rf.Samples = append(rf.Samples, toSampleJSON(s))
 	}
-	if includeEvents {
-		rf.Events = r.Events
-	}
 	data, err := json.MarshalIndent(rf, "", "  ")
 	if err != nil {
 		return fmt.Errorf("core: encode result: %w", err)
@@ -102,53 +87,4 @@ func SaveResult(path string, r *Result, includeEvents bool) error {
 		return fmt.Errorf("core: save result: %w", err)
 	}
 	return nil
-}
-
-// LoadResult reads a result previously written by SaveResult. The file
-// records how many records were published but not their IDs, so the loaded
-// Result has no RecordIDs.
-func LoadResult(path string) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: load result: %w", err)
-	}
-	var rf resultFile
-	if err := json.Unmarshal(data, &rf); err != nil {
-		return nil, fmt.Errorf("core: decode result: %w", err)
-	}
-	if rf.SchemaVersion != 1 {
-		return nil, fmt.Errorf("core: unsupported result schema %d", rf.SchemaVersion)
-	}
-	metric, ok := color.ParseMetric(rf.Config.Metric)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown metric %q in result file", rf.Config.Metric)
-	}
-	r := &Result{
-		Config: Config{
-			Experiment: rf.Config.Experiment,
-			Target: color.RGB8{
-				R: uint8(rf.Config.Target[0]),
-				G: uint8(rf.Config.Target[1]),
-				B: uint8(rf.Config.Target[2]),
-			},
-			Metric:       metric,
-			BatchSize:    rf.Config.BatchSize,
-			TotalSamples: rf.Config.TotalSamples,
-			StopScore:    rf.Config.StopScore,
-			OT2:          rf.Config.OT2,
-			WellVolume:   rf.Config.WellVolume,
-			DeckMode:     rf.Config.DeckMode,
-		},
-		Start:   rf.Start,
-		End:     rf.End,
-		Trace:   rf.Trace,
-		Best:    fromSampleJSON(rf.Best),
-		Metrics: rf.Metrics,
-		Plates:  rf.Plates,
-		Events:  rf.Events,
-	}
-	for _, s := range rf.Samples {
-		r.Samples = append(r.Samples, fromSampleJSON(s))
-	}
-	return r, nil
 }

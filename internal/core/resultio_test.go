@@ -2,11 +2,26 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// readResultFile decodes a file written by SaveResult.
+func readResultFile(t *testing.T, path string) resultFile {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rf resultFile
+	if err := json.Unmarshal(data, &rf); err != nil {
+		t.Fatal(err)
+	}
+	return rf
+}
 
 func TestResultSaveLoadRoundTrip(t *testing.T) {
 	app, _, _ := newTestApp(t, Config{
@@ -20,23 +35,24 @@ func TestResultSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "result.json")
-	if err := SaveResult(path, res, true); err != nil {
+	if err := SaveResult(path, res); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readResultFile(t, path)
 
-	if back.Config.Experiment != "persist" || back.Config.BatchSize != 4 {
+	if back.SchemaVersion != 1 {
+		t.Fatalf("schema_version = %d", back.SchemaVersion)
+	}
+	if back.Config.Experiment != "persist" || back.Config.BatchSize != 4 ||
+		back.Config.Metric != res.Config.Metric.String() {
 		t.Fatalf("config = %+v", back.Config)
 	}
 	if len(back.Samples) != len(res.Samples) {
 		t.Fatalf("samples = %d", len(back.Samples))
 	}
-	for i := range res.Samples {
-		if back.Samples[i].Color != res.Samples[i].Color || back.Samples[i].Score != res.Samples[i].Score {
-			t.Fatalf("sample %d mismatch", i)
+	for i, s := range res.Samples {
+		if !reflect.DeepEqual(back.Samples[i], toSampleJSON(s)) {
+			t.Fatalf("sample %d = %+v, want %+v", i, back.Samples[i], toSampleJSON(s))
 		}
 	}
 	if !reflect.DeepEqual(back.Trace, res.Trace) {
@@ -48,8 +64,8 @@ func TestResultSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Metrics, res.Metrics) {
 		t.Fatalf("metrics mismatch:\n%+v\n%+v", back.Metrics, res.Metrics)
 	}
-	if len(back.Events) != len(res.Events) {
-		t.Fatalf("events = %d, want %d", len(back.Events), len(res.Events))
+	if back.Published != len(res.RecordIDs) || back.Plates != res.Plates {
+		t.Fatalf("published = %d, plates = %d", back.Published, back.Plates)
 	}
 	if !back.Start.Equal(res.Start) || !back.End.Equal(res.End) {
 		t.Fatal("times mismatch")
@@ -66,50 +82,25 @@ func TestResultSaveWithoutEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Events) == 0 {
+		t.Fatal("run recorded no events")
+	}
 	path := filepath.Join(t.TempDir(), "r.json")
-	if err := SaveResult(path, res, false); err != nil {
+	if err := SaveResult(path, res); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadResult(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Events) != 0 {
-		t.Fatal("events persisted despite includeEvents=false")
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
 	}
-	if len(back.Samples) != 8 {
+	if _, ok := fields["events"]; ok {
+		t.Fatal("result file carries the event log")
+	}
+	if back := readResultFile(t, path); len(back.Samples) != 8 {
 		t.Fatalf("samples = %d", len(back.Samples))
 	}
-}
-
-func TestLoadResultErrors(t *testing.T) {
-	if _, err := LoadResult(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file loaded")
-	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := writeFile(bad, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadResult(bad); err == nil {
-		t.Fatal("garbage loaded")
-	}
-	wrongVersion := filepath.Join(dir, "v9.json")
-	if err := writeFile(wrongVersion, `{"schema_version": 9}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadResult(wrongVersion); err == nil {
-		t.Fatal("wrong schema version loaded")
-	}
-	badMetric := filepath.Join(dir, "metric.json")
-	if err := writeFile(badMetric, `{"schema_version": 1, "config": {"metric": "nope"}}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadResult(badMetric); err == nil {
-		t.Fatal("unknown metric loaded")
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

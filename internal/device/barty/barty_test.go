@@ -11,7 +11,7 @@ import (
 
 func setup(t *testing.T) (*Module, *device.World, *sim.SimClock) {
 	t.Helper()
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, 1)
 	world.RegisterReservoirs("ot2")
 	return New("barty", world, nil), world, clock

@@ -13,7 +13,7 @@ import (
 
 func setup(t *testing.T, seed int64) (*Module, *device.World, *sim.SimClock) {
 	t.Helper()
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, 2)
 	return New("camera", world, sim.NewRNG(seed)), world, clock
 }

@@ -72,7 +72,6 @@ var (
 	ErrOccupied     = errors.New("device: location already holds a plate")
 	ErrNoStock      = errors.New("device: plate storage towers are empty")
 	ErrNoReservoirs = errors.New("device: module has no registered reservoirs")
-	ErrUnknownDye   = errors.New("device: unknown dye index")
 )
 
 // RegisterReservoirs creates one reservoir per dye of the world's mix model
@@ -157,6 +156,8 @@ func (w *World) StockRemaining() int {
 }
 
 // TrashedPlates returns the disposed plates, oldest first.
+//
+//lint:ignore testonly test seam: the one view of what the trash holds, which pf400, device and core tests check after a campaign
 func (w *World) TrashedPlates() []*labware.Plate {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 )
 
 func TestWorldPlateLifecycle(t *testing.T) {
-	w := NewWorld(sim.NewSimClock(), 2)
+	w := NewWorld(sim.NewSimClockAt(sim.Epoch), 2)
 	if w.StockRemaining() != 2 {
 		t.Fatalf("stock = %d", w.StockRemaining())
 	}
@@ -49,7 +49,7 @@ func TestWorldPlateLifecycle(t *testing.T) {
 }
 
 func TestWorldMoveErrors(t *testing.T) {
-	w := NewWorld(sim.NewSimClock(), 3)
+	w := NewWorld(sim.NewSimClockAt(sim.Epoch), 3)
 	if err := w.MovePlate(LocCamera, LocOT2Deck); !errors.Is(err, ErrNoPlate) {
 		t.Fatalf("move from empty: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestWorldMoveErrors(t *testing.T) {
 }
 
 func TestWorldReservoirs(t *testing.T) {
-	w := NewWorld(sim.NewSimClock(), 1)
+	w := NewWorld(sim.NewSimClockAt(sim.Epoch), 1)
 	if _, err := w.Reservoirs("ot2"); !errors.Is(err, ErrNoReservoirs) {
 		t.Fatalf("unregistered reservoirs: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestWorldReservoirs(t *testing.T) {
 }
 
 func TestTimingAdvancesClock(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	tm := Timing{Clock: clock}
 	spent := tm.Work(42 * time.Second)
 	if spent != 42*time.Second {
@@ -95,7 +95,7 @@ func TestTimingAdvancesClock(t *testing.T) {
 }
 
 func TestTimingJitterBounded(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	tm := Timing{Clock: clock, RNG: sim.NewRNG(1), Jitter: 0.05}
 	for i := 0; i < 100; i++ {
 		spent := tm.Work(100 * time.Second)

@@ -35,7 +35,7 @@ type cell struct {
 
 func newCell(t *testing.T, seed int64, stock int) *cell {
 	t.Helper()
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, stock)
 	rng := sim.NewRNG(seed)
 	return &cell{

@@ -78,9 +78,6 @@ func New(name string, world *device.World, rng *sim.RNG) *Module {
 	return m
 }
 
-// Deck returns the module's deck location.
-func (m *Module) Deck() string { return m.deck }
-
 // ParseWells decodes the JSON-shaped "wells" argument into WellOrders.
 // It accepts the forms produced both in-process ([]WellOrder passthrough)
 // and over HTTP ([]any of map[string]any).

@@ -12,7 +12,7 @@ import (
 
 func setup(t *testing.T) (*Module, *device.World, *sim.SimClock) {
 	t.Helper()
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, 2)
 	m := New("ot2", world, nil)
 	rs, err := world.Reservoirs("ot2")
@@ -152,10 +152,10 @@ func TestParseWellsPassthrough(t *testing.T) {
 }
 
 func TestDeckNameDerivation(t *testing.T) {
-	world := device.NewWorld(sim.NewSimClock(), 1)
+	world := device.NewWorld(sim.NewSimClockAt(sim.Epoch), 1)
 	b := New("ot2_b", world, nil)
-	if b.Deck() != "ot2_b.deck" {
-		t.Fatalf("deck = %q", b.Deck())
+	if b.deck != "ot2_b.deck" {
+		t.Fatalf("deck = %q", b.deck)
 	}
 	// Each OT-2 gets its own reservoir set.
 	if _, err := world.Reservoirs("ot2_b"); err != nil {

@@ -12,7 +12,7 @@ import (
 
 func setup(t *testing.T) (*Module, *device.World, *sim.SimClock) {
 	t.Helper()
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, 2)
 	return New("pf400", world, nil), world, clock
 }
@@ -89,7 +89,7 @@ func TestTransferDurationRailDistances(t *testing.T) {
 
 func TestConcurrentTransfersQueue(t *testing.T) {
 	// Two callers using one arm must serialize: total elapsed = 2 transfers.
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, 2)
 	m := New("pf400", world, nil)
 	world.TakeNewPlate(device.LocSciclopsExchange)

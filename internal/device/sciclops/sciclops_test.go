@@ -11,7 +11,7 @@ import (
 )
 
 func TestGetPlateStagesAtExchange(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, 2)
 	m := New("sciclops", world, nil)
 
@@ -31,7 +31,7 @@ func TestGetPlateStagesAtExchange(t *testing.T) {
 }
 
 func TestGetPlateFailsWhenStockEmpty(t *testing.T) {
-	world := device.NewWorld(sim.NewSimClock(), 0)
+	world := device.NewWorld(sim.NewSimClockAt(sim.Epoch), 0)
 	m := New("sciclops", world, nil)
 	_, err := m.Act(context.Background(), "get_plate", nil)
 	if !errors.Is(err, device.ErrNoStock) {
@@ -40,7 +40,7 @@ func TestGetPlateFailsWhenStockEmpty(t *testing.T) {
 }
 
 func TestStatusReportsStock(t *testing.T) {
-	world := device.NewWorld(sim.NewSimClock(), 5)
+	world := device.NewWorld(sim.NewSimClockAt(sim.Epoch), 5)
 	m := New("sciclops", world, nil)
 	res, err := m.Act(context.Background(), "status", nil)
 	if err != nil || res["plates_remaining"] != 5.0 {
@@ -49,7 +49,7 @@ func TestStatusReportsStock(t *testing.T) {
 }
 
 func TestAboutListsActions(t *testing.T) {
-	m := New("sciclops", device.NewWorld(sim.NewSimClock(), 1), nil)
+	m := New("sciclops", device.NewWorld(sim.NewSimClockAt(sim.Epoch), 1), nil)
 	info := m.About()
 	if info.Type != "plate_crane" || len(info.Actions) != 2 {
 		t.Fatalf("about = %+v", info)
@@ -57,7 +57,7 @@ func TestAboutListsActions(t *testing.T) {
 }
 
 func TestTimingJitterStaysBounded(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	world := device.NewWorld(clock, 10)
 	m := New("sciclops", world, sim.NewRNG(1))
 	start := clock.Now()

@@ -183,6 +183,8 @@ func (p *ChurnPool) Kill(i int) {
 
 // KillAfterActions arms cell i to die when it has served n more action
 // commands — a deterministic mid-campaign crash.
+//
+//lint:ignore testonly test seam: the deterministic crash the fleet's elastic and stream tests schedule; ParseChurn schedules are time-based
 func (p *ChurnPool) KillAfterActions(i int, n int64) {
 	c := p.cells[i]
 	c.killAt.Store(c.actions.Load() + n)

@@ -77,7 +77,7 @@ func TestFleetSurfacesSummaryPublishFailure(t *testing.T) {
 // plate-image attachments from the replayed log.
 func TestFleetPortalSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := portal.OpenStore(dir)
+	store, err := portal.OpenStoreWith(dir, portal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFleetPortalSurvivesRestart(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := portal.OpenStore(dir)
+	reopened, err := portal.OpenStoreWith(dir, portal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func (c *simCell) Close() error                            { return nil }
 
 // brokenCell is a Cell whose engine hits a scripted command error.
 func brokenCell(err error) Cell {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	return &simBrokenCell{
 		eng:   wei.NewEngine(&scriptClient{err: err}, clock, wei.NewEventLog(clock)),
 		clock: clock,

@@ -222,7 +222,7 @@ func TestStreamE2EReconnect(t *testing.T) {
 func TestStreamE2EPortalRestartMidStream(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*portal.Store, *portal.Hub, error) {
-		store, err := portal.OpenStore(dir)
+		store, err := portal.OpenStoreWith(dir, portal.Options{})
 		if err != nil {
 			return nil, nil, err
 		}

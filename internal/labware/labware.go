@@ -72,9 +72,6 @@ func (w *Well) Total() float64 {
 	return t
 }
 
-// Empty reports whether the well holds no liquid.
-func (w *Well) Empty() bool { return w.Total() == 0 }
-
 // Plate is a 96-well microplate whose wells accumulate dispensed dyes.
 // Plates are consumed front-to-back in row-major order, as the OT-2 protocol
 // does. Plate methods are safe for concurrent use.
@@ -91,9 +88,6 @@ func NewPlate(id string) *Plate { return &Plate{ID: id} }
 
 // ErrWellOverflow reports a dispense that would exceed well capacity.
 var ErrWellOverflow = errors.New("labware: well capacity exceeded")
-
-// ErrPlateFull reports that no free well remains.
-var ErrPlateFull = errors.New("labware: plate is full")
 
 // Dispense adds the given per-dye volumes into the well at addr.
 func (p *Plate) Dispense(addr WellAddress, volumes []float64) error {
@@ -143,32 +137,6 @@ func (p *Plate) Used() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.used
-}
-
-// Remaining returns the number of unused wells.
-func (p *Plate) Remaining() int { return PlateWells - p.Used() }
-
-// Full reports whether every well has been used.
-func (p *Plate) Full() bool { return p.Used() >= PlateWells }
-
-// NextFree returns the next unused well in row-major order.
-func (p *Plate) NextFree() (WellAddress, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.used >= PlateWells {
-		return WellAddress{}, ErrPlateFull
-	}
-	return WellAt(p.used), nil
-}
-
-// UsedWells returns the addresses of all used wells in order.
-func (p *Plate) UsedWells() []WellAddress {
-	n := p.Used()
-	out := make([]WellAddress, n)
-	for i := 0; i < n; i++ {
-		out[i] = WellAt(i)
-	}
-	return out
 }
 
 // Reservoir is one of the OT-2's dye reservoirs, refilled by barty's
@@ -236,14 +204,4 @@ func (r *Reservoir) Drain() float64 {
 	v := r.volume
 	r.volume = 0
 	return v
-}
-
-// FillFraction returns volume/capacity in [0,1].
-func (r *Reservoir) FillFraction() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.Capacity == 0 {
-		return 0
-	}
-	return r.volume / r.Capacity
 }

@@ -105,42 +105,26 @@ func TestPlateRejectsBadDispense(t *testing.T) {
 
 func TestPlateUsageProgression(t *testing.T) {
 	p := NewPlate("p")
-	if p.Used() != 0 || p.Full() || p.Remaining() != PlateWells {
+	if p.Used() != 0 {
 		t.Fatal("fresh plate not empty")
 	}
 	for i := 0; i < PlateWells; i++ {
-		addr, err := p.NextFree()
-		if err != nil {
-			t.Fatalf("NextFree at %d: %v", i, err)
-		}
-		if addr != WellAt(i) {
-			t.Fatalf("NextFree = %v, want %v", addr, WellAt(i))
-		}
-		if err := p.Dispense(addr, []float64{50, 50, 50, 50}); err != nil {
+		if err := p.Dispense(WellAt(i), []float64{50, 50, 50, 50}); err != nil {
 			t.Fatal(err)
 		}
 		if p.Used() != i+1 {
 			t.Fatalf("Used = %d after %d dispenses", p.Used(), i+1)
 		}
 	}
-	if !p.Full() {
-		t.Fatal("plate with 96 used wells not Full")
-	}
-	if _, err := p.NextFree(); !errors.Is(err, ErrPlateFull) {
-		t.Fatalf("NextFree on full plate: %v", err)
-	}
-	if got := len(p.UsedWells()); got != PlateWells {
-		t.Fatalf("UsedWells len = %d", got)
-	}
 }
 
 func TestWellTotalAndEmpty(t *testing.T) {
 	w := Well{}
-	if !w.Empty() || w.Total() != 0 {
+	if w.Total() != 0 {
 		t.Fatal("zero well not empty")
 	}
 	w = Well{Volumes: []float64{1, 2, 3}}
-	if w.Empty() || w.Total() != 6 {
+	if w.Total() != 6 {
 		t.Fatalf("Total = %v", w.Total())
 	}
 }
@@ -171,9 +155,6 @@ func TestReservoirFillCapsAtCapacity(t *testing.T) {
 	}
 	if r.Volume() != 1000 {
 		t.Fatalf("Volume = %v", r.Volume())
-	}
-	if ff := r.FillFraction(); ff != 1 {
-		t.Fatalf("FillFraction = %v", ff)
 	}
 }
 

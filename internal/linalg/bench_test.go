@@ -11,7 +11,7 @@ func spd(n int, seed int64) *Matrix {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	a := b.Mul(b.T())
+	a := mul(b, b.T())
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+float64(n))
 	}

@@ -20,21 +20,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d vs %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // Resize reshapes m to rows×cols, reusing Data's capacity when possible, and
 // zeroes every element. It is the reuse seam for callers that rebuild a
 // matrix of (roughly) the same shape many times, e.g. per-iteration kernel
@@ -75,43 +60,6 @@ func (m *Matrix) T() *Matrix {
 		for j := 0; j < m.Cols; j++ {
 			out.Set(j, i, m.At(i, j))
 		}
-	}
-	return out
-}
-
-// Mul returns m×b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: mul shape mismatch %dx%d × %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m×v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: mulvec shape mismatch %dx%d × %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
 	}
 	return out
 }
@@ -164,13 +112,8 @@ func growVec(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// SolveLower solves L·x = b for lower-triangular L by forward substitution.
-func SolveLower(l *Matrix, b []float64) []float64 {
-	return SolveLowerInto(nil, l, b)
-}
-
-// SolveLowerInto is SolveLower writing into dst (grown as needed). dst must
-// not alias b.
+// SolveLowerInto solves L·x = b for lower-triangular L by forward
+// substitution, writing x into dst (grown as needed). dst must not alias b.
 func SolveLowerInto(dst []float64, l *Matrix, b []float64) []float64 {
 	n := l.Rows
 	x := growVec(dst, n)
@@ -184,13 +127,9 @@ func SolveLowerInto(dst []float64, l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// SolveUpper solves Lᵀ·x = b (L lower-triangular) by back substitution.
-func SolveUpper(l *Matrix, b []float64) []float64 {
-	return SolveUpperInto(nil, l, b)
-}
-
-// SolveUpperInto is SolveUpper writing into dst (grown as needed). dst may
-// alias b: element i is read before it is overwritten and never read again.
+// SolveUpperInto solves Lᵀ·x = b (L lower-triangular) by back substitution,
+// writing x into dst (grown as needed). dst may alias b: element i is read
+// before it is overwritten and never read again.
 func SolveUpperInto(dst []float64, l *Matrix, b []float64) []float64 {
 	n := l.Rows
 	x := growVec(dst, n)
@@ -277,6 +216,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }

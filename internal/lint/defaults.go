@@ -41,5 +41,6 @@ func DefaultAnalyzers() []Analyzer {
 		NewGoroutineFatal(),
 		NewSentinelCompare(),
 		NewCtxDiscipline(),
+		NewTestOnly(),
 	}
 }

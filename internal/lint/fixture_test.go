@@ -128,6 +128,35 @@ func TestCtxDisciplineFixture(t *testing.T) {
 	runFixture(t, "ctxpkg", lint.NewCtxDiscipline())
 }
 
+func TestTestOnlyFixture(t *testing.T) {
+	runFixture(t, "testonly/internal/store", lint.NewTestOnly())
+}
+
+// TestTestOnlySeesWholeTree: with the fixture as the whole tree, linting
+// only internal/... must still count the names cmd/tool uses, so narrowing
+// the patterns narrows where findings are reported and nothing else.
+func TestTestOnlySeesWholeTree(t *testing.T) {
+	r := &lint.Runner{Root: fixtureRoot + "/testonly", Analyzers: []lint.Analyzer{lint.NewTestOnly()}}
+	narrow, err := r.Run("internal/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := r.Run("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range narrow {
+		for _, name := range []string{"Open", "OnlyCmd", "Items"} {
+			if strings.Contains(f.Message, " "+name+" ") {
+				t.Errorf("name used by cmd/tool reported: %s", f)
+			}
+		}
+	}
+	if len(narrow) != 6 || len(whole) != len(narrow) {
+		t.Errorf("internal/... gave %d findings and ./... gave %d, want 6 each", len(narrow), len(whole))
+	}
+}
+
 // TestFixturesFailWithoutChecks guards the guards: every fixture package
 // must produce at least one finding when its analyzer runs, so an analyzer
 // that silently stops matching cannot pass its fixture test by matching
@@ -142,6 +171,7 @@ func TestFixturesFailWithoutChecks(t *testing.T) {
 		{"gofataltest", lint.NewGoroutineFatal()},
 		{"sentinelpkg", lint.NewSentinelCompare()},
 		{"ctxpkg", lint.NewCtxDiscipline()},
+		{"testonly/internal/store", lint.NewTestOnly()},
 	}
 	for _, c := range cases {
 		r := &lint.Runner{Root: fixtureRoot, Analyzers: []lint.Analyzer{c.a}}

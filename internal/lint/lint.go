@@ -11,11 +11,16 @@
 // a strict write→fsync→rename ordering and on never dropping a Close/Sync
 // error on a write path (durability). Test goroutines must not call t.Fatal
 // (goroutine-fatal), error sentinels must be matched with errors.Is so
-// wrapping survives (sentinel-compare), and contexts flow through call
-// chains, not into struct fields (ctx-discipline).
+// wrapping survives (sentinel-compare), contexts flow through call chains,
+// not into struct fields (ctx-discipline), and exported API under internal/
+// has a caller outside the tests (testonly).
 //
-// Analyzers run per package directory and report Findings. A finding can be
-// suppressed at the offending line with a reasoned directive:
+// Analyzers run per package directory and report Findings. An analyzer
+// that needs a fact about the whole tree (testonly needs every name the
+// tree uses) also gets a module-scope step: before any package is checked,
+// it sees every package under the Runner's Root, whatever the patterns, so
+// narrowing the patterns narrows only where findings are reported. A
+// finding can be suppressed at the offending line with a reasoned directive:
 //
 //	//lint:ignore <check>[,<check>...] <reason>
 //
@@ -136,22 +141,29 @@ func (r *Runner) Run(patterns ...string) ([]Finding, error) {
 		return nil, err
 	}
 	known := map[string]bool{DirectiveCheck: true}
+	var enabled []Analyzer
 	for _, a := range r.Analyzers {
 		known[a.Name()] = true
+		if r.Enable == nil || r.Enable[a.Name()] {
+			enabled = append(enabled, a)
+		}
+	}
+	loaded, err := r.moduleStep(enabled)
+	if err != nil {
+		return nil, err
 	}
 	var all []Finding
 	for _, dir := range dirs {
-		pkg, err := r.load(dir)
-		if err != nil {
-			return nil, err
+		pkg := loaded[dir]
+		if pkg == nil {
+			if pkg, err = r.load(dir); err != nil {
+				return nil, err
+			}
 		}
 		if len(pkg.Files) == 0 {
 			continue
 		}
-		for _, a := range r.Analyzers {
-			if r.Enable != nil && !r.Enable[a.Name()] {
-				continue
-			}
+		for _, a := range enabled {
 			all = append(all, a.Check(pkg)...)
 		}
 		all = append(all, validateDirectives(pkg, known)...)
@@ -171,6 +183,47 @@ func (r *Runner) Run(patterns ...string) ([]Finding, error) {
 		return a.Check < b.Check
 	})
 	return all, nil
+}
+
+// moduleAnalyzer is an Analyzer that needs a fact about the whole tree
+// before it checks any one package: module sees every package under Root,
+// whatever the patterns, and runs once before the first Check.
+type moduleAnalyzer interface {
+	Analyzer
+	module(pkgs []*Package)
+}
+
+// moduleStep loads every package under Root and hands them to the enabled
+// module analyzers, returning them by directory so Run need not parse them
+// again. It loads nothing when none is enabled.
+func (r *Runner) moduleStep(enabled []Analyzer) (map[string]*Package, error) {
+	var mods []moduleAnalyzer
+	for _, a := range enabled {
+		if m, ok := a.(moduleAnalyzer); ok {
+			mods = append(mods, m)
+		}
+	}
+	if len(mods) == 0 {
+		return nil, nil
+	}
+	dirs, err := r.expand([]string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	loaded := make(map[string]*Package, len(dirs))
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, dir := range dirs {
+		pkg, err := r.load(dir)
+		if err != nil {
+			return nil, err
+		}
+		loaded[dir] = pkg
+		pkgs = append(pkgs, pkg)
+	}
+	for _, m := range mods {
+		m.module(pkgs)
+	}
+	return loaded, nil
 }
 
 // expand resolves patterns into the sorted set of package directories.

@@ -160,10 +160,10 @@ func TestFindingsSorted(t *testing.T) {
 	}
 }
 
-// TestDefaultAnalyzers: the default registry carries the five documented
+// TestDefaultAnalyzers: the default registry carries the six documented
 // checks under their stable names.
 func TestDefaultAnalyzers(t *testing.T) {
-	want := []string{"wallclock", "durability", "goroutine-fatal", "sentinel-compare", "ctx-discipline"}
+	want := []string{"wallclock", "durability", "goroutine-fatal", "sentinel-compare", "ctx-discipline", "testonly"}
 	got := lint.DefaultAnalyzers()
 	if len(got) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(got), len(want))
@@ -174,6 +174,22 @@ func TestDefaultAnalyzers(t *testing.T) {
 		}
 		if a.Doc() == "" {
 			t.Errorf("analyzer %q has no doc", a.Name())
+		}
+	}
+}
+
+// TestEveryCheckIsDocumented: each default check has a "### `<name>`"
+// heading in docs/LINT.md, so no check ships without its policy written
+// down.
+func TestEveryCheckIsDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "LINT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range lint.DefaultAnalyzers() {
+		heading := "\n### `" + a.Name() + "`"
+		if !strings.Contains(string(doc), heading) {
+			t.Errorf("docs/LINT.md has no %q heading", strings.TrimSpace(heading))
 		}
 	}
 }

@@ -187,14 +187,6 @@ func ModuleBreakdown(events []wei.Event, wall time.Duration) map[string]ModuleUs
 	return out
 }
 
-// WorkflowModuleBreakdown is ModuleBreakdown restricted to one workflow's
-// events — with several campaigns interleaved on a single log (module-lease
-// pipelining), this isolates which instruments one workflow occupied and how
-// long it queued for them.
-func WorkflowModuleBreakdown(events []wei.Event, workflow string, wall time.Duration) map[string]ModuleUsage {
-	return ModuleBreakdown(wei.FilterWorkflow(events, workflow), wall)
-}
-
 // Aggregate merges per-campaign summaries into one fleet-level summary.
 // Command counts, instrument times, colors, uploads and Wall sum — Wall
 // becomes total robot time consumed across the fleet. TWH and CCWH keep

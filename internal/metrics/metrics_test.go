@@ -167,13 +167,4 @@ func TestComputeModuleBreakdown(t *testing.T) {
 	if cam := s.Modules["camera"]; cam.Failed != 1 || cam.Busy != 2*time.Second || cam.Commands != 0 {
 		t.Fatalf("camera = %+v", cam)
 	}
-
-	// Per-workflow view isolates workflow b's occupancy and queueing.
-	forB := WorkflowModuleBreakdown(events, "b", 0)
-	if pf := forB["pf400"]; pf.Commands != 1 || pf.QueueWait != 10*time.Second {
-		t.Fatalf("workflow b pf400 = %+v", pf)
-	}
-	if _, ok := WorkflowModuleBreakdown(events, "a", 0)["camera"]; ok {
-		t.Fatal("workflow a breakdown leaked workflow b's camera usage")
-	}
 }

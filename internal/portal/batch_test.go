@@ -182,7 +182,7 @@ func TestBufferRetryAfterLostResponseDoesNotDoubleIngest(t *testing.T) {
 // the original commit instead of re-ingesting.
 func TestKeyedBatchDedupeSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestKeyedBatchDedupeSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestKeyedBatchDedupeSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened.Close()
-	again2, err := OpenStore(dir)
+	again2, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

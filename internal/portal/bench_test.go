@@ -154,7 +154,7 @@ func TestPortalReadPathsBeatScan(t *testing.T) {
 func TestRestartCompactedParallelBeatsRawSequential(t *testing.T) {
 	smallSegments(t, 256<<10)
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRestartCompactedParallelBeatsRawSequential(t *testing.T) {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			st, err := OpenStore(dir)
+			st, err := OpenStoreWith(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestRestartCompactedParallelBeatsRawSequential(t *testing.T) {
 	withReplayPool(t, 1)
 	rawSequential := reopen()
 	withReplayPool(t, 0)
-	st, err := OpenStore(dir)
+	st, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

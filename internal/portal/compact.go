@@ -12,8 +12,8 @@ import (
 // a compaction with a label naming the point just completed. Returning an
 // error aborts the compaction right there, simulating a crash between two
 // fsync/rename steps; whatever files the aborted run left behind must be
-// handled by the next OpenStore (or the next compaction), which is exactly
-// what TestCompactionCrashEquivalence drives.
+// handled by the next OpenStoreWith (or the next compaction), which is
+// exactly what TestCompactionCrashEquivalence drives.
 var compactHook func(point string) error
 
 func compactPoint(point string) error {

@@ -56,7 +56,7 @@ func segmentFiles(t *testing.T, dir, pattern string) []string {
 func TestCompactBasic(t *testing.T) {
 	smallSegments(t, 256)
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCompactBasic(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCompactBasic(t *testing.T) {
 // errors rather than pretending.
 func TestCompactNothingToDo(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCompactionCrashEquivalence(t *testing.T) {
 	recs := diskRecords(12)
 	build := func(t *testing.T) (string, *Store) {
 		dir := t.TempDir()
-		s, err := OpenStore(dir)
+		s, err := OpenStoreWith(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestCompactionCrashEquivalence(t *testing.T) {
 		}
 		compactHook = nil
 		s.Close()
-		reopened, err := OpenStore(dir)
+		reopened, err := OpenStoreWith(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestCompactionCrashEquivalence(t *testing.T) {
 func TestCompactPreservesCursors(t *testing.T) {
 	smallSegments(t, 256)
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCompactPreservesCursors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCompactedReplayParallelMatchesSequential(t *testing.T) {
 	defer func() { replayChunkBytes = oldChunk }()
 
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestCompactedReplayParallelMatchesSequential(t *testing.T) {
 
 	collect := func(workers int) ([]Record, int) {
 		withReplayPool(t, workers)
-		st, err := OpenStore(dir)
+		st, err := OpenStoreWith(dir, Options{})
 		if err != nil {
 			t.Fatalf("replay with %d workers: %v", workers, err)
 		}
@@ -336,7 +336,7 @@ func TestCompactedReplayParallelMatchesSequential(t *testing.T) {
 func TestCompactDropsOrphanBlobs(t *testing.T) {
 	smallSegments(t, 256)
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 	if err := s.Close(); err != nil { // waits out any in-flight compaction
 		t.Fatal(err)
 	}
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 func TestCompactRejectsCorruptSealedSegment(t *testing.T) {
 	smallSegments(t, 256)
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

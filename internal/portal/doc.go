@@ -13,13 +13,13 @@
 //   - [NewStore] builds a purely in-memory store: zero dependencies, dies
 //     with the process. It remains the default for tests, examples, and
 //     fleet runs that only need a per-run scratch portal.
-//   - [OpenStore] builds a durable store backed by a data directory: every
-//     ingested record is appended to a JSON segment log and its binary
-//     attachments are written to separate blob files, and on the next
-//     OpenStore the log is replayed to rebuild the store. A torn final
+//   - [OpenStoreWith] builds a durable store backed by a data directory:
+//     every ingested record is appended to a JSON segment log and its
+//     binary attachments are written to separate blob files, and on the
+//     next open the log is replayed to rebuild the store. A torn final
 //     record (the process died mid-append) is dropped on replay; everything
-//     before it survives. [OpenStoreWith] adds replay and compaction
-//     tuning via [Options].
+//     before it survives. [Options] tunes compaction; its zero value turns
+//     automatic compaction off.
 //
 // # Concurrency
 //
@@ -63,9 +63,9 @@
 // configured by [Options].AutoCompactSegments) rewrites every sealed
 // segment into a single snapshot segment via write-new-then-atomic-rename,
 // crash-safe at every boundary, while ingest and reads continue
-// undisturbed. Replay on OpenStore decodes the snapshot and tail segments
-// on a worker pool and bulk-builds the indexes, so restart time on a large
-// archive is bounded by cores, not by archive age. See docs/PORTAL.md for
+// undisturbed. Replay on OpenStoreWith decodes the snapshot and tail
+// segments on a worker pool and bulk-builds the indexes, so restart time on
+// a large archive is bounded by cores, not by archive age. See docs/PORTAL.md for
 // the file-level guarantees.
 //
 // # HTTP

@@ -9,17 +9,17 @@ import (
 	"colormatch/internal/portal"
 )
 
-// ExampleOpenStore shows the durable store surviving a restart: records
+// ExampleOpenStoreWith shows the durable store surviving a restart: records
 // ingested before Close are replayed from the segment log by the next
-// OpenStore.
-func ExampleOpenStore() {
+// OpenStoreWith.
+func ExampleOpenStoreWith() {
 	dir, err := os.MkdirTemp("", "portal-example")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
 
-	store, err := portal.OpenStore(dir)
+	store, err := portal.OpenStoreWith(dir, portal.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -38,7 +38,7 @@ func ExampleOpenStore() {
 	}
 	store.Close() // simulated restart
 
-	reopened, err := portal.OpenStore(dir)
+	reopened, err := portal.OpenStoreWith(dir, portal.Options{})
 	if err != nil {
 		panic(err)
 	}

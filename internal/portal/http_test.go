@@ -211,7 +211,7 @@ func TestHTTPErrors(t *testing.T) {
 // store-side failure is a 500, so a remote publisher can tell "fix the
 // record" from "retry later".
 func TestHTTPIngestStatusCodes(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
+	store, err := OpenStoreWith(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestInvalidSubmissionNamesErrInvalidOnce(t *testing.T) {
 // exists, the server just cannot serve it right now.
 func TestHTTPRecordGetStatusCodes(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir)
+	store, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

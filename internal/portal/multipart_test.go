@@ -167,7 +167,7 @@ func TestMultipartRoundTrip(t *testing.T) {
 	stores := map[string]func() *Store{
 		"memory": NewStore,
 		"disk": func() *Store {
-			st, err := OpenStore(t.TempDir())
+			st, err := OpenStoreWith(t.TempDir(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,7 +31,7 @@ import (
 // compaction, parallel replay and batch keys on top. A record becomes
 // durable when its segment line is written and fsynced; its blobs are
 // written (and synced) first, so a line never references a missing blob.
-// On OpenStore the snapshot (if any) and the tail segments are replayed
+// On OpenStoreWith the snapshot (if any) and the tail segments are replayed
 // oldest-first — decoded on a worker pool in chunks, merged in ingest
 // order — so restart time is bounded by cores, not archive age.
 // Compaction (see compact.go) replaces sealed segments with a fresh
@@ -60,8 +60,8 @@ var replayChunkBytes = 512 << 10
 // replay.
 var replayPool int
 
-// Options tunes OpenStoreWith. The zero value matches OpenStore: no
-// automatic compaction.
+// Options tunes OpenStoreWith. The zero value turns automatic compaction
+// off.
 type Options struct {
 	// AutoCompactSegments, when positive, starts a background compaction
 	// whenever more than this many sealed segments have accumulated past
@@ -125,16 +125,12 @@ func numberedFile(base, prefix, suffix string) (int, bool) {
 	return n, true
 }
 
-// OpenStore opens (creating if needed) a durable store rooted at dir,
+// OpenStoreWith opens (creating if needed) a durable store rooted at dir,
 // replaying its segment log into fresh in-memory indexes. A torn final
 // record left by a crash mid-append is dropped and truncated away; any
 // other corruption is reported as an error rather than silently skipped.
-// The caller owns the returned store and should Close it to flush the log.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreWith(dir, Options{})
-}
-
-// OpenStoreWith is OpenStore with compaction tuning.
+// opts tunes compaction. The caller owns the returned store and should
+// Close it to flush the log.
 func OpenStoreWith(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("portal: open store: %w", err)

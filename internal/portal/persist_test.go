@@ -80,7 +80,7 @@ func assertMatchesFresh(t *testing.T, reopened *Store, want []Record) {
 
 func TestOpenStoreRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 		t.Fatal("closed store accepted a record")
 	}
 
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 // before it, and leave the log clean for further appends.
 func TestCrashRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatalf("replay with torn tail: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened.Close()
-	again, err := OpenStore(dir)
+	again, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatalf("second replay: %v", err)
 	}
@@ -182,12 +182,12 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 
 // TestCrashRecoveryMissingFinalNewline covers the boundary tear: the final
 // record's JSON landed in full but its '\n' did not. Replay keeps the
-// record, and OpenStore repairs the boundary so the next append starts a
+// record, and OpenStoreWith repairs the boundary so the next append starts a
 // fresh line instead of concatenating onto (and later destroying) an
 // acknowledged record.
 func TestCrashRecoveryMissingFinalNewline(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCrashRecoveryMissingFinalNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCrashRecoveryMissingFinalNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened.Close()
-	again, err := OpenStore(dir)
+	again, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatalf("replay after boundary repair: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestCrashRecoveryMissingFinalNewline(t *testing.T) {
 // of the batch survives, only the torn last line drops.
 func TestCrashRecoveryMidBatch(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 	if err := os.WriteFile(seg, data[:len(data)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 // skipped.
 func TestReplayRejectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := OpenStore(dir)
+	s, _ := OpenStoreWith(dir, Options{})
 	for _, r := range diskRecords(4) {
 		ingestOne(s, r)
 	}
@@ -270,7 +270,7 @@ func TestReplayRejectsMidLogCorruption(t *testing.T) {
 	if err := os.WriteFile(seg, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(dir); err == nil {
+	if _, err := OpenStoreWith(dir, Options{}); err == nil {
 		t.Fatal("mid-log corruption replayed silently")
 	}
 }
@@ -283,7 +283,7 @@ func TestReplayRejectsNonPositionalID(t *testing.T) {
 	for _, id := range []string{"rec-000001", "rec-000007", "mine"} {
 		t.Run(id, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := OpenStore(dir)
+			s, err := OpenStoreWith(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func TestSegmentRotation(t *testing.T) {
 	defer func() { segmentRotateBytes = old }()
 
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestSegmentRotation(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("expected rotation, got %d segment(s)", len(segs))
 	}
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestSegmentRotation(t *testing.T) {
 // summarize.
 func TestDiskStoreConcurrentIngestAndSearch(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestDiskStoreConcurrentIngestAndSearch(t *testing.T) {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	s.Close()
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDiskStoreConcurrentIngestAndSearch(t *testing.T) {
 // dir with an ID that is not its position.
 func TestFailedAppendLeavesLogCommitted(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestFailedAppendLeavesLogCommitted(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen after rejected batch: %v", err)
 	}
@@ -442,7 +442,7 @@ func TestFailedAppendLeavesLogCommitted(t *testing.T) {
 // committed records.
 func TestFailedRollbackPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestFailedRollbackPoisonsLog(t *testing.T) {
 	// Retire the wedged store (Close errors on the dead file but still
 	// releases the data-dir lock) and "restart".
 	s.Close()
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestFailedRollbackPoisonsLog(t *testing.T) {
 // attachments stripped.
 func TestGetAfterCloseErrors(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestGetAfterCloseErrors(t *testing.T) {
 // acknowledged record — report it, never silently truncate it away.
 func TestReplayRejectsCorruptTerminatedTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestReplayRejectsCorruptTerminatedTail(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
+	if _, err := OpenStoreWith(dir, Options{}); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupted committed tail opened as %v, want corruption error", err)
 	}
 }
@@ -529,7 +529,7 @@ func TestReplayRejectsCorruptTerminatedTail(t *testing.T) {
 // durable hubs on one events dir would do the same to event seqs.
 func TestOpenStoreRejectsSecondWriter(t *testing.T) {
 	for name, open := range map[string]func(dir string) (io.Closer, error){
-		"store": func(dir string) (io.Closer, error) { return OpenStore(dir) },
+		"store": func(dir string) (io.Closer, error) { return OpenStoreWith(dir, Options{}) },
 		"hub":   func(dir string) (io.Closer, error) { return OpenHub(HubOptions{Dir: dir}) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -558,7 +558,7 @@ func TestOpenStoreRejectsSecondWriter(t *testing.T) {
 // holds it, Search, SearchPage, Summarize and Get (attachment body
 // included) still complete on a disk store, in process and over Serve.
 func TestReadsNeverTakeWriteLock(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
+	s, err := OpenStoreWith(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func (m *keyMemory[V]) put(key string, v V) {
 // snapshot loaded through one atomic pointer, so reads never block behind
 // an ingest — or each other — and never observe a half-published batch.
 // Writers serialize on an internal mutex, append to the segment log (for
-// stores built with OpenStore) and publish the next snapshot atomically.
+// stores built with OpenStoreWith) and publish the next snapshot atomically.
 type Store struct {
 	wmu  sync.Mutex // serializes writers; the read path never takes it
 	snap atomic.Pointer[snapshot]

@@ -218,7 +218,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 			return s
 		}},
 		{"disk", func(t *testing.T) *Store {
-			s, err := OpenStore(t.TempDir())
+			s, err := OpenStoreWith(t.TempDir(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 		{"compacted-parallel-replay", func(t *testing.T) *Store {
 			smallSegments(t, 512)
 			dir := t.TempDir()
-			s, err := OpenStore(dir)
+			s, err := OpenStoreWith(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +239,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 			}
 			s.Close()
 			withReplayPool(t, 4)
-			reopened, err := OpenStore(dir)
+			reopened, err := OpenStoreWith(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +291,7 @@ func TestRandomizedWorkloadMatchesScan(t *testing.T) {
 			smallSegments(t, 512)
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			s, err := OpenStore(dir)
+			s, err := OpenStoreWith(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +357,7 @@ func TestRandomizedWorkloadMatchesScan(t *testing.T) {
 					}
 					workers := 1 + step%4
 					withReplayPool(t, workers)
-					if s, err = OpenStore(dir); err != nil {
+					if s, err = OpenStoreWith(dir, Options{}); err != nil {
 						t.Fatalf("step %d reopen (workers=%d): %v", step, workers, err)
 					}
 				}

@@ -192,7 +192,7 @@ func TestRaceDiskStoreWithCompaction(t *testing.T) {
 	}
 	// Everything the workout committed survives a reopen (with whatever mix
 	// of snapshot and tail segments compaction left behind).
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

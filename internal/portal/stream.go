@@ -401,8 +401,8 @@ func (h *Hub) Subscribe(opts SubscribeOptions) (*Subscriber, error) {
 	return sub, nil
 }
 
-// Subscribers returns the number of live subscriptions.
-func (h *Hub) Subscribers() int {
+// subscribers returns the number of live subscriptions.
+func (h *Hub) subscribers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.subs)

@@ -170,8 +170,8 @@ func TestRaceStreamStalledSubscriber(t *testing.T) {
 		t.Fatalf("publish loop took %v; hub stalled on the dead subscriber", elapsed)
 	}
 	<-done
-	if h.Subscribers() != 1 {
-		t.Fatalf("%d subscribers left, want 1 (stalled one evicted)", h.Subscribers())
+	if h.subscribers() != 1 {
+		t.Fatalf("%d subscribers left, want 1 (stalled one evicted)", h.subscribers())
 	}
 	// The stalled subscriber's verdict, after its buffered prefix drains.
 	for {

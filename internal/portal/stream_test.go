@@ -206,7 +206,7 @@ func TestStreamSlowSubscriberEvicted(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mustPublish(t, h, benchEvent("a", i))
 	}
-	if h.Subscribers() != 0 {
+	if h.subscribers() != 0 {
 		t.Fatalf("stalled subscriber still registered")
 	}
 	// The buffered prefix is still delivered, in order, before the verdict.
@@ -579,8 +579,8 @@ func TestWatchWithoutFlusherIsError(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); strings.HasPrefix(ct, "text/event-stream") {
 		t.Fatalf("Content-Type = %q, want a plain error", ct)
 	}
-	if h.Subscribers() != 0 {
-		t.Fatalf("%d subscribers left behind, want 0", h.Subscribers())
+	if h.subscribers() != 0 {
+		t.Fatalf("%d subscribers left behind, want 0", h.subscribers())
 	}
 }
 
@@ -629,7 +629,7 @@ func TestWatchHTTPEvictionFrame(t *testing.T) {
 	bulky.Note = strings.Repeat("x", 16<<10)
 	batch := make([]StreamEvent, 64)
 	deadline := time.Now().Add(20 * time.Second)
-	for i := 0; h.Subscribers() > 0; i++ {
+	for i := 0; h.subscribers() > 0; i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("subscriber never evicted")
 		}

@@ -10,7 +10,7 @@ import (
 // BenchmarkSimClockSleepSingle is the untracked-simulation fast path: no
 // registered workers, every Sleep advances the clock directly.
 func BenchmarkSimClockSleepSingle(b *testing.B) {
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Sleep(time.Millisecond)
@@ -23,7 +23,7 @@ func BenchmarkSimClockSleepSingle(b *testing.B) {
 func BenchmarkSimClockWorkers(b *testing.B) {
 	for _, workers := range []int{4, 32} {
 		b.Run(map[int]string{4: "4", 32: "32"}[workers], func(b *testing.B) {
-			c := NewSimClock()
+			c := NewSimClockAt(Epoch)
 			c.AddWorker(workers)
 			var wg sync.WaitGroup
 			b.ReportAllocs()
@@ -50,7 +50,7 @@ func BenchmarkSimClockAdvance(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c := NewSimClock()
+		c := NewSimClockAt(Epoch)
 		c.AddWorker(64 + 1) // gate advances so sleepers pile up
 		var wg sync.WaitGroup
 		for w := 0; w < 64; w++ {

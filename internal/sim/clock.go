@@ -51,7 +51,7 @@ func (RealClock) Sleep(d time.Duration) {
 // makes concurrent simulated work (e.g. two OT-2 modules mixing in parallel)
 // overlap in virtual time exactly as it would on real hardware.
 //
-// The zero value is not usable; construct with NewSimClock.
+// The zero value is not usable; construct with NewSimClockAt.
 type SimClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -119,9 +119,6 @@ func (c *SimClock) pop() *simSleeper {
 	}
 	return top
 }
-
-// NewSimClock returns a SimClock starting at Epoch.
-func NewSimClock() *SimClock { return NewSimClockAt(Epoch) }
 
 // NewSimClockAt returns a SimClock starting at the given time.
 func NewSimClockAt(start time.Time) *SimClock {
@@ -199,6 +196,8 @@ func (c *SimClock) advanceLocked() {
 
 // Advance moves the clock forward by d without blocking, waking any sleepers
 // whose deadlines pass. Useful in tests.
+//
+//lint:ignore testonly test seam: moves virtual time with no sleeper, which only a test driving the clock by hand needs
 func (c *SimClock) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative advance %v", d))

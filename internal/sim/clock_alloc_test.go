@@ -8,7 +8,7 @@ import (
 // TestSleepSingleWorkerAllocFree pins the untracked fast path: a Sleep with
 // no registered workers advances the clock with zero allocations.
 func TestSleepSingleWorkerAllocFree(t *testing.T) {
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	if n := testing.AllocsPerRun(100, func() { c.Sleep(time.Millisecond) }); n != 0 {
 		t.Fatalf("single-worker Sleep allocates %.1f times per call, want 0", n)
 	}
@@ -23,7 +23,7 @@ func TestSleepWakeCycleAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally drops Puts under -race; exact allocation bounds don't hold")
 	}
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	c.AddWorker(2)
 	stop := make(chan struct{})
 	partnerDone := make(chan struct{})

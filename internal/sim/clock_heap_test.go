@@ -15,7 +15,7 @@ import (
 func TestHeapMatchesSortedReference(t *testing.T) {
 	rng := NewRNG(41)
 	for iter := 0; iter < 50; iter++ {
-		c := NewSimClock()
+		c := NewSimClockAt(Epoch)
 		var ref []time.Time
 		popRef := func() time.Time {
 			sort.Slice(ref, func(i, j int) bool { return ref[i].Before(ref[j]) })
@@ -77,7 +77,7 @@ func TestConcurrentWakeupsMatchReferenceSchedule(t *testing.T) {
 				longest = total
 			}
 		}
-		c := NewSimClock()
+		c := NewSimClockAt(Epoch)
 		c.AddWorker(workers)
 		errs := make(chan error, workers)
 		for w := 0; w < workers; w++ {

@@ -17,7 +17,7 @@ func TestSimClockConcurrentSleeperStress(t *testing.T) {
 		workers = 32
 		rounds  = 40
 	)
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	rng := NewRNG(2023)
 	// Pre-draw each worker's sleep schedule so the RNG is not shared across
 	// goroutines and the expected end time is known up front.
@@ -94,7 +94,7 @@ func TestSimClockConcurrentSleeperStress(t *testing.T) {
 // or on a module lease.
 func TestSimClockWorkersJoiningAndLeaving(t *testing.T) {
 	const workers = 16
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -7,14 +7,14 @@ import (
 )
 
 func TestSimClockStartsAtEpoch(t *testing.T) {
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	if !c.Now().Equal(Epoch) {
 		t.Fatalf("Now() = %v, want %v", c.Now(), Epoch)
 	}
 }
 
 func TestSimClockSleepAdvances(t *testing.T) {
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	c.Sleep(90 * time.Second)
 	want := Epoch.Add(90 * time.Second)
 	if !c.Now().Equal(want) {
@@ -23,7 +23,7 @@ func TestSimClockSleepAdvances(t *testing.T) {
 }
 
 func TestSimClockZeroAndNegativeSleep(t *testing.T) {
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	c.Sleep(0)
 	c.Sleep(-time.Hour)
 	if !c.Now().Equal(Epoch) {
@@ -32,7 +32,7 @@ func TestSimClockZeroAndNegativeSleep(t *testing.T) {
 }
 
 func TestSimClockSequentialSleepsAccumulate(t *testing.T) {
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	total := time.Duration(0)
 	for i := 1; i <= 10; i++ {
 		d := time.Duration(i) * time.Second
@@ -45,7 +45,7 @@ func TestSimClockSequentialSleepsAccumulate(t *testing.T) {
 }
 
 func TestSimClockAdvanceWakesSleepers(t *testing.T) {
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	c.AddWorker(2) // ensure Sleep blocks rather than self-advancing
 	done := make(chan time.Time, 1)
 	go func() {
@@ -76,7 +76,7 @@ func TestSimClockAdvanceWakesSleepers(t *testing.T) {
 func TestSimClockParallelWorkersOverlap(t *testing.T) {
 	// Two workers each sleeping 1 hour concurrently must finish at
 	// Epoch+1h (overlap), not Epoch+2h (serialization).
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	c.AddWorker(2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -96,7 +96,7 @@ func TestSimClockParallelWorkersOverlap(t *testing.T) {
 func TestSimClockStaggeredWorkers(t *testing.T) {
 	// Worker A sleeps 10m then 20m; worker B sleeps 25m once.
 	// Total virtual span must be max(30m, 25m) = 30m.
-	c := NewSimClock()
+	c := NewSimClockAt(Epoch)
 	c.AddWorker(2)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -123,7 +123,7 @@ func TestSimClockNegativeAdvancePanics(t *testing.T) {
 			t.Fatal("Advance(-1) did not panic")
 		}
 	}()
-	NewSimClock().Advance(-time.Second)
+	NewSimClockAt(Epoch).Advance(-time.Second)
 }
 
 func TestRealClockSleepIsApproximatelyReal(t *testing.T) {

@@ -56,6 +56,8 @@ func (e *FaultError) Error() string {
 }
 
 // Unwrap lets errors.Is(err, ErrInjected) succeed.
+//
+//lint:ignore testonly errors.Is and errors.As call Unwrap through an interface, so no caller names it
 func (e *FaultError) Unwrap() error { return ErrInjected }
 
 // FaultPlan configures an injector. Probabilities are per command attempt.
@@ -105,8 +107,8 @@ func (in *Injector) Check(module, action string) *FaultError {
 	return nil
 }
 
-// Injected reports how many faults of each kind have been injected.
-func (in *Injector) Injected() map[FaultKind]int {
+// injected reports how many faults of each kind have been injected.
+func (in *Injector) injected() map[FaultKind]int {
 	if in == nil {
 		return nil
 	}

@@ -16,7 +16,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if in.Total() != 0 {
 		t.Fatal("nil injector Total != 0")
 	}
-	if in.Injected() != nil {
+	if in.injected() != nil {
 		t.Fatal("nil injector Injected != nil")
 	}
 }
@@ -36,7 +36,7 @@ func TestInjectionRates(t *testing.T) {
 	for i := 0; i < n; i++ {
 		in.Check("m", "a")
 	}
-	counts := in.Injected()
+	counts := in.injected()
 	// Receive fires first, so its empirical rate should be ~0.1.
 	if frac := float64(counts[FaultReceive]) / n; math.Abs(frac-0.1) > 0.01 {
 		t.Fatalf("receive rate %v, want ~0.1", frac)

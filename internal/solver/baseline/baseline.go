@@ -104,13 +104,6 @@ func NewAnalytic(model *mix.Model, target color.RGB8, metric color.Metric, rng *
 // Name implements solver.Solver.
 func (a *Analytic) Name() string { return "analytic" }
 
-// Recipe returns the solved optimal composition.
-func (a *Analytic) Recipe() []float64 {
-	out := make([]float64, len(a.recipe))
-	copy(out, a.recipe)
-	return out
-}
-
 // Propose implements solver.Solver. Repeats are jittered microscopically so
 // a batch is not literally identical wells.
 func (a *Analytic) Propose(n int) [][]float64 {

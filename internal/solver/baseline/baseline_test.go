@@ -62,7 +62,7 @@ func TestAnalyticOracleNearlySolvesTarget(t *testing.T) {
 	model := mix.NewModel()
 	target := color.RGB8{R: 120, G: 120, B: 120}
 	a := NewAnalytic(model, target, color.MetricEuclideanRGB, sim.NewRNG(1))
-	recipe := a.Recipe()
+	recipe := a.recipe
 	if err := solver.ValidateRatios(recipe, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAnalyticOracleOnChromaticTarget(t *testing.T) {
 	// A muted teal-ish target reachable with CMYK dyes.
 	target := color.RGB8{R: 60, G: 140, B: 150}
 	a := NewAnalytic(model, target, color.MetricEuclideanRGB, sim.NewRNG(2))
-	c := mix.IdealSensor().Observe(model.MixFractions(a.Recipe()))
+	c := mix.IdealSensor().Observe(model.MixFractions(a.recipe))
 	if d := color.EuclideanRGB(c, target); d > 12 {
 		t.Fatalf("oracle off by %.1f for chromatic target (%+v vs %+v)", d, c, target)
 	}

@@ -79,17 +79,6 @@ func New(rng *sim.RNG, opts Options) *Solver {
 // Name implements solver.Solver.
 func (s *Solver) Name() string { return "genetic" }
 
-// Generation returns the number of Observe calls so far.
-func (s *Solver) Generation() int { return s.generation }
-
-// Elite returns the best sample observed so far.
-func (s *Solver) Elite() (solver.Sample, bool) {
-	if s.elite == nil {
-		return solver.Sample{}, false
-	}
-	return *s.elite, true
-}
-
 // Propose implements solver.Solver.
 func (s *Solver) Propose(n int) [][]float64 {
 	out := make([][]float64, 0, n)

@@ -122,9 +122,8 @@ func TestGAEliteSlotInLargeBatches(t *testing.T) {
 	if !eliteSeen {
 		t.Fatal("elite not propagated into batch of 8")
 	}
-	elite, ok := s.Elite()
-	if !ok || elite.Score != 1 {
-		t.Fatalf("Elite = %+v, %v", elite, ok)
+	if s.elite == nil || s.elite.Score != 1 {
+		t.Fatalf("elite = %+v", s.elite)
 	}
 }
 
@@ -163,8 +162,8 @@ func TestGAMemoryBounded(t *testing.T) {
 	if len(s.population) > 11 { // memory + possibly re-appended elite
 		t.Fatalf("population grew to %d", len(s.population))
 	}
-	if s.Generation() != 30 {
-		t.Fatalf("generation = %d", s.Generation())
+	if s.generation != 30 {
+		t.Fatalf("generation = %d", s.generation)
 	}
 }
 
@@ -199,8 +198,7 @@ func TestGAObserveDoesNotAliasCallerSlices(t *testing.T) {
 	ratios := p[0]
 	s.Observe([]solver.Sample{{Ratios: ratios, Score: 1}})
 	ratios[0] = 999 // caller mutates
-	elite, _ := s.Elite()
-	if elite.Ratios[0] == 999 {
+	if s.elite.Ratios[0] == 999 {
 		t.Fatal("solver aliased caller slice")
 	}
 }

@@ -52,8 +52,8 @@ func TestGAEliteNeverWorsensProperty(t *testing.T) {
 		for i, sc := range scores {
 			p := s.Propose(1)
 			s.Observe([]solver.Sample{{Ratios: p[0], Score: float64(sc)}})
-			elite, ok := s.Elite()
-			if !ok {
+			elite := s.elite
+			if elite == nil {
 				return false
 			}
 			if prev >= 0 && elite.Score > prev {

@@ -175,6 +175,8 @@ func GridSimplex(dim, divisions int) [][]float64 {
 }
 
 // ValidateRatios checks a proposal is a usable composition.
+//
+//lint:ignore testonly test oracle: the shared composition check the solver, baseline, bayes and ga tests hold every proposal to
 func ValidateRatios(r []float64, dim int) error {
 	if len(r) != dim {
 		return fmt.Errorf("solver: ratio vector has %d entries, want %d", len(r), dim)

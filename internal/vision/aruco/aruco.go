@@ -177,24 +177,21 @@ type Detection struct {
 	Bounds   raster.Component
 }
 
-// Scratch holds the mask and labeling buffers Detect needs, so a campaign of
-// same-sized photos reuses them instead of allocating per frame. The slice
-// returned by DetectScratch is backed by it and valid until the next call.
+// Scratch holds the mask and labeling buffers DetectScratch needs, so a
+// campaign of same-sized photos reuses them instead of allocating per frame.
+// The slice returned by DetectScratch is backed by it and valid until the
+// next call.
 type Scratch struct {
 	mask  []bool
 	comps raster.ComponentScratch
 	out   []Detection
 }
 
-// Detect finds dictionary markers in a grayscale image. It thresholds with
-// Otsu, labels dark components, and for each square-ish component samples a
-// 6×6 cell grid: the border must be entirely dark and the payload must match
-// a dictionary code under some rotation.
-func (d *Dictionary) Detect(g *raster.Gray) []Detection {
-	return d.DetectScratch(g, &Scratch{})
-}
-
-// DetectScratch is Detect with caller-owned scratch buffers.
+// DetectScratch finds dictionary markers in a grayscale image, using the
+// caller-owned scratch buffers. It thresholds with Otsu, labels dark
+// components, and for each square-ish component samples a 6×6 cell grid: the
+// border must be entirely dark and the payload must match a dictionary code
+// under some rotation.
 func (d *Dictionary) DetectScratch(g *raster.Gray, s *Scratch) []Detection {
 	th := raster.Otsu(g)
 	s.mask = raster.ThresholdInto(s.mask, g, th)

@@ -1,6 +1,7 @@
 package aruco
 
 import (
+	"image"
 	"testing"
 
 	"colormatch/internal/color"
@@ -84,13 +85,20 @@ func renderScene(t *testing.T, id int, x, y, cellPx int) *raster.Gray {
 	t.Helper()
 	img := raster.NewRGBA(320, 240, color.RGB8{R: 250, G: 250, B: 250})
 	Default().Render(img, id, x, y, cellPx)
-	return raster.FromRGBA(img)
+	return gray(img)
+}
+
+// gray converts a rendered frame the way the analyzer does.
+func gray(img *image.RGBA) *raster.Gray {
+	var g raster.Gray
+	raster.FromRGBAInto(&g, img)
+	return &g
 }
 
 func TestDetectCleanMarker(t *testing.T) {
 	for _, id := range []int{0, 3, 7, 15} {
 		g := renderScene(t, id, 60, 50, 8)
-		dets := Default().Detect(g)
+		dets := Default().DetectScratch(g, &Scratch{})
 		if len(dets) != 1 {
 			t.Fatalf("id %d: %d detections", id, len(dets))
 		}
@@ -125,7 +133,7 @@ func TestDetectWithNoise(t *testing.T) {
 			img.Pix[i+c] = uint8(v)
 		}
 	}
-	dets := Default().Detect(raster.FromRGBA(img))
+	dets := Default().DetectScratch(gray(img), &Scratch{})
 	if len(dets) != 1 || dets[0].ID != 5 {
 		t.Fatalf("noisy detection failed: %+v", dets)
 	}
@@ -136,7 +144,7 @@ func TestDetectIgnoresCircles(t *testing.T) {
 	img := raster.NewRGBA(320, 240, color.RGB8{R: 245, G: 245, B: 245})
 	raster.FillCircle(img, 160, 120, 30, color.RGB8{R: 20, G: 20, B: 20})
 	raster.FillCircle(img, 60, 60, 14, color.RGB8{R: 40, G: 10, B: 10})
-	dets := Default().Detect(raster.FromRGBA(img))
+	dets := Default().DetectScratch(gray(img), &Scratch{})
 	if len(dets) != 0 {
 		t.Fatalf("circles detected as markers: %+v", dets)
 	}
@@ -144,7 +152,7 @@ func TestDetectIgnoresCircles(t *testing.T) {
 
 func TestDetectEmptyImage(t *testing.T) {
 	img := raster.NewRGBA(160, 120, color.RGB8{R: 250, G: 250, B: 250})
-	if dets := Default().Detect(raster.FromRGBA(img)); len(dets) != 0 {
+	if dets := Default().DetectScratch(gray(img), &Scratch{}); len(dets) != 0 {
 		t.Fatalf("detections on blank image: %+v", dets)
 	}
 }

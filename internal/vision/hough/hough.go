@@ -116,20 +116,17 @@ func (ps *planeScratch) vote(i, y int) {
 	}
 }
 
-// Circles runs a gradient-voting circle Hough transform over the region of g.
-// Each strong edge pixel votes for centers at distance r along ±gradient for
-// every candidate radius. Local accumulator maxima with sufficient perimeter
-// support are returned, strongest first, after non-maximum suppression.
-func Circles(g *raster.Gray, region Rect, p Params) []Circle {
-	return CirclesScratch(g, region, p, &Scratch{})
-}
-
-// CirclesScratch is Circles with caller-owned scratch buffers. One gradient
-// pass lists the region's strong edge pixels; each radius plane is then voted,
-// box-summed and searched for peaks on its own, with the planes spread over
-// runtime.GOMAXPROCS(0) workers, the calling goroutine being one of them.
-// Candidates are gathered in radius order, so the result does not depend on
-// the number of workers.
+// CirclesScratch runs a gradient-voting circle Hough transform over the
+// region of g, using the caller-owned scratch buffers. Each strong edge pixel
+// votes for centers at distance r along ±gradient for every candidate radius.
+// Local accumulator maxima with sufficient perimeter support are returned,
+// strongest first, after non-maximum suppression.
+//
+// One gradient pass lists the region's strong edge pixels; each radius plane
+// is then voted, box-summed and searched for peaks on its own, with the
+// planes spread over runtime.GOMAXPROCS(0) workers, the calling goroutine
+// being one of them. Candidates are gathered in radius order, so the result
+// does not depend on the number of workers.
 func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle {
 	return circles(g, region, p, s, runtime.GOMAXPROCS(0))
 }

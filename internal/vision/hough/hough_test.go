@@ -1,6 +1,7 @@
 package hough
 
 import (
+	"image"
 	"math"
 	"testing"
 
@@ -14,13 +15,20 @@ func grayWithCircles(bg uint8, circles []Circle, fill []color.RGB8) *raster.Gray
 	for i, c := range circles {
 		raster.FillCircle(img, c.X, c.Y, c.R, fill[i])
 	}
-	return raster.FromRGBA(img)
+	return gray(img)
+}
+
+// gray converts a rendered frame the way the analyzer does.
+func gray(img *image.RGBA) *raster.Gray {
+	var g raster.Gray
+	raster.FromRGBAInto(&g, img)
+	return &g
 }
 
 func TestDetectSingleDarkCircle(t *testing.T) {
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 40, G: 40, B: 40}})
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) == 0 {
 		t.Fatal("no circles found")
 	}
@@ -43,7 +51,7 @@ func TestDetectGridOfCircles(t *testing.T) {
 		}
 	}
 	g := grayWithCircles(245, truth, fills)
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) != len(truth) {
 		t.Fatalf("found %d circles, want %d", len(got), len(truth))
 	}
@@ -66,7 +74,7 @@ func TestLowContrastCircleMissed(t *testing.T) {
 	// parameters — this is the false-negative behavior the paper describes.
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 232, G: 232, B: 232}})
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) != 0 {
 		t.Fatalf("low-contrast circle detected: %+v", got)
 	}
@@ -76,7 +84,7 @@ func TestRegionRestricts(t *testing.T) {
 	truth := []Circle{{X: 50, Y: 75, R: 12}, {X: 150, Y: 75, R: 12}}
 	fills := []color.RGB8{{R: 30, G: 30, B: 30}, {R: 30, G: 30, B: 30}}
 	g := grayWithCircles(245, truth, fills)
-	got := Circles(g, Rect{100, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{100, 0, 200, 150}, DefaultParams(), &Scratch{})
 	for _, c := range got {
 		if c.X < 100 {
 			t.Fatalf("circle outside region: %+v", c)
@@ -90,7 +98,7 @@ func TestRegionRestricts(t *testing.T) {
 func TestNonMaxSuppression(t *testing.T) {
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 20, G: 20, B: 20}})
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	// A strong circle votes at many nearby radii; NMS must keep one.
 	if len(got) != 1 {
 		t.Fatalf("NMS kept %d circles for one disk", len(got))
@@ -106,21 +114,21 @@ func TestNoiseDoesNotHallucinate(t *testing.T) {
 			img.Pix[i+c] = uint8(math.Max(0, math.Min(255, v)))
 		}
 	}
-	got := Circles(raster.FromRGBA(img), Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(gray(img), Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) != 0 {
 		t.Fatalf("hallucinated %d circles in noise", len(got))
 	}
 }
 
 func TestDegenerateParams(t *testing.T) {
-	g := raster.NewGray(50, 50)
-	if got := Circles(g, Rect{0, 0, 50, 50}, Params{RMin: 0, RMax: 5}); got != nil {
+	g := &raster.Gray{W: 50, H: 50, Pix: make([]float64, 50*50)}
+	if got := CirclesScratch(g, Rect{0, 0, 50, 50}, Params{RMin: 0, RMax: 5}, &Scratch{}); got != nil {
 		t.Fatal("RMin=0 should return nil")
 	}
-	if got := Circles(g, Rect{0, 0, 50, 50}, Params{RMin: 10, RMax: 5}); got != nil {
+	if got := CirclesScratch(g, Rect{0, 0, 50, 50}, Params{RMin: 10, RMax: 5}, &Scratch{}); got != nil {
 		t.Fatal("RMax<RMin should return nil")
 	}
-	if got := Circles(g, Rect{40, 40, 10, 10}, DefaultParams()); got != nil {
+	if got := CirclesScratch(g, Rect{40, 40, 10, 10}, DefaultParams(), &Scratch{}); got != nil {
 		t.Fatal("empty region should return nil")
 	}
 }
@@ -128,7 +136,7 @@ func TestDegenerateParams(t *testing.T) {
 func TestRegionClampsToImage(t *testing.T) {
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 40, G: 40, B: 40}})
-	got := Circles(g, Rect{-50, -50, 10000, 10000}, DefaultParams())
+	got := CirclesScratch(g, Rect{-50, -50, 10000, 10000}, DefaultParams(), &Scratch{})
 	if len(got) != 1 {
 		t.Fatalf("oversized region: %d circles", len(got))
 	}

@@ -159,7 +159,9 @@ func plateFrame(seed int64) (*raster.Gray, hough.Rect) {
 	img := s.Render(dict, rng.Derive("px"))
 	nomX, nomY := s.Geom.MarkerCenter()
 	det := aruco.Detection{CX: nomX + s.JitterX, CY: nomY + s.JitterY, CellPx: s.Geom.MarkerCellPx}
-	return raster.FromRGBA(img), s.Geom.PlateRegionFromMarker(det)
+	var g raster.Gray
+	raster.FromRGBAInto(&g, img)
+	return &g, s.Geom.PlateRegionFromMarker(det)
 }
 
 var workerCounts = []int{1, 2, 3, 8}

@@ -30,8 +30,9 @@ func TestComponentsScratchIsAllocFree(t *testing.T) {
 	img := NewRGBA(160, 120, color.RGB8{R: 240, G: 240, B: 240})
 	FillRect(img, 20, 20, 60, 60, color.RGB8{R: 10, G: 10, B: 10})
 	FillRect(img, 80, 30, 130, 90, color.RGB8{R: 10, G: 10, B: 10})
-	g := FromRGBA(img)
-	mask := Threshold(g, 128)
+	var g Gray
+	FromRGBAInto(&g, img)
+	mask := ThresholdInto(nil, &g, 128)
 	var s ComponentScratch
 	ComponentsScratch(mask, g.W, 8, &s) // warm the scratch
 	if n := testing.AllocsPerRun(50, func() { ComponentsScratch(mask, g.W, 8, &s) }); n != 0 {

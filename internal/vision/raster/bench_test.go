@@ -13,7 +13,9 @@ import (
 func benchFrame() *Gray {
 	img := NewRGBA(320, 240, color.RGB8{R: 200, G: 190, B: 180})
 	FillCircle(img, 160, 120, 40, color.RGB8{R: 40, G: 60, B: 80})
-	return FromRGBA(img)
+	g := &Gray{}
+	FromRGBAInto(g, img)
+	return g
 }
 
 func BenchmarkFromRGBAInto(b *testing.B) {
@@ -43,7 +45,7 @@ func BenchmarkFillCircle(b *testing.B) {
 
 func BenchmarkComponentsScratch(b *testing.B) {
 	g := benchFrame()
-	mask := Threshold(g, Otsu(g))
+	mask := ThresholdInto(nil, g, Otsu(g))
 	var s ComponentScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -17,11 +17,6 @@ type Gray struct {
 	Pix  []float64
 }
 
-// NewGray returns a zeroed grayscale image.
-func NewGray(w, h int) *Gray {
-	return &Gray{W: w, H: h, Pix: make([]float64, w*h)}
-}
-
 // At returns the intensity at (x,y); out-of-bounds reads return 0.
 func (g *Gray) At(x, y int) float64 {
 	if x < 0 || y < 0 || x >= g.W || y >= g.H {
@@ -49,16 +44,9 @@ func (g *Gray) Resize(w, h int) {
 	}
 }
 
-// FromRGBA converts an RGBA image to grayscale using Rec.601 luma weights.
-func FromRGBA(img *image.RGBA) *Gray {
-	g := &Gray{}
-	FromRGBAInto(g, img)
-	return g
-}
-
-// FromRGBAInto converts img into dst, reusing dst's pixel buffer when it is
-// large enough — the allocation-free seam the vision pipeline uses to amortize
-// per-photo grayscale buffers across a campaign.
+// FromRGBAInto converts img to grayscale in dst using Rec.601 luma weights,
+// reusing dst's pixel buffer when it is large enough, so the vision pipeline
+// amortizes per-photo grayscale buffers across a campaign.
 func FromRGBAInto(dst *Gray, img *image.RGBA) {
 	b := img.Bounds()
 	dst.Resize(b.Dx(), b.Dy())
@@ -117,15 +105,10 @@ func Otsu(g *Gray) float64 {
 	return bestT
 }
 
-// Threshold returns a binary mask: true where intensity <= t (dark pixels).
-// The inclusive comparison pairs with Otsu, which returns the upper edge of
-// the dark class.
-func Threshold(g *Gray, t float64) []bool {
-	return ThresholdInto(nil, g, t)
-}
-
-// ThresholdInto writes the binary mask into dst, growing it only when its
-// capacity is insufficient, and returns the (possibly reallocated) mask.
+// ThresholdInto writes a binary mask of g into dst, true where intensity <= t
+// (dark pixels), and returns the mask; dst grows only when its capacity is
+// insufficient. The inclusive comparison pairs with Otsu, which returns the
+// upper edge of the dark class.
 func ThresholdInto(dst []bool, g *Gray, t float64) []bool {
 	if cap(dst) < len(g.Pix) {
 		dst = make([]bool, len(g.Pix))
@@ -150,23 +133,19 @@ func (c Component) W() int { return c.MaxX - c.MinX + 1 }
 // H returns the bounding-box height.
 func (c Component) H() int { return c.MaxY - c.MinY + 1 }
 
-// ComponentScratch holds the labeling buffers Components needs, so repeated
-// calls on same-sized masks (one per analyzed photo) stop allocating.
+// ComponentScratch holds the labeling buffers ComponentsScratch needs, so
+// repeated calls on same-sized masks (one per analyzed photo) stop
+// allocating.
 type ComponentScratch struct {
 	labels []int32
 	stack  []int
 	out    []Component
 }
 
-// Components labels 4-connected regions of true pixels in mask (width w).
-// Regions smaller than minCount pixels are dropped.
-func Components(mask []bool, w int, minCount int) []Component {
-	return ComponentsScratch(mask, w, minCount, &ComponentScratch{})
-}
-
-// ComponentsScratch is Components with caller-owned scratch buffers. The
-// returned slice is backed by the scratch and only valid until the next call
-// with the same scratch.
+// ComponentsScratch labels 4-connected regions of true pixels in mask (width
+// w), using the caller-owned scratch buffers. Regions smaller than minCount
+// pixels are dropped. The returned slice is backed by the scratch and only
+// valid until the next call with the same scratch.
 func ComponentsScratch(mask []bool, w int, minCount int, s *ComponentScratch) []Component {
 	h := len(mask) / w
 	if cap(s.labels) < len(mask) {
@@ -318,15 +297,6 @@ func FillCircle(img *image.RGBA, cx, cy, r float64, c color.RGB8) {
 			i += 4
 		}
 	}
-}
-
-// PixelRGB8 reads the pixel at (x,y) as an 8-bit sRGB color.
-func PixelRGB8(img *image.RGBA, x, y int) color.RGB8 {
-	if !image.Pt(x, y).In(img.Bounds()) {
-		return color.RGB8{}
-	}
-	i := img.PixOffset(x, y)
-	return color.RGB8{R: img.Pix[i], G: img.Pix[i+1], B: img.Pix[i+2]}
 }
 
 // MeanDisk returns the average color over a disk of radius r at (cx,cy),

@@ -1,14 +1,26 @@
 package raster
 
 import (
+	"image"
 	"math"
 	"testing"
 
 	"colormatch/internal/color"
 )
 
+// newGray returns a zeroed w×h image.
+func newGray(w, h int) *Gray {
+	return &Gray{W: w, H: h, Pix: make([]float64, w*h)}
+}
+
+// rgbAt reads the pixel at (x,y) as an 8-bit sRGB color.
+func rgbAt(img *image.RGBA, x, y int) color.RGB8 {
+	c := img.RGBAAt(x, y)
+	return color.RGB8{R: c.R, G: c.G, B: c.B}
+}
+
 func TestGrayAtSetBounds(t *testing.T) {
-	g := NewGray(4, 3)
+	g := newGray(4, 3)
 	g.Set(1, 2, 42)
 	if g.At(1, 2) != 42 {
 		t.Fatal("Set/At broken")
@@ -23,7 +35,8 @@ func TestGrayAtSetBounds(t *testing.T) {
 func TestFromRGBALuma(t *testing.T) {
 	img := NewRGBA(2, 1, color.RGB8{R: 255, G: 255, B: 255})
 	FillRect(img, 1, 0, 2, 1, color.RGB8{R: 255, G: 0, B: 0})
-	g := FromRGBA(img)
+	var g Gray
+	FromRGBAInto(&g, img)
 	if math.Abs(g.At(0, 0)-255) > 0.5 {
 		t.Fatalf("white luma = %v", g.At(0, 0))
 	}
@@ -33,7 +46,7 @@ func TestFromRGBALuma(t *testing.T) {
 }
 
 func TestOtsuSeparatesBimodal(t *testing.T) {
-	g := NewGray(100, 10)
+	g := newGray(100, 10)
 	for i := range g.Pix {
 		if i%2 == 0 {
 			g.Pix[i] = 30
@@ -45,7 +58,7 @@ func TestOtsuSeparatesBimodal(t *testing.T) {
 	if th < 30 || th >= 220 {
 		t.Fatalf("Otsu threshold %v not between modes", th)
 	}
-	mask := Threshold(g, th)
+	mask := ThresholdInto(nil, g, th)
 	dark := 0
 	for _, m := range mask {
 		if m {
@@ -58,7 +71,7 @@ func TestOtsuSeparatesBimodal(t *testing.T) {
 }
 
 func TestOtsuUniformImage(t *testing.T) {
-	g := NewGray(10, 10)
+	g := newGray(10, 10)
 	for i := range g.Pix {
 		g.Pix[i] = 128
 	}
@@ -78,7 +91,7 @@ func TestComponentsFindsSeparateBlobs(t *testing.T) {
 		}
 	}
 	set(18, 1) // noise
-	comps := Components(mask, w, 2)
+	comps := ComponentsScratch(mask, w, 2, &ComponentScratch{})
 	if len(comps) != 2 {
 		t.Fatalf("found %d components, want 2 (noise filtered)", len(comps))
 	}
@@ -93,7 +106,7 @@ func TestComponentsDiagonalNotConnected(t *testing.T) {
 	mask := make([]bool, w*4)
 	mask[0] = true   // (0,0)
 	mask[w+1] = true // (1,1) diagonal neighbor
-	comps := Components(mask, w, 1)
+	comps := ComponentsScratch(mask, w, 1, &ComponentScratch{})
 	if len(comps) != 2 {
 		t.Fatalf("diagonal pixels merged: %d components", len(comps))
 	}
@@ -105,7 +118,7 @@ func TestComponentsLargeBlobNoStackOverflow(t *testing.T) {
 	for i := range mask {
 		mask[i] = true
 	}
-	comps := Components(mask, w, 1)
+	comps := ComponentsScratch(mask, w, 1, &ComponentScratch{})
 	if len(comps) != 1 || comps[0].Count != w*h {
 		t.Fatalf("full-frame component wrong: %+v", comps)
 	}
@@ -119,11 +132,11 @@ func TestFillCircleAndMeanDisk(t *testing.T) {
 	if got != c {
 		t.Fatalf("MeanDisk inside circle = %+v, want %+v", got, c)
 	}
-	center := PixelRGB8(img, 25, 25)
+	center := rgbAt(img, 25, 25)
 	if center != c {
 		t.Fatalf("center pixel = %+v", center)
 	}
-	corner := PixelRGB8(img, 0, 0)
+	corner := rgbAt(img, 0, 0)
 	if corner != (color.RGB8{R: 255, G: 255, B: 255}) {
 		t.Fatalf("corner pixel = %+v", corner)
 	}
@@ -149,17 +162,10 @@ func TestMeanDiskOutOfBounds(t *testing.T) {
 	}
 }
 
-func TestPixelRGB8OutOfBounds(t *testing.T) {
-	img := NewRGBA(5, 5, color.RGB8{R: 9})
-	if PixelRGB8(img, 10, 10) != (color.RGB8{}) {
-		t.Fatal("OOB pixel not zero")
-	}
-}
-
 func TestFillRectClipping(t *testing.T) {
 	img := NewRGBA(5, 5, color.RGB8{})
 	FillRect(img, -10, -10, 100, 100, color.RGB8{R: 255, G: 255, B: 255})
-	if PixelRGB8(img, 4, 4) != (color.RGB8{R: 255, G: 255, B: 255}) {
+	if rgbAt(img, 4, 4) != (color.RGB8{R: 255, G: 255, B: 255}) {
 		t.Fatal("clipped fill missed in-bounds pixel")
 	}
 }

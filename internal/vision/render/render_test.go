@@ -12,7 +12,6 @@ import (
 	"colormatch/internal/labware"
 	"colormatch/internal/sim"
 	"colormatch/internal/vision/aruco"
-	"colormatch/internal/vision/raster"
 )
 
 func TestDefaultGeometryIsSelfConsistent(t *testing.T) {
@@ -43,6 +42,12 @@ func TestWellCenterSpacing(t *testing.T) {
 	}
 }
 
+// rgbAt reads the pixel at (x,y) as an 8-bit sRGB color.
+func rgbAt(img *image.RGBA, x, y int) color.RGB8 {
+	c := img.RGBAAt(x, y)
+	return color.RGB8{R: c.R, G: c.G, B: c.B}
+}
+
 func TestRenderDrawsLiquidColor(t *testing.T) {
 	s := NewScene()
 	s.IllumFalloff = 0
@@ -52,7 +57,7 @@ func TestRenderDrawsLiquidColor(t *testing.T) {
 	s.Filled[0] = true
 	img := s.Render(aruco.Default(), nil)
 	x, y := s.Geom.WellCenter(0, 0)
-	got := raster.PixelRGB8(img, int(x), int(y))
+	got := rgbAt(img, int(x), int(y))
 	if got != want {
 		t.Fatalf("well pixel %+v, want %+v", got, want)
 	}
@@ -67,7 +72,7 @@ func TestRenderJitterMovesScene(t *testing.T) {
 	s.JitterX, s.JitterY = 9, 4
 	img := s.Render(aruco.Default(), nil)
 	x, y := s.Geom.WellCenter(0, 0)
-	if got := raster.PixelRGB8(img, int(x+9), int(y+4)); got != (color.RGB8{R: 10, G: 10, B: 10}) {
+	if got := rgbAt(img, int(x+9), int(y+4)); got != (color.RGB8{R: 10, G: 10, B: 10}) {
 		t.Fatalf("jittered well pixel %+v", got)
 	}
 }
@@ -77,8 +82,8 @@ func TestVignetteDarkensCorners(t *testing.T) {
 	s.IllumFalloff = 0.1
 	s.NoiseStd = 0
 	img := s.Render(aruco.Default(), nil)
-	center := raster.PixelRGB8(img, s.Geom.ImgW/2, s.Geom.ImgH/2)
-	corner := raster.PixelRGB8(img, 2, s.Geom.ImgH-3)
+	center := rgbAt(img, s.Geom.ImgW/2, s.Geom.ImgH/2)
+	corner := rgbAt(img, 2, s.Geom.ImgH-3)
 	if corner.R >= center.R {
 		t.Fatalf("corner %d not darker than center %d", corner.R, center.R)
 	}

@@ -11,7 +11,7 @@ import (
 // BenchmarkEngineWorkflow measures the engine's per-workflow overhead
 // (dispatch, events, records) with instant module actions.
 func BenchmarkEngineWorkflow(b *testing.B) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	m := NewBase("dev", "t", "")
 	m.Register(ActionInfo{Name: "noop"}, func(ctx context.Context, args Args) (Result, error) {

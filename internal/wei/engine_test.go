@@ -25,7 +25,7 @@ func slowModule(name string, clock sim.Clock, d time.Duration) *Base {
 
 func testEngine(t *testing.T, faults *sim.Injector) (*Engine, *sim.SimClock) {
 	t.Helper()
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	reg.Add(slowModule("dev", clock, 30*time.Second))
 	eng := NewEngine(reg, clock, NewEventLog(clock))

@@ -81,6 +81,8 @@ func (e *TransportError) Error() string {
 }
 
 // Unwrap exposes the underlying network or decode error.
+//
+//lint:ignore testonly errors.Is and errors.As call Unwrap through an interface, so no caller names it
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // StatusError reports a non-200 HTTP response from a module server. 5xx

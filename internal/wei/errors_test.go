@@ -59,7 +59,7 @@ func TestErrClassString(t *testing.T) {
 // hitting an unknown module or action fails in exactly one attempt, with no
 // retry sleeps inflating the virtual clock.
 func TestEnginePermanentErrorSingleAttempt(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	reg.Add(fakeModule("dev", nil))
 	eng := NewEngine(reg, clock, NewEventLog(clock))
@@ -100,7 +100,7 @@ func TestEnginePermanentErrorSingleAttempt(t *testing.T) {
 // TestEngineCanceledContextSingleAttempt: a canceled campaign must not burn
 // MaxAttempts with RetryDelay sleeps.
 func TestEngineCanceledContextSingleAttempt(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	m := NewBase("dev", "test", "")
 	m.Register(ActionInfo{Name: "work"}, func(ctx context.Context, _ Args) (Result, error) {
@@ -130,7 +130,7 @@ func TestEngineCanceledContextSingleAttempt(t *testing.T) {
 // TestEngineCancelDuringRetryStops: cancellation between attempts stops the
 // retry loop at the next attempt boundary instead of burning the budget.
 func TestEngineCancelDuringRetryStops(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := NewBase("dev", "test", "")

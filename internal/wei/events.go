@@ -112,63 +112,6 @@ func (l *EventLog) Len() int {
 	return len(l.events)
 }
 
-// FilterWorkflow returns the events belonging to the named workflow, in
-// their original order. With several workflows interleaved on one log (lanes
-// pipelined through a workcell), this recovers one workflow's private view —
-// the input for per-workflow module-utilization metrics.
-func FilterWorkflow(events []Event, workflow string) []Event {
-	var out []Event
-	for _, e := range events {
-		if e.Workflow == workflow {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// MergeEvents merges per-campaign (or per-lane) event streams into one
-// sequence ordered by (virtual time, source index, per-log seq). Each input
-// must be in its own log order (Append order: seq ascending, time
-// non-decreasing — what EventLog.Events returns); the merge is then stable
-// and total, and the output is monotone in time with every source's seq
-// order preserved inside ties.
-//
-// The tie-break matters: concurrent lanes stamp many events at the same
-// virtual instant (a SimClock only moves when everyone sleeps), so sorting
-// a concatenation by time alone — sort.Slice is not stable — can reorder
-// one campaign's same-instant events against their own seq order, showing a
-// subscriber a step_end before its step_start. Merging with (source, seq)
-// as the tie-break cannot.
-func MergeEvents(logs ...[]Event) []Event {
-	total := 0
-	for _, l := range logs {
-		total += len(l)
-	}
-	out := make([]Event, 0, total)
-	heads := make([]int, len(logs))
-	for len(out) < total {
-		best := -1
-		for i, l := range logs {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			// Strictly earlier time wins; ties keep the lowest source
-			// index, and within one source Append order is already seq
-			// order.
-			if l[heads[i]].Time.Before(logs[best][heads[best]].Time) {
-				best = i
-			}
-		}
-		out = append(out, logs[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
 // WriteJSON streams the log as JSON lines.
 func (l *EventLog) WriteJSON(w io.Writer) error {
 	for _, e := range l.Events() {

@@ -11,14 +11,14 @@ import (
 // TestEventLogInterleavedWorkflows hammers one log from several goroutines,
 // each appending its own workflow's numbered events, and checks the
 // invariants lane pipelining leans on: sequence numbers are unique and
-// dense, every appended event survives, and FilterWorkflow recovers each
-// workflow's events in their original per-workflow order.
+// dense, every appended event survives, and each workflow's events keep
+// their original per-workflow order.
 func TestEventLogInterleavedWorkflows(t *testing.T) {
 	const (
 		workflows = 8
 		perWF     = 200
 	)
-	log := NewEventLog(sim.NewSimClock())
+	log := NewEventLog(sim.NewSimClockAt(sim.Epoch))
 	var wg sync.WaitGroup
 	for w := 0; w < workflows; w++ {
 		wg.Add(1)
@@ -41,9 +41,13 @@ func TestEventLogInterleavedWorkflows(t *testing.T) {
 			t.Fatalf("event %d has seq %d: sequence not dense", i, e.Seq)
 		}
 	}
+	byWF := map[string][]Event{}
+	for _, e := range events {
+		byWF[e.Workflow] = append(byWF[e.Workflow], e)
+	}
 	for w := 0; w < workflows; w++ {
 		name := fmt.Sprintf("wf%d", w)
-		got := FilterWorkflow(events, name)
+		got := byWF[name]
 		if len(got) != perWF {
 			t.Fatalf("workflow %s: %d events, want %d", name, len(got), perWF)
 		}
@@ -57,18 +61,5 @@ func TestEventLogInterleavedWorkflows(t *testing.T) {
 			}
 			lastSeq = e.Seq
 		}
-	}
-}
-
-func TestFilterWorkflowEmpty(t *testing.T) {
-	events := []Event{
-		{Kind: EvNote, Workflow: "a"},
-		{Kind: EvNote}, // engine-level event with no workflow
-	}
-	if got := FilterWorkflow(events, "missing"); got != nil {
-		t.Fatalf("FilterWorkflow(missing) = %v", got)
-	}
-	if got := FilterWorkflow(events, "a"); len(got) != 1 {
-		t.Fatalf("FilterWorkflow(a) = %v", got)
 	}
 }

@@ -56,7 +56,7 @@ func TestRunWorkflowCanceledBeforeStart(t *testing.T) {
 // work; the workflow must stop at the step boundary instead of running the
 // remaining steps.
 func TestRunWorkflowCanceledBetweenSteps(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
 	b := NewBase("dev", "slow", "")

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPreflightAcceptsValidWorkflow(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	reg.Add(fakeModule("dev", nil))
 	eng := NewEngine(reg, clock, NewEventLog(clock))
@@ -27,7 +27,7 @@ func TestPreflightAcceptsValidWorkflow(t *testing.T) {
 }
 
 func TestPreflightRejectsUnknownAction(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	reg.Add(fakeModule("dev", nil))
 	eng := NewEngine(reg, clock, NewEventLog(clock))
@@ -41,7 +41,7 @@ func TestPreflightRejectsUnknownAction(t *testing.T) {
 }
 
 func TestPreflightRejectsUnknownModule(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	eng := NewEngine(NewRegistry(), clock, NewEventLog(clock))
 	wf := &WorkflowSpec{Name: "w", Steps: []Step{
 		{Name: "s", Module: "ghost", Action: "ping"},

@@ -11,7 +11,7 @@ import (
 )
 
 func TestReservationsFreeModuleAcquiresImmediately(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	r := NewReservations(clock)
 	if wait := r.Acquire("pf400"); wait != 0 {
 		t.Fatalf("free module waited %v", wait)
@@ -24,7 +24,7 @@ func TestReservationsFreeModuleAcquiresImmediately(t *testing.T) {
 }
 
 func TestReservationsIndependentModules(t *testing.T) {
-	r := NewReservations(sim.NewSimClock())
+	r := NewReservations(sim.NewSimClockAt(sim.Epoch))
 	if r.Acquire("pf400") != 0 {
 		t.Fatal("pf400 not free")
 	}
@@ -42,7 +42,7 @@ func TestReservationsReleaseUnheldPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewReservations(sim.NewSimClock()).Release("pf400")
+	NewReservations(sim.NewSimClockAt(sim.Epoch)).Release("pf400")
 }
 
 // TestReservationsQueueWaitInVirtualTime drives two workers through one
@@ -50,7 +50,7 @@ func TestReservationsReleaseUnheldPanics(t *testing.T) {
 // the waiter's measured queue wait must be 10 minutes even though the test
 // runs in microseconds of host time.
 func TestReservationsQueueWaitInVirtualTime(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	r := NewReservations(clock)
 	const hold = 10 * time.Minute
 
@@ -87,7 +87,7 @@ func TestReservationsQueueWaitInVirtualTime(t *testing.T) {
 // TestReservationsFIFOFair queues many waiters behind a holder and checks
 // they are granted the module strictly in arrival order.
 func TestReservationsFIFOFair(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	r := NewReservations(clock)
 	const n = 8
 
@@ -147,7 +147,7 @@ func waitForQueueDepth(t *testing.T, r *Reservations, module string, depth int) 
 // reservations) never occupy the same module at the same virtual time, and
 // the queue wait shows up in step records and events.
 func TestEngineConcurrentWorkflowsMutuallyExclusive(t *testing.T) {
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg := NewRegistry()
 	reg.Add(slowModule("pf400", clock, 30*time.Second))
 	reg.Add(slowModule("camera", clock, 2*time.Second))

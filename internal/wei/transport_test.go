@@ -76,7 +76,7 @@ func TestHTTPStateAndAbout(t *testing.T) {
 func TestHTTPEngineEndToEnd(t *testing.T) {
 	// The engine must behave identically over HTTP as in-process.
 	reg := NewRegistry()
-	clock := sim.NewSimClock()
+	clock := sim.NewSimClockAt(sim.Epoch)
 	reg.Add(slowModule("dev", clock, 10*time.Second))
 	srv := httptest.NewServer(ServeModules(reg))
 	defer srv.Close()

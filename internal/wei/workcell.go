@@ -102,20 +102,6 @@ func (w *WorkcellSpec) Module(name string) (ModuleSpec, bool) {
 	return ModuleSpec{}, false
 }
 
-// ModulesOfType returns the names of all modules with the given type, in
-// declaration order. Workflows are retargetable across modules of the same
-// type ("workflows can be retargeted to different modules and workcells
-// that provide comparable capabilities").
-func (w *WorkcellSpec) ModulesOfType(typ string) []string {
-	var out []string
-	for _, m := range w.Modules {
-		if m.Type == typ {
-			out = append(out, m.Name)
-		}
-	}
-	return out
-}
-
 // Marshal re-encodes the spec as YAML.
 func (w *WorkcellSpec) Marshal() ([]byte, error) {
 	mods := yamlite.List{}

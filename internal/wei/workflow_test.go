@@ -97,8 +97,8 @@ func TestParseWorkcell(t *testing.T) {
 	if !ok || ot2.Type != "liquid_handler" || ot2.Config["reservoir_capacity"] != 25000.0 {
 		t.Fatalf("ot2 = %+v", ot2)
 	}
-	if got := wc.ModulesOfType("manipulator"); len(got) != 1 || got[0] != "pf400" {
-		t.Fatalf("ModulesOfType = %v", got)
+	if pf400, ok := wc.Module("pf400"); !ok || pf400.Type != "manipulator" {
+		t.Fatalf("pf400 = %+v", pf400)
 	}
 	if _, ok := wc.Module("nope"); ok {
 		t.Fatal("found nonexistent module")

@@ -59,39 +59,6 @@ func Int(m Map, key string) (int64, error) {
 	return 0, fmt.Errorf("yamlite: key %q: expected integer, got %T", key, v)
 }
 
-// IntOr returns the integer value at key, or def if absent.
-func IntOr(m Map, key string, def int64) (int64, error) {
-	if _, ok := m[key]; !ok {
-		return def, nil
-	}
-	return Int(m, key)
-}
-
-// Float returns the numeric value at key as a float64 (ints are widened).
-func Float(m Map, key string) (float64, error) {
-	v, ok := m[key]
-	if !ok {
-		return 0, fmt.Errorf("yamlite: missing key %q", key)
-	}
-	switch n := v.(type) {
-	case float64:
-		return n, nil
-	case int64:
-		return float64(n), nil
-	case int:
-		return float64(n), nil
-	}
-	return 0, fmt.Errorf("yamlite: key %q: expected number, got %T", key, v)
-}
-
-// FloatOr returns the numeric value at key, or def if absent.
-func FloatOr(m Map, key string, def float64) (float64, error) {
-	if _, ok := m[key]; !ok {
-		return def, nil
-	}
-	return Float(m, key)
-}
-
 // Bool returns the boolean value at key.
 func Bool(m Map, key string) (bool, error) {
 	v, ok := m[key]
@@ -103,27 +70,6 @@ func Bool(m Map, key string) (bool, error) {
 		return false, fmt.Errorf("yamlite: key %q: expected bool, got %T", key, v)
 	}
 	return b, nil
-}
-
-// BoolOr returns the boolean value at key, or def if absent.
-func BoolOr(m Map, key string, def bool) (bool, error) {
-	if _, ok := m[key]; !ok {
-		return def, nil
-	}
-	return Bool(m, key)
-}
-
-// SubMap returns the mapping value at key.
-func SubMap(m Map, key string) (Map, error) {
-	v, ok := m[key]
-	if !ok {
-		return nil, fmt.Errorf("yamlite: missing key %q", key)
-	}
-	sub, err := AsMap(v)
-	if err != nil {
-		return nil, fmt.Errorf("yamlite: key %q: %v", key, err)
-	}
-	return sub, nil
 }
 
 // SubList returns the sequence value at key.
@@ -152,26 +98,6 @@ func StringList(m Map, key string) ([]string, error) {
 			return nil, fmt.Errorf("yamlite: key %q[%d]: expected string, got %T", key, i, v)
 		}
 		out[i] = s
-	}
-	return out, nil
-}
-
-// FloatList returns the sequence at key coerced to float64s.
-func FloatList(m Map, key string) ([]float64, error) {
-	l, err := SubList(m, key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(l))
-	for i, v := range l {
-		switch n := v.(type) {
-		case float64:
-			out[i] = n
-		case int64:
-			out[i] = float64(n)
-		default:
-			return nil, fmt.Errorf("yamlite: key %q[%d]: expected number, got %T", key, i, v)
-		}
 	}
 	return out, nil
 }

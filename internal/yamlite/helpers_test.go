@@ -50,23 +50,8 @@ func TestIntFloatBoolHelpers(t *testing.T) {
 	if _, err := Int(m, "rate"); err == nil {
 		t.Fatal("float as int accepted")
 	}
-	if n, err := IntOr(m, "nope", 7); err != nil || n != 7 {
-		t.Fatalf("IntOr = %d, %v", n, err)
-	}
-	if f, err := Float(m, "rate"); err != nil || f != 1.5 {
-		t.Fatalf("Float = %v, %v", f, err)
-	}
-	if f, err := Float(m, "port"); err != nil || f != 2005 {
-		t.Fatalf("Float widening = %v, %v", f, err)
-	}
-	if f, err := FloatOr(m, "nope", 9.5); err != nil || f != 9.5 {
-		t.Fatalf("FloatOr = %v, %v", f, err)
-	}
 	if b, err := Bool(m, "ready"); err != nil || !b {
 		t.Fatalf("Bool = %v, %v", b, err)
-	}
-	if b, err := BoolOr(m, "nope", true); err != nil || !b {
-		t.Fatalf("BoolOr = %v, %v", b, err)
 	}
 	if _, err := Bool(m, "name"); err == nil {
 		t.Fatal("string as bool accepted")
@@ -75,19 +60,6 @@ func TestIntFloatBoolHelpers(t *testing.T) {
 
 func TestCollectionHelpers(t *testing.T) {
 	m := helperDoc(t)
-	sub, err := SubMap(m, "config")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub["deck"] != "left" {
-		t.Fatalf("SubMap = %#v", sub)
-	}
-	if _, err := SubMap(m, "tags"); err == nil {
-		t.Fatal("list as map accepted")
-	}
-	if _, err := SubMap(m, "nope"); err == nil {
-		t.Fatal("missing map accepted")
-	}
 	l, err := SubList(m, "tags")
 	if err != nil || len(l) != 2 {
 		t.Fatalf("SubList = %#v, %v", l, err)
@@ -99,12 +71,8 @@ func TestCollectionHelpers(t *testing.T) {
 	if _, err := StringList(m, "vols"); err == nil {
 		t.Fatal("numeric list as strings accepted")
 	}
-	fs, err := FloatList(m, "vols")
-	if err != nil || fs[0] != 1 || fs[1] != 2.5 || fs[2] != 3 {
-		t.Fatalf("FloatList = %#v, %v", fs, err)
-	}
-	if _, err := FloatList(m, "tags"); err == nil {
-		t.Fatal("string list as floats accepted")
+	if _, err := AsMap(m["tags"]); err == nil {
+		t.Fatal("list as map accepted")
 	}
 	if _, err := AsList("scalar"); err == nil {
 		t.Fatal("scalar as list accepted")
