@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,11 +30,13 @@ func writeRecords(mw *form.Writer, recs []Record) error {
 	wires := make([]wireRecord, len(recs))
 	var parts []form.Part
 	for i, rec := range recs {
-		for name, data := range rec.Files {
+		// Parts go by record, then by name, so one batch always encodes to
+		// the same bytes.
+		for _, name := range slices.Sorted(maps.Keys(rec.Files)) {
 			if err := form.CheckName(name); err != nil {
 				return fmt.Errorf("%w: record %d: %v", ErrInvalid, i, err)
 			}
-			parts = append(parts, form.Part{Name: strconv.Itoa(i) + "/" + name, Data: data})
+			parts = append(parts, form.Part{Name: strconv.Itoa(i) + "/" + name, Data: rec.Files[name]})
 		}
 		wires[i] = toWire(rec)
 	}

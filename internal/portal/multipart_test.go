@@ -227,6 +227,39 @@ func TestMultipartRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteRecordsIsDeterministic: one batch encodes to the same bytes on
+// every call, its attachments ordered by record, then by name, whatever
+// order the Files maps range in.
+func TestWriteRecordsIsDeterministic(t *testing.T) {
+	recs := make([]Record, 3)
+	for i := range recs {
+		recs[i] = Record{Experiment: "det", Run: i, Files: map[string][]byte{}}
+		for _, name := range []string{"z.png", "a.png", "m/n.bin", "b.json", "plate.png"} {
+			recs[i].Files[name] = []byte(fmt.Sprintf("%d:%s", i, name))
+		}
+	}
+	encode := func() []byte {
+		var buf bytes.Buffer
+		mw := multipart.NewWriter(&buf)
+		if err := mw.SetBoundary("detboundary"); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeRecords(mw, recs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := encode()
+	for range 19 {
+		if got := encode(); !bytes.Equal(got, first) {
+			t.Fatalf("batch encoded to different bytes:\n%s\nthen\n%s", first, got)
+		}
+	}
+	if i, j := bytes.Index(first, []byte(`name="0/a.png"`)), bytes.Index(first, []byte(`name="0/b.json"`)); i < 0 || j < i {
+		t.Fatalf("record 0's attachments not in name order:\n%s", first)
+	}
+}
+
 // TestWriteRecordsRejectsControlCharacterNames: a part header cannot hold
 // a line break or another ASCII control character but tab, so the client
 // refuses such a name (ErrInvalid, nothing sent) instead of letting it end
