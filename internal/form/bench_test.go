@@ -15,17 +15,24 @@ import (
 // carries.
 const framePNG = 920_000
 
-// actionBody frames a wei action response: a JSON head and one part
-// holding the base64 of a frame of size bytes.
-func actionBody(tb testing.TB, size int) []byte {
+// actionParts returns the head and the part of a wei action response:
+// a JSON head and one string part holding the base64 of a frame of size
+// bytes.
+func actionParts(size int) ([]byte, []RawPart[string]) {
 	frame := base64.StdEncoding.EncodeToString(randomBytes(size))
-	return encode(tb, "head", []byte(`{"status":"succeeded","result":{"plate":"p1","wells":["A1","A2","A3","A4"]}}`),
-		[]Part{{"result/frame", []byte(frame)}})
+	return []byte(`{"status":"succeeded","result":{"plate":"p1","wells":["A1","A2","A3","A4"]}}`),
+		[]RawPart[string]{{"result/frame", frame}}
 }
 
-// ingestBody frames a portal ingest batch: a JSON head of 32 records and
-// one binary part of size bytes per record.
-func ingestBody(tb testing.TB, size int) []byte {
+// actionBody frames a wei action response.
+func actionBody(tb testing.TB, size int) []byte {
+	js, parts := actionParts(size)
+	return encode(tb, "head", js, []Part{{parts[0].Name, []byte(parts[0].Data)}})
+}
+
+// ingestParts returns the head and the parts of a portal ingest batch: a
+// JSON head of 32 records and one binary part of size bytes per record.
+func ingestParts(size int) ([]byte, []Part) {
 	frame := randomBytes(size)
 	var js bytes.Buffer
 	parts := make([]Part, 32)
@@ -38,7 +45,13 @@ func ingestBody(tb testing.TB, size int) []byte {
 		parts[i] = Part{Name: fmt.Sprintf("%d/plate.png", i), Data: frame}
 	}
 	js.WriteByte(']')
-	return encode(tb, "head", js.Bytes(), parts)
+	return js.Bytes(), parts
+}
+
+// ingestBody frames a portal ingest batch.
+func ingestBody(tb testing.TB, size int) []byte {
+	js, parts := ingestParts(size)
+	return encode(tb, "head", js, parts)
 }
 
 func randomBytes(n int) []byte {
@@ -89,5 +102,54 @@ func BenchmarkReader(b *testing.B) {
 				readAll(b, body)
 			}
 		})
+	}
+}
+
+// BenchmarkWrite frames the same two bodies and sends each the way its
+// hop does: a workcell writes an action response to its ResponseWriter
+// with WriteTo, and the portal client's transport reads an ingest batch
+// through 32 KiB reads. Both go to io.Discard, so the figure is the
+// framing's own cost: for ingest, the one copy a socket write needs.
+func BenchmarkWrite(b *testing.B) {
+	b.Run("action", func(b *testing.B) {
+		js, parts := actionParts(framePNG)
+		benchWrite(b, func() (*Body, error) { return NewBody("head", js, parts) }, func(body *Body) error {
+			_, err := body.WriteTo(io.Discard)
+			return err
+		})
+	})
+	b.Run("ingest", func(b *testing.B) {
+		js, parts := ingestParts(framePNG)
+		buf := make([]byte, 32<<10)
+		benchWrite(b, func() (*Body, error) { return NewBody("head", js, parts) }, func(body *Body) error {
+			for {
+				if _, err := body.Read(buf); err != nil {
+					if errors.Is(err, io.EOF) {
+						return nil
+					}
+					return err
+				}
+			}
+		})
+	})
+}
+
+// benchWrite builds a body with build and sends it with send, once per
+// iteration.
+func benchWrite(b *testing.B, build func() (*Body, error), send func(*Body) error) {
+	body, err := build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(body.Len())
+	b.ReportAllocs()
+	for b.Loop() {
+		body, err := build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := send(body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

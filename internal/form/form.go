@@ -1,7 +1,7 @@
 // Package form is the one multipart/form-data framing (RFC 7578) this
 // repository puts on the wire for bodies that carry large binary or
 // string payloads beside structured data. A body is a JSON head part
-// first, then named raw parts whose bodies are bytes copied as they are:
+// first, then named raw parts whose bodies are bytes sent as they are:
 // nothing is base64-encoded or JSON-escaped.
 //
 // The portal's records body (a "records" head, one part per attachment)
@@ -15,10 +15,16 @@
 //   - no part name holds an ASCII control character but tab, because a
 //     line break would end the part header early.
 //
-// Bodies are written with the standard library's multipart writer. The
-// Reader parses the framing itself, in one pass over the body through a
-// 64 KiB window: it finds each "\r\n--<boundary>" delimiter with
-// bytes.Index, takes every other occurrence of the boundary for body
+// A Body writes the framing itself. It holds the JSON head and every
+// part's data by reference, bytes or a string as the caller holds it, so
+// it knows its exact length before a byte is sent and writes each payload
+// onto the wire from the memory that holds it. Its bytes are those
+// mime/multipart's writer writes for the same boundary, which is random,
+// as that writer's is.
+//
+// The Reader parses the framing itself, in one pass over the body
+// through a 64 KiB window: it finds each "\r\n--<boundary>" delimiter
+// with bytes.Index, takes every other occurrence of the boundary for body
 // bytes, and copies each part's bytes once, into one reused buffer. Part
 // headers are read with net/textproto and the part name with
 // mime.ParseMediaType, so RFC 2231 encoded names work. Memory is bounded
@@ -37,7 +43,7 @@
 //     mime/multipart decodes silently;
 //   - a part header block longer than the window.
 //
-// Neither Write nor curl -F produces any of them.
+// Neither a Body nor curl -F produces any of them.
 package form
 
 import (
@@ -47,24 +53,10 @@ import (
 	"fmt"
 	"io"
 	"mime"
-	"mime/multipart"
 	"net/textproto"
 	"strings"
 	"sync"
 )
-
-// Writer frames one body. It is the standard library's multipart writer,
-// so a caller can pick the boundary and read the Content-Type from it.
-type Writer = multipart.Writer
-
-// NewWriter returns a Writer that writes a body to w.
-func NewWriter(w io.Writer) *Writer { return multipart.NewWriter(w) }
-
-// Part is one raw part of a body.
-type Part struct {
-	Name string
-	Data []byte
-}
 
 // CheckName reports whether name can be a part name: it must hold no
 // ASCII control character but tab.
@@ -73,38 +65,6 @@ func CheckName(name string) error {
 		return fmt.Errorf("form: part name %q holds a control character", name)
 	}
 	return nil
-}
-
-// Write writes the JSON head as the part named head, then parts in order,
-// and closes mw. Every part name is checked before any byte is written,
-// so a body that cannot travel fails with nothing sent. The head name is
-// the caller's constant and is written as it is.
-func Write(mw *Writer, head string, js []byte, parts []Part) error {
-	for _, p := range parts {
-		if err := CheckName(p.Name); err != nil {
-			return err
-		}
-	}
-	h := make(textproto.MIMEHeader)
-	h.Set("Content-Disposition", `form-data; name="`+head+`"`)
-	h.Set("Content-Type", "application/json")
-	pw, err := mw.CreatePart(h)
-	if err != nil {
-		return err
-	}
-	if _, err := pw.Write(js); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		pw, err := mw.CreateFormField(p.Name)
-		if err != nil {
-			return err
-		}
-		if _, err := pw.Write(p.Data); err != nil {
-			return err
-		}
-	}
-	return mw.Close()
 }
 
 // window is the size of the buffer a Reader reads its body through. A
@@ -135,7 +95,7 @@ var bufPool = sync.Pool{New: func() any {
 	return b
 }}
 
-// Reader reads a body framed by Write, or by any RFC 7578 client that
+// Reader reads a body framed by a Body, or by any RFC 7578 client that
 // follows the same layout. It reads the body once, front to back, through
 // a pooled 64 KiB window, and copies each part's bytes once, into a pooled
 // buffer; the package doc lists the inputs it refuses that mime/multipart

@@ -21,12 +21,12 @@ const contentType = "multipart/form-data; boundary=" + boundary
 // encode frames head and parts with the fixed test boundary.
 func encode(t testing.TB, head string, js []byte, parts []Part) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	mw := NewWriter(&buf)
-	if err := mw.SetBoundary(boundary); err != nil {
+	b, err := newBody(boundary, head, js, parts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(mw, head, js, parts); err != nil {
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -82,10 +82,9 @@ func TestRoundTrip(t *testing.T) {
 // header fails the whole body before any byte is written.
 func TestWriteRefusesControlCharacterNames(t *testing.T) {
 	for _, name := range []string{"a\r\nContent-Type: text/html", "a\nb", "nul\x00", "del\x7f"} {
-		var buf bytes.Buffer
-		err := Write(NewWriter(&buf), "head", []byte("{}"), []Part{{"fine", nil}, {name, nil}})
-		if err == nil || buf.Len() != 0 {
-			t.Fatalf("name %q: err %v, %d bytes written", name, err, buf.Len())
+		b, err := NewBody("head", []byte("{}"), []Part{{"fine", nil}, {name, nil}})
+		if err == nil || b != nil {
+			t.Fatalf("name %q: err %v, body %v", name, err, b)
 		}
 	}
 }
@@ -171,12 +170,11 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		mw := NewWriter(&buf)
-		if err := Write(mw, "head", js, parts); err != nil {
+		b, err := NewBody("head", js, parts)
+		if err != nil {
 			t.Fatalf("accepted body does not write back: %v", err)
 		}
-		js2, parts2, err := decode(mw.FormDataContentType(), &buf, "head")
+		js2, parts2, err := decode(b.ContentType(), b, "head")
 		if err != nil {
 			t.Fatalf("written-back body rejected: %v", err)
 		}

@@ -1,7 +1,6 @@
 package portal
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"colormatch/internal/form"
 )
 
 // The HTTP wire protocol ("records body": the internal/form framing of
@@ -22,7 +19,8 @@ import (
 //                                     (optional X-Idempotency-Key header:
 //                                     a retried key returns the original
 //                                     commit's ids without re-ingesting)
-//   GET  /records/<id>                records body, one record
+//   GET  /records/<id>                records body, one record, with its
+//                                     Content-Length
 //   GET  /search?experiment=&run=&after=&before=&limit=&cursor=
 //                                     {"records": [wireRecord], "next_cursor": ...}
 //                                     (files as sizes; timestamps RFC 3339)
@@ -119,13 +117,18 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		mw := form.NewWriter(w)
-		w.Header().Set("Content-Type", mw.FormDataContentType())
-		if err := writeRecords(mw, []Record{rec}); err != nil {
-			// Nothing is written yet when encoding fails; a failed write
-			// means the client is gone.
+		// The body is built, and checked, before any byte is written: once
+		// the body has started no status can be sent, and a failed write
+		// means only that the client is gone.
+		body, err := recordsBody([]Record{rec})
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
+		h := w.Header()
+		h.Set("Content-Type", body.ContentType())
+		h.Set("Content-Length", strconv.FormatInt(body.Len(), 10))
+		_, _ = body.WriteTo(w)
 	})
 	mux.HandleFunc("/search", func(w http.ResponseWriter, req *http.Request) {
 		params := req.URL.Query()
@@ -232,31 +235,32 @@ const idempotencyHeader = "X-Idempotency-Key"
 // unit. The key rides the X-Idempotency-Key header, so a retry of a batch
 // whose response was lost in transit (after the server committed it) is
 // answered from the server's dedupe memory instead of ingesting a second
-// copy.
+// copy. The request body refers to recs' attachment bytes instead of
+// copying them, so a caller must not change those bytes afterwards: the
+// transport may still be reading them when a response arrives early.
 func (c *Client) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	var body bytes.Buffer
-	// Room for every attachment up front, so the multi-megabyte frames are
-	// copied into the body once; the records part and part headers fit in
-	// the slack or grow the buffer once.
-	n := 64 << 10
-	for _, rec := range recs {
-		for _, data := range rec.Files {
-			n += len(data)
-		}
-	}
-	body.Grow(n)
-	mw := form.NewWriter(&body)
-	if err := writeRecords(mw, recs); err != nil {
-		return nil, fmt.Errorf("portal: ingest batch: %w", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ingest/batch", bytes.NewReader(body.Bytes()))
+	body, err := recordsBody(recs)
 	if err != nil {
 		return nil, fmt.Errorf("portal: ingest batch: %w", err)
 	}
-	req.Header.Set("Content-Type", mw.FormDataContentType())
+	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ingest/batch", nil)
+	if err != nil {
+		return nil, fmt.Errorf("portal: ingest batch: %w", err)
+	}
+	// http.NewRequest sets GetBody only for its own buffer types. Without
+	// it the transport could not replay this keyed POST on a keep-alive
+	// connection the server had closed. body itself is never read, so each
+	// copy of it reads the whole body.
+	req.GetBody = func() (io.ReadCloser, error) {
+		b := *body
+		return io.NopCloser(&b), nil
+	}
+	req.Body, _ = req.GetBody() // it never fails
+	req.ContentLength = body.Len()
+	req.Header.Set("Content-Type", body.ContentType())
 	if key != "" {
 		req.Header.Set(idempotencyHeader, key)
 	}
@@ -287,7 +291,7 @@ func (c *Client) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 // otherwise a large campaign would time out deterministically on every
 // flush attempt where the per-record publish path it replaced fit each
 // record comfortably.
-func (c *Client) batchClient(n int) *http.Client {
+func (c *Client) batchClient(n int64) *http.Client {
 	if c.HTTP.Timeout <= 0 || n < 1<<20 {
 		return c.HTTP
 	}

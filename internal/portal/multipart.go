@@ -23,10 +23,11 @@ import (
 // recordsPart is the form name of a body's head part.
 const recordsPart = "records"
 
-// writeRecords writes recs to mw as a records body and closes mw. The
-// records part is encoded and every attachment name checked before any
-// byte is written, so a record that cannot travel fails with nothing sent.
-func writeRecords(mw *form.Writer, recs []Record) error {
+// recordsBody frames recs as a records body. The records part is encoded
+// and every attachment name checked first, so a record that cannot travel
+// fails before anything is sent. The body refers to the attachments'
+// bytes; it copies none of them.
+func recordsBody(recs []Record) (*form.Body, error) {
 	wires := make([]wireRecord, len(recs))
 	var parts []form.Part
 	for i, rec := range recs {
@@ -34,7 +35,7 @@ func writeRecords(mw *form.Writer, recs []Record) error {
 		// the same bytes.
 		for _, name := range slices.Sorted(maps.Keys(rec.Files)) {
 			if err := form.CheckName(name); err != nil {
-				return fmt.Errorf("%w: record %d: %v", ErrInvalid, i, err)
+				return nil, fmt.Errorf("%w: record %d: %v", ErrInvalid, i, err)
 			}
 			parts = append(parts, form.Part{Name: strconv.Itoa(i) + "/" + name, Data: rec.Files[name]})
 		}
@@ -42,9 +43,9 @@ func writeRecords(mw *form.Writer, recs []Record) error {
 	}
 	js, err := json.Marshal(wires)
 	if err != nil {
-		return fmt.Errorf("%w: encode records: %v", ErrInvalid, err)
+		return nil, fmt.Errorf("%w: encode records: %v", ErrInvalid, err)
 	}
-	return form.Write(mw, recordsPart, js, parts)
+	return form.NewBody(recordsPart, js, parts)
 }
 
 // readRecords decodes a records body from body, whose Content-Type header

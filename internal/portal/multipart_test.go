@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"mime"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"colormatch/internal/form"
 )
 
 // rawPart is one hand-built multipart part: a form-data part named name,
@@ -38,6 +41,21 @@ func rawBody(t testing.TB, parts ...rawPart) (string, []byte) {
 		t.Fatal(err)
 	}
 	return mw.FormDataContentType(), buf.Bytes()
+}
+
+// underBoundary returns the bytes of body with its random boundary
+// replaced by boundary, so that bodies framed apart compare byte for byte.
+func underBoundary(t testing.TB, body *form.Body, boundary string) []byte {
+	t.Helper()
+	_, params, err := mime.ParseMediaType(body.ContentType())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := body.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.ReplaceAll(buf.Bytes(), []byte(params["boundary"]), []byte(boundary))
 }
 
 // postParts posts a hand-built multipart body to url and returns the HTTP
@@ -239,15 +257,11 @@ func TestWriteRecordsIsDeterministic(t *testing.T) {
 		}
 	}
 	encode := func() []byte {
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		if err := mw.SetBoundary("detboundary"); err != nil {
+		body, err := recordsBody(recs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeRecords(mw, recs); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return underBoundary(t, body, "detboundary")
 	}
 	first := encode()
 	for range 19 {
@@ -282,15 +296,11 @@ func TestWriteRecordsRejectsControlCharacterNames(t *testing.T) {
 func FuzzReadRecords(f *testing.F) {
 	const boundary = "fuzzboundary"
 	encode := func(recs []Record) []byte {
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		if err := mw.SetBoundary(boundary); err != nil {
+		body, err := recordsBody(recs)
+		if err != nil {
 			f.Fatal(err)
 		}
-		if err := writeRecords(mw, recs); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+		return underBoundary(f, body, boundary)
 	}
 	f.Add(encode([]Record{
 		{Experiment: "fz", Run: 1, Time: time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC),
@@ -307,12 +317,11 @@ func FuzzReadRecords(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		if err := writeRecords(mw, recs); err != nil {
+		re, err := recordsBody(recs)
+		if err != nil {
 			t.Fatalf("accepted records do not re-encode: %v", err)
 		}
-		again, err := readRecords(mw.FormDataContentType(), &buf)
+		again, err := readRecords(re.ContentType(), re)
 		if err != nil {
 			t.Fatalf("re-encoded body rejected: %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -260,14 +261,16 @@ func ServeModules(reg *Registry) http.Handler {
 // writeAction writes resp as an action response body: the internal/form
 // framing with resp as its head part, less the result's top-level
 // strings, which follow as raw parts in key order. A string under a key
-// no part name can hold stays in the head.
+// no part name can hold stays in the head. The strings go onto the wire
+// from the result that holds them, uncopied, under an exact
+// Content-Length.
 func writeAction(w http.ResponseWriter, resp actResponse) {
-	var parts []form.Part
+	var parts []form.RawPart[string]
 	if len(resp.Result) > 0 {
 		head := make(Result, len(resp.Result))
 		for k, v := range resp.Result {
 			if s, ok := v.(string); ok && form.CheckName(k) == nil {
-				parts = append(parts, form.Part{Name: resultPart + k, Data: []byte(s)})
+				parts = append(parts, form.RawPart[string]{Name: resultPart + k, Data: s})
 			} else {
 				head[k] = v
 			}
@@ -280,10 +283,16 @@ func writeAction(w http.ResponseWriter, resp actResponse) {
 		http.Error(w, "wei: encode action response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	mw := form.NewWriter(w)
-	w.Header().Set("Content-Type", mw.FormDataContentType())
-	// Every part name is valid, so only a write to a gone client can fail.
-	_ = form.Write(mw, responsePart, js, parts)
+	body, err := form.NewBody(responsePart, js, parts)
+	if err != nil {
+		http.Error(w, "wei: frame action response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", body.ContentType())
+	h.Set("Content-Length", strconv.FormatInt(body.Len(), 10))
+	// Only a write to a gone client can fail.
+	_, _ = body.WriteTo(w)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

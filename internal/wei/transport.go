@@ -101,7 +101,7 @@ func (r *Registry) About(ctx context.Context, module string) (ModuleInfo, error)
 // mirroring how WEI module servers expose device drivers on attached
 // computers. Requests and every other answer are JSON. An action response
 // body is one multipart/form-data body in the internal/form framing, the
-// one the portal's records body uses:
+// one the portal's records body uses, sent with its Content-Length:
 //   - a head part "response": {"result": {...}} | {"error": ..., "err_class": ...},
 //     the result without its top-level string values;
 //   - one raw part per top-level string value, named "result/<key>", in

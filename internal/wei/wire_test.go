@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,5 +148,44 @@ func TestHTTPHostileActionBodies(t *testing.T) {
 		if !errors.As(err, &te) || te.Op != "decode" || Classify(err) != ClassWorkcellDown {
 			t.Errorf("%s: err = %v, class %v; want a decode transport fault", name, err, Classify(err))
 		}
+	}
+}
+
+// discardWriter is a ResponseWriter that counts the body bytes written to
+// it and keeps none.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestWriteActionDoesNotCopyResults: a result string goes onto the wire
+// from the Result that holds it. Writing a 1 MiB result allocates under
+// 256 KiB, and the response's Content-Length is the bytes written.
+func TestWriteActionDoesNotCopyResults(t *testing.T) {
+	resp := actResponse{Result: Result{"image_png": strings.Repeat("iVBORw0K", 1<<17), "plate": 7.0}}
+	var w *discardWriter
+	write := func() {
+		w = &discardWriter{h: http.Header{}}
+		writeAction(w, resp)
+	}
+	write()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const n = 8
+	for range n {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes allocated per 1 MiB result", per)
+	if per >= 256<<10 {
+		t.Fatalf("%d bytes allocated per 1 MiB result, want under 256 KiB", per)
+	}
+	if cl := w.h.Get("Content-Length"); cl != strconv.Itoa(w.n) || w.n <= 1<<20 {
+		t.Fatalf("Content-Length %q, %d bytes written", cl, w.n)
 	}
 }
